@@ -21,40 +21,42 @@ from .core import CapacityError, ChimeraGraph, Hamiltonian
 __all__ = [
     "EliminationOrder",
     "elimination_order",
-    "bte_log_partition",
     "bte_log_partition_curve",
-    "bte_magnetizations",
     "bte_magnetization_curve",
     "bte_pair_correlation_curve",
     "bte_sample",
     "BteEngine",
 ]
 
-MAX_TABLE_ENTRIES = 1 << 22  # per temperature; width cap for one clique table
+# bytes of bucket tables one elimination pass may hold: a 32-temperature
+# chunk on L=4 (2.10 GiB) fits, L=5 gets one temperature per pass (1.66 GiB)
+BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A complete variable order plus the width it induces on the graph."""
+    """A complete variable order, the width it induces on the graph, and the
+    entries of all bucket tables one elimination pass keeps per temperature."""
 
     order: tuple[int, ...]
     induced_width: int
+    table_entries: int
 
 
-def _induced_width(graph: ChimeraGraph, order: tuple[int, ...]) -> int:
-    adj: dict[int, set[int]] = {s: set() for s in graph.spins}
-    for i, j in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    width = 0
+def _elimination_cost(graph: ChimeraGraph,
+                      order: tuple[int, ...]) -> tuple[int, int]:
+    """(induced width, table entries per temperature) of eliminating in order."""
+    adj = {s: set(nbrs) for s, nbrs in graph.neighbors().items()}
+    width = entries = 0
     for v in order:
         nbrs = adj.pop(v)
         width = max(width, len(nbrs))
+        entries += 1 << (len(nbrs) + 1)
         for a in nbrs:
             adj[a].discard(v)
             adj[a] |= nbrs - {a}
-    return width
+    return width, entries
 
 
 def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
@@ -77,7 +79,17 @@ def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
                     if s in active:
                         order.append(s)
     ot = tuple(order)
-    return EliminationOrder(order=ot, induced_width=_induced_width(graph, ot))
+    width, entries = _elimination_cost(graph, ot)
+    return EliminationOrder(order=ot, induced_width=width, table_entries=entries)
+
+
+def _temp_chunk(order: EliminationOrder) -> int:
+    """Temperatures per elimination pass whose tables fit in BUDGET."""
+    chunk = min(32, BUDGET // (8 * order.table_entries))
+    if chunk < 1:
+        raise CapacityError(f"induced width {order.induced_width}: one temperature "
+                            f"needs {8 * order.table_entries} bytes of tables")
+    return chunk
 
 
 @dataclass
@@ -176,10 +188,8 @@ def _factors(H: Hamiltonian, temps: np.ndarray, pos: dict[int, int]):
 def _forward(H: Hamiltonian, temps: np.ndarray,
              order: EliminationOrder) -> tuple[dict[int, _Bucket], np.ndarray]:
     """Eliminate all variables; returns calibrated buckets and ln Z per T."""
-    if (1 << (order.induced_width + 1)) > MAX_TABLE_ENTRIES:
-        raise CapacityError(
-            f"induced width {order.induced_width} exceeds the table cap"
-        )
+    if len(temps) > _temp_chunk(order):
+        raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
     pos = {v: t for t, v in enumerate(order.order)}
     n_temps = len(temps)
     buckets = {v: _Bucket(var=v, items=[]) for v in order.order}
@@ -267,65 +277,38 @@ def _backward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     return mags, corr
 
 
-def _temp_chunks(temps: np.ndarray, width: int) -> list[np.ndarray]:
-    per_table = 1 << (width + 1)
-    chunk = int(max(1, min(32, (1 << 24) // per_table)))
-    return [temps[i:i + chunk] for i in range(0, len(temps), chunk)]
+def _chunked(H: Hamiltonian, temps: np.ndarray,
+             order: EliminationOrder | None, run) -> np.ndarray:
+    """run(block, order) per temperature chunk, concatenated along axis 0."""
+    temps = np.asarray(temps, dtype=float)
+    if np.any(temps <= 0):
+        raise ValueError("all temperatures must be positive")
+    order = order or elimination_order(H.graph)
+    chunk = _temp_chunk(order)
+    return np.concatenate([run(temps[i:i + chunk], order)
+                           for i in range(0, len(temps), chunk)])
 
 
 def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray,
                             order: EliminationOrder | None = None) -> np.ndarray:
     """ln Z(T) over a temperature grid, exact up to float rounding."""
-    temps = np.asarray(temps, dtype=float)
-    if np.any(temps <= 0):
-        raise ValueError("all temperatures must be positive")
-    order = order or elimination_order(H.graph)
-    out = []
-    for block in _temp_chunks(temps, order.induced_width):
-        _, lnz = _forward(H, block, order)
-        out.append(lnz)
-    return np.concatenate(out)
-
-
-def bte_log_partition(H: Hamiltonian, T: float,
-                      order: EliminationOrder | None = None) -> float:
-    """ln Z at a single temperature."""
-    return float(bte_log_partition_curve(H, np.array([T]), order)[0])
+    return _chunked(H, temps, order,
+                    lambda block, o: _forward(H, block, o)[1])
 
 
 def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray,
                             order: EliminationOrder | None = None) -> np.ndarray:
     """Exact <sigma_i>(T): (n_temps, n_spins) aligned with graph.spins."""
-    temps = np.asarray(temps, dtype=float)
-    if np.any(temps <= 0):
-        raise ValueError("all temperatures must be positive")
-    order = order or elimination_order(H.graph)
-    out = []
-    for block in _temp_chunks(temps, order.induced_width):
-        mags, _ = _backward(H, block, order, None)
-        out.append(mags)
-    return np.concatenate(out, axis=0)
-
-
-def bte_magnetizations(H: Hamiltonian, T: float,
-                       order: EliminationOrder | None = None) -> np.ndarray:
-    """Exact per-spin thermal averages at a single temperature."""
-    return bte_magnetization_curve(H, np.array([T]), order)[0]
+    return _chunked(H, temps, order,
+                    lambda block, o: _backward(H, block, o, None)[0])
 
 
 def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
                                pairs: list[tuple[int, int]],
                                order: EliminationOrder | None = None) -> np.ndarray:
     """Exact <sigma_i sigma_j>(T) for graph edges: (n_temps, n_pairs)."""
-    temps = np.asarray(temps, dtype=float)
-    if np.any(temps <= 0):
-        raise ValueError("all temperatures must be positive")
-    order = order or elimination_order(H.graph)
-    out = []
-    for block in _temp_chunks(temps, order.induced_width):
-        _, corr = _backward(H, block, order, pairs)
-        out.append(corr)
-    return np.concatenate(out, axis=0)
+    return _chunked(H, temps, order,
+                    lambda block, o: _backward(H, block, o, pairs)[1])
 
 
 def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
@@ -365,12 +348,13 @@ class BteEngine:
 
     name = "bte"
 
-    def __init__(self, max_table_entries: int = MAX_TABLE_ENTRIES):
-        self.max_table_entries = max_table_entries
-
     def supports(self, H: Hamiltonian) -> bool:
-        order = elimination_order(H.graph)
-        return (1 << (order.induced_width + 1)) <= self.max_table_entries
+        """True when one temperature's elimination tables fit in BUDGET."""
+        try:
+            _temp_chunk(elimination_order(H.graph))
+        except CapacityError:
+            return False
+        return True
 
     def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
         return bte_magnetization_curve(H, temps)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .core import Hamiltonian
 
@@ -22,7 +22,8 @@ __all__ = [
     "crossover_probability",
     "corrupt",
     "sample_sector",
-    "sector_weight",
+    "apply_mask",
+    "sector_weights",
     "stream",
 ]
 
@@ -63,7 +64,8 @@ def crossover_probability(t_nish: float) -> float:
     return 1.0 / (1.0 + math.exp(2.0 / t_nish))
 
 
-def _apply_mask(H: Hamiltonian, mask: CorruptionMask) -> Hamiltonian:
+def apply_mask(H: Hamiltonian, mask: CorruptionMask) -> Hamiltonian:
+    """Negate the masked fields and couplers of H."""
     h = {i: -v if i in mask.flipped_fields else v for i, v in H.h.items()}
     J = {e: -v if e in mask.flipped_couplers else v for e, v in H.J.items()}
     return Hamiltonian(H.graph, h, J, H.alpha)
@@ -85,7 +87,7 @@ def corrupt(H_clean: Hamiltonian, p: float,
             e for t, e in enumerate(edges) if draws[len(spins) + t]
         ),
     )
-    return _apply_mask(H_clean, mask), mask
+    return apply_mask(H_clean, mask), mask
 
 
 def sample_sector(H_clean: Hamiltonian, s: int,
@@ -100,7 +102,7 @@ def sample_sector(H_clean: Hamiltonian, s: int,
         raise ValueError(f"sector {s} outside [0, {total}]")
     chosen = rng.choice(total, size=s, replace=False)
     mask = mask_from_flat(H_clean, chosen)
-    return _apply_mask(H_clean, mask), mask
+    return apply_mask(H_clean, mask), mask
 
 
 def mask_from_flat(H: Hamiltonian, flat_indices) -> CorruptionMask:
@@ -112,25 +114,15 @@ def mask_from_flat(H: Hamiltonian, flat_indices) -> CorruptionMask:
     return CorruptionMask(fields, couplers)
 
 
-def apply_mask(H: Hamiltonian, mask: CorruptionMask) -> Hamiltonian:
-    """Public alias: negate the masked fields and couplers of H."""
-    return _apply_mask(H, mask)
+def sector_weights(p, n_elements: int) -> np.ndarray:
+    """P(exactly s of n elements corrupted) = C(n, s) p^s (1-p)^(n-s), s = 0..n.
 
-
-def sector_weight(s: int, p: float, n_elements: int) -> float:
-    """Binomial probability that the channel corrupts exactly s elements.
-
-    C(n, s) p^s (1-p)^(n-s); sums to 1 over s = 0..n_elements.
+    Evaluated in the log domain: finite for any n, exact at p = 0 and p = 1.
+    An array of p gives one row of weights per p.
     """
-    if not 0 <= s <= n_elements:
-        raise ValueError(f"sector {s} outside [0, {n_elements}]")
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)[..., None]
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    return float(binom.pmf(s, n_elements, p))
-
-
-def sector_weights(p: float, n_elements: int) -> np.ndarray:
-    """All sector weights [q(0,p), ..., q(n_elements,p)] at once."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return binom.pmf(np.arange(n_elements + 1), n_elements, p)
+    s = np.arange(n_elements + 1)
+    log_comb = gammaln(n_elements + 1) - gammaln(s + 1) - gammaln(n_elements - s + 1)
+    return np.exp(log_comb + xlogy(s, p) + xlog1py(n_elements - s, -p))

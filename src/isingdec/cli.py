@@ -439,7 +439,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     started = time.time()

@@ -1,9 +1,9 @@
 """Exhaustive-enumeration thermodynamics for small instances.
 
 Configurations are encoded as n-bit integers with bit t = (s_t + 1)/2, where
-t indexes the active spins of the graph in ascending order. Thermal averages
-are computed in the log domain with the ground energy subtracted, so no
-temperature in [1e-3, 1e7] overflows or underflows.
+t indexes the active spins of the graph in ascending order. Every thermal
+average goes through `thermal_average`, which subtracts the ground energy
+first, so no temperature in [1e-3, 1e7] overflows or underflows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "magnetization",
     "magnetization_curve",
     "pair_correlation_curve",
+    "thermal_average",
     "mpm_decode",
     "map_decode",
     "bit_error_rate",
@@ -31,7 +32,7 @@ __all__ = [
     "batch_mpm_decode_curve",
 ]
 
-MAX_SPINS_DEFAULT = 25
+MAX_SPINS = 25
 GROUND_TIE_RTOL = 1e-9
 _ZERO_TOL = 1e-12  # |<sigma>| below this decodes to 0 (exact symmetry + float noise)
 
@@ -54,14 +55,17 @@ def _cached_config_matrix(n: int) -> np.ndarray:
 
 def config_matrix(n: int) -> np.ndarray:
     """(2^n, n) matrix of spin values; row k is configuration code k."""
-    if n > MAX_SPINS_DEFAULT:
-        raise CapacityError(f"{n} spins exceeds the exhaustive cap {MAX_SPINS_DEFAULT}")
+    if n > MAX_SPINS:
+        raise CapacityError(f"{n} spins exceeds the exhaustive cap {MAX_SPINS}")
     return _cached_config_matrix(n)
 
 
-def _edge_index_pairs(graph: ChimeraGraph) -> np.ndarray:
+def _pair_products(graph: ChimeraGraph, pairs) -> np.ndarray:
+    """(2^n, n_pairs) values of s_i s_j in every configuration."""
     pos = {s: t for t, s in enumerate(graph.spins)}
-    return np.array([(pos[i], pos[j]) for i, j in graph.edges], dtype=np.int64)
+    idx = np.array([(pos[i], pos[j]) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
+    S = config_matrix(graph.n_spins)
+    return S[:, idx[:, 0]] * S[:, idx[:, 1]]
 
 
 def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
@@ -72,16 +76,12 @@ def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
     Returns (B, 2^n).
     """
     S = config_matrix(graph.n_spins)
-    ep = _edge_index_pairs(graph)
-    P = S[:, ep[:, 0]] * S[:, ep[:, 1]] if len(ep) else np.zeros((S.shape[0], 0))
+    P = _pair_products(graph, graph.edges)
     return alpha * (-(h_mat @ S.T) - (j_mat @ P.T))
 
 
-def enumerate_spectrum(H: Hamiltonian, max_spins: int = MAX_SPINS_DEFAULT) -> Spectrum:
+def enumerate_spectrum(H: Hamiltonian) -> Spectrum:
     """Exact energies of all 2^n configurations of H."""
-    n = H.graph.n_spins
-    if n > max_spins:
-        raise CapacityError(f"{n} spins exceeds the cap of {max_spins}")
     energies = batch_energies(
         H.graph, H.h_vector()[None, :], H.j_vector()[None, :], H.alpha
     )[0]
@@ -91,84 +91,64 @@ def enumerate_spectrum(H: Hamiltonian, max_spins: int = MAX_SPINS_DEFAULT) -> Sp
     return Spectrum(energies=energies, ground_energy=ground, ground_set=ground_set)
 
 
-def _boltzmann_weights(energies: np.ndarray, T: float) -> np.ndarray:
-    """Normalized Boltzmann weights, ground energy subtracted first."""
-    shifted = energies - energies.min(axis=-1, keepdims=True)
-    w = np.exp(-shifted / T)
-    return w / w.sum(axis=-1, keepdims=True)
+def thermal_average(energies: np.ndarray, temps: np.ndarray,
+                    observable: np.ndarray) -> np.ndarray:
+    """Boltzmann averages of observable columns over a temperature grid.
 
-
-def magnetization(H: Hamiltonian, T: float,
-                  spectrum: Spectrum | None = None) -> np.ndarray:
-    """Per-spin thermal averages <sigma_i> at temperature T."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    sp = spectrum if spectrum is not None else enumerate_spectrum(H)
-    S = config_matrix(H.graph.n_spins)
-    w = _boltzmann_weights(sp.energies, T)
-    return w @ S
-
-
-def magnetization_curve(H: Hamiltonian, temps: np.ndarray,
-                        spectrum: Spectrum | None = None) -> np.ndarray:
-    """(n_temps, n_spins) array of <sigma_i>(T) over a temperature grid."""
+    energies: (..., 2^n) configuration energies; observable: (2^n, k) values
+    per configuration. Returns (..., n_temps, k). The ground energy is
+    subtracted first and the weights are built one temperature at a time.
+    """
     temps = np.asarray(temps, dtype=float)
     if np.any(temps <= 0):
         raise ValueError("all temperatures must be positive")
-    sp = spectrum if spectrum is not None else enumerate_spectrum(H)
-    S = config_matrix(H.graph.n_spins)
-    shifted = sp.energies - sp.ground_energy
-    out = np.empty((len(temps), H.graph.n_spins))
+    neg_shifted = energies.min(axis=-1, keepdims=True) - energies
+    out = np.empty(energies.shape[:-1] + (len(temps), observable.shape[1]))
     for t, T in enumerate(temps):
-        w = np.exp(-shifted / T)
-        out[t] = (w @ S) / w.sum()
+        w = np.exp(neg_shifted / T)
+        out[..., t, :] = (w @ observable) / w.sum(axis=-1, keepdims=True)
     return out
+
+
+def magnetization(H: Hamiltonian, T: float) -> np.ndarray:
+    """Per-spin thermal averages <sigma_i> at temperature T."""
+    return magnetization_curve(H, np.array([T], dtype=float))[0]
+
+
+def magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
+    """(n_temps, n_spins) array of <sigma_i>(T) over a temperature grid."""
+    return thermal_average(enumerate_spectrum(H).energies, temps,
+                           config_matrix(H.graph.n_spins))
 
 
 def pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
-                           pairs: list[tuple[int, int]],
-                           spectrum: Spectrum | None = None) -> np.ndarray:
+                           pairs: list[tuple[int, int]]) -> np.ndarray:
     """(n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary pairs."""
-    temps = np.asarray(temps, dtype=float)
-    if np.any(temps <= 0):
-        raise ValueError("all temperatures must be positive")
-    sp = spectrum if spectrum is not None else enumerate_spectrum(H)
-    S = config_matrix(H.graph.n_spins)
-    pos = {s: t for t, s in enumerate(H.graph.spins)}
-    idx = np.array([(pos[i], pos[j]) for i, j in pairs], dtype=np.int64)
-    P = S[:, idx[:, 0]] * S[:, idx[:, 1]]
-    shifted = sp.energies - sp.ground_energy
-    out = np.empty((len(temps), len(pairs)))
-    for t, T in enumerate(temps):
-        w = np.exp(-shifted / T)
-        out[t] = (w @ P) / w.sum()
-    return out
+    return thermal_average(enumerate_spectrum(H).energies, temps,
+                           _pair_products(H.graph, pairs))
 
 
 def _sign_with_zero(m: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:
     out = np.sign(m)
-    out[np.abs(m) < tol] = 0.0
+    out[(m > -tol) & (m < tol)] = 0.0  # no |m| temporary: it is out's size
     return out
 
 
-def mpm_decode(H: Hamiltonian, T: float,
-               spectrum: Spectrum | None = None) -> np.ndarray:
+def mpm_decode(H: Hamiltonian, T: float) -> np.ndarray:
     """Marginal posterior maximisation: sgn(<sigma_i>) at T, 0 if undecided.
 
     Entries align with H.graph.spins.
     """
-    return _sign_with_zero(magnetization(H, T, spectrum))
+    return _sign_with_zero(magnetization(H, T))
 
 
-def map_decode(H: Hamiltonian, spectrum: Spectrum | None = None) -> np.ndarray:
+def map_decode(H: Hamiltonian) -> np.ndarray:
     """Maximum-likelihood decode: per-spin sign summed over all ground states.
 
     Exact integer arithmetic, so degenerate ties yield exactly 0.
     """
-    sp = spectrum if spectrum is not None else enumerate_spectrum(H)
-    S = config_matrix(H.graph.n_spins)
-    sums = S[sp.ground_set].sum(axis=0)
-    return np.sign(sums)
+    energies = enumerate_spectrum(H).energies[None, :]
+    return batch_map_decode(energies, H.graph.n_spins, H.alpha)[0]
 
 
 def batch_map_decode(energies: np.ndarray, n_spins: int, alpha: float = 1.0) -> np.ndarray:
@@ -186,14 +166,7 @@ def batch_mpm_decode_curve(energies: np.ndarray, n_spins: int,
 
     energies: (B, 2^n). Returns signs (B, n_temps, n_spins).
     """
-    S = config_matrix(n_spins)
-    shifted = energies - energies.min(axis=1, keepdims=True)
-    out = np.empty((energies.shape[0], len(temps), n_spins))
-    for t, T in enumerate(np.asarray(temps, dtype=float)):
-        w = np.exp(-shifted / T)
-        m = (w @ S) / w.sum(axis=1, keepdims=True)
-        out[:, t, :] = _sign_with_zero(m)
-    return out
+    return _sign_with_zero(thermal_average(energies, temps, config_matrix(n_spins)))
 
 
 def bit_error_rate(decoded: np.ndarray, truth: np.ndarray) -> float:
@@ -213,19 +186,9 @@ class ExactEngine:
 
     name = "exact"
 
-    def __init__(self, max_spins: int = MAX_SPINS_DEFAULT):
-        self.max_spins = max_spins
-
-    def supports(self, H: Hamiltonian) -> bool:
-        return H.graph.n_spins <= self.max_spins
-
     def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-        if not self.supports(H):
-            raise CapacityError(f"{H.graph.n_spins} spins exceeds exact cap")
         return magnetization_curve(H, temps)
 
     def pair_correlation_curve(self, H: Hamiltonian, temps: np.ndarray,
                                pairs: list[tuple[int, int]]) -> np.ndarray:
-        if not self.supports(H):
-            raise CapacityError(f"{H.graph.n_spins} spins exceeds exact cap")
         return pair_correlation_curve(H, temps, pairs)

@@ -30,7 +30,6 @@ __all__ = [
     "MpmDecoder",
     "SectorRates",
     "sector_rates",
-    "direct_rtot",
     "ber_curve",
     "BerSurface",
     "ber_surface",
@@ -44,34 +43,33 @@ __all__ = [
 ]
 
 
-def _split_elements(graph: ChimeraGraph, elements: np.ndarray):
-    """Split flat (B, N+M) element vectors into field and coupler matrices."""
+def _batch_energies(graph: ChimeraGraph, elements: np.ndarray, alpha: float):
+    """Configuration energies (B, 2^n) of flat (B, N+M) element vectors."""
     n = len(graph.spins)
-    return elements[:, :n], elements[:, n:]
+    return exact.batch_energies(graph, elements[:, :n], elements[:, n:], alpha)
 
 
 class MapDecoder:
-    """Zero-temperature (ground-state-consensus) decoder for a fixed graph."""
+    """Zero-temperature (ground-state-consensus) decoder for a fixed graph.
+
+    Called on (B, N+M) element matrices (fields first, then couplers in edge
+    order); returns signs (B, n_spins).
+    """
 
     def __init__(self, graph: ChimeraGraph, alpha: float = 1.0):
         self.graph = graph
         self.alpha = alpha
-        self.temperatures = None
 
-    def __call__(self, H: Hamiltonian) -> np.ndarray:
-        return exact.map_decode(H)
-
-    def batch(self, elements: np.ndarray) -> np.ndarray:
-        h_mat, j_mat = _split_elements(self.graph, elements)
-        energies = exact.batch_energies(self.graph, h_mat, j_mat, self.alpha)
+    def __call__(self, elements: np.ndarray) -> np.ndarray:
+        energies = _batch_energies(self.graph, elements, self.alpha)
         return exact.batch_map_decode(energies, len(self.graph.spins), self.alpha)
 
 
 class MpmDecoder:
     """Finite-temperature sign-of-magnetization decoder over a T grid.
 
-    With a scalar temperature the per-Hamiltonian result is a (n_spins,)
-    sign vector; with a grid it is (n_temps, n_spins).
+    Called on (B, N+M) element matrices; with a scalar temperature it returns
+    signs (B, n_spins), with a grid (B, n_temps, n_spins).
     """
 
     def __init__(self, graph: ChimeraGraph, temperatures, alpha: float = 1.0):
@@ -80,13 +78,8 @@ class MpmDecoder:
         self.scalar = np.isscalar(temperatures)
         self.temperatures = np.atleast_1d(np.asarray(temperatures, dtype=float))
 
-    def __call__(self, H: Hamiltonian) -> np.ndarray:
-        out = np.sign(exact.magnetization_curve(H, self.temperatures))
-        return out[0] if self.scalar else out
-
-    def batch(self, elements: np.ndarray) -> np.ndarray:
-        h_mat, j_mat = _split_elements(self.graph, elements)
-        energies = exact.batch_energies(self.graph, h_mat, j_mat, self.alpha)
+    def __call__(self, elements: np.ndarray) -> np.ndarray:
+        energies = _batch_energies(self.graph, elements, self.alpha)
         out = exact.batch_mpm_decode_curve(
             energies, len(self.graph.spins), self.temperatures)
         return out[:, 0, :] if self.scalar else out
@@ -125,78 +118,33 @@ def _sector_masks(n_elements: int, s: int, samples_per_sector: int,
     return masks, False
 
 
-def _rates_against_truth(decoded: np.ndarray) -> np.ndarray:
-    """Mean per-spin error of sign decodes vs the all-+1 truth; 0 counts 1/2."""
-    return ((1.0 - decoded) / 2.0).mean(axis=-1)
-
-
 def sector_rates(H_clean: Hamiltonian, decoder, samples_per_sector: int,
                  rng: np.random.Generator) -> SectorRates:
     """Mean decode error per corruption sector of a clean instance.
 
-    The decoder is called per Hamiltonian unless it provides a vectorized
-    `batch(elements)` method taking (B, N+M) element-value matrices.
+    The decoder is called once per sector on the (B, N+M) element-value
+    matrix of that sector's corrupted instances.
     """
     if samples_per_sector < 1:
         raise ValueError("samples_per_sector must be >= 1")
-    graph = H_clean.graph
     clean = np.concatenate([H_clean.h_vector(), H_clean.j_vector()])
     n_el = len(clean)
     counts, means, samples, exhaustive = [], [], [], []
     for s in range(n_el + 1):
         masks, full = _sector_masks(n_el, s, samples_per_sector, rng)
         elements = clean * np.where(masks, -1.0, 1.0)
-        if hasattr(decoder, "batch"):
-            decoded = decoder.batch(elements)
-        else:
-            h_mat, j_mat = _split_elements(graph, elements)
-            decoded = np.array([
-                decoder(Hamiltonian.from_vectors(graph, h, j, H_clean.alpha))
-                for h, j in zip(h_mat, j_mat)
-            ])
-        r = _rates_against_truth(decoded)
+        # mean per-spin error vs the all-+1 truth; an undecided spin counts 1/2
+        r = ((1.0 - decoder(elements)) / 2.0).mean(axis=-1)
         counts.append(len(masks))
         means.append(r.mean(axis=0))
         samples.append(r)
         exhaustive.append(full)
-    temps = getattr(decoder, "temperatures", None)
-    if temps is not None and getattr(decoder, "scalar", False):
-        temps = None
+    temps = None if getattr(decoder, "scalar", True) else decoder.temperatures
     return SectorRates(
         n_elements=n_el, counts=np.array(counts), means=np.array(means),
         sample_rates=tuple(samples), exhaustive=np.array(exhaustive),
         temperatures=temps,
     )
-
-
-def direct_rtot(H_clean: Hamiltonian, decoder, p_grid: np.ndarray,
-                chunk: int = 4096) -> np.ndarray:
-    """r_tot(p) by direct enumeration of every corruption pattern.
-
-    Sums p^s (1-p)^(N+M-s) r over all 2^(N+M) flip patterns — the ungrouped
-    form of the sector polynomial; feasible only for small graphs.
-    """
-    clean = np.concatenate([H_clean.h_vector(), H_clean.j_vector()])
-    n_el = len(clean)
-    if n_el > 26:
-        raise exact.CapacityError(f"2^{n_el} corruption patterns is too many")
-    p_grid = np.asarray(p_grid, dtype=float)
-    total = np.zeros(len(p_grid))
-    codes = np.arange(1 << n_el, dtype=np.int64)
-    for start in range(0, len(codes), chunk):
-        block = codes[start:start + chunk]
-        masks = (block[:, None] >> np.arange(n_el)) & 1
-        s = masks.sum(axis=1)
-        elements = clean * (1 - 2 * masks)
-        decoded = decoder.batch(elements)
-        r = _rates_against_truth(decoded)
-        if r.ndim != 1:
-            raise ValueError("direct_rtot needs a single-decode decoder")
-        weights = np.array([
-            p ** s * (1.0 - p) ** (n_el - s) for p in p_grid
-        ])
-        total += weights @ r
-    return total
 
 
 def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray,
@@ -221,14 +169,11 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray,
     if m > 20:
         raise exact.CapacityError(f"2^{m} coupler words is too many")
     t_decode = np.asarray(t_decode, dtype=float)
-    pos = {s: t for t, s in enumerate(graph.spins)}
-    edge_idx = np.array([(pos[a], pos[b]) for a, b in graph.edges])
 
     # gauge variables: one +-1 vector per spin assignment
     tau = exact.config_matrix(n)                      # (2^n, n)
     edge_parity = (
-        (1 - tau[:, edge_idx[:, 0]] * tau[:, edge_idx[:, 1]]) // 2
-    ).astype(np.int64)
+        (1 - exact._pair_products(graph, graph.edges)) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
     parity_sum = edge_parity.sum(axis=1).astype(np.int64)
     n_el = n + m
@@ -272,11 +217,7 @@ def ber_curve(rates: SectorRates, p_grid: np.ndarray) -> np.ndarray:
 
     Returns (n_p,) for scalar-decode rates or (n_p, n_temps) for grid rates.
     """
-    p_grid = np.asarray(p_grid, dtype=float)
-    weights = np.array([
-        channel.sector_weights(p, rates.n_elements) for p in p_grid
-    ])
-    return weights @ rates.means
+    return channel.sector_weights(p_grid, rates.n_elements) @ rates.means
 
 
 @dataclass(frozen=True)
@@ -439,9 +380,7 @@ def bootstrap_std(rates: SectorRates, p_grid: np.ndarray, n_boot: int,
     if any(len(s) == 0 for s in rates.sample_rates):
         raise ValueError("empty sector sample list")
     p_grid = np.asarray(p_grid, dtype=float)
-    weights = np.array([
-        channel.sector_weights(p, rates.n_elements) for p in p_grid
-    ])
+    weights = channel.sector_weights(p_grid, rates.n_elements)
     boots = np.empty((n_boot,) + ((len(p_grid),) if rates.means.ndim == 1
                                   else (len(p_grid),) + rates.means.shape[1:]))
     for b in range(n_boot):

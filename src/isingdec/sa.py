@@ -151,7 +151,6 @@ def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
     order = np.argsort(-cps)  # descending: the order the ramp reaches them
     _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=cps[order])
     means = snaps.mean(axis=1)  # (n_cp, n_spins), sweep order
-    ascending = order[::-1]
     return OrientationCurve(
         temperatures=H.alpha * cps[order][::-1],
         values=means[::-1],

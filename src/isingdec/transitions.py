@@ -10,12 +10,13 @@ noise around zero produces spurious crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
 from scipy.special import erfc, ndtr
-from scipy.stats import binom
 
 from .core import Hamiltonian
 
@@ -296,11 +297,11 @@ def significance_band(n_sets: int, level: float = 0.95) -> float:
     it lies at least d away from 1/2.
     """
     alpha = 1.0 - level
+    counts = [math.comb(n_sets, k) for k in range(n_sets // 2 + 1)]
+    lower = list(itertools.accumulate(counts))  # outcomes with <= k successes
     for k in range(n_sets // 2, -1, -1):
-        # two-sided tail mass of counts <= k or >= n-k under p = 1/2
-        tail = 2.0 * binom.cdf(k, n_sets, 0.5)
-        if k * 2 == n_sets:
-            tail -= binom.pmf(k, n_sets, 0.5)
-        if tail <= alpha:
+        # two-sided tail of counts <= k or >= n-k under p = 1/2, in exact integers
+        tail = 2 * lower[k] - (counts[k] if k * 2 == n_sets else 0)
+        if tail / 2 ** n_sets <= alpha:
             return 0.5 - k / n_sets
     return 0.5 + 1.0 / n_sets  # nothing is significant at this level

@@ -12,6 +12,7 @@ import pytest
 
 from isingdec import bte, channel, core, exact, experiments as ex, sa
 from isingdec import transitions as tr
+from oracles import direct_rtot
 
 
 def report(capfd, number, ok, detail):
@@ -112,7 +113,7 @@ def test_criterion_04_sector_grouping_identity(capfd):
     H = core.Hamiltonian.uniform(core.truncated_cell())
     dec = ex.MapDecoder(H.graph)
     p_grid = np.linspace(0.01, 0.49, 50)
-    direct = ex.direct_rtot(H, dec, p_grid)
+    direct = direct_rtot(H, dec, p_grid)
     rates = ex.sector_rates(H, dec, 2 ** 15, np.random.default_rng(0))
     grouped = ex.ber_curve(rates, p_grid)
     worst = float(np.max(np.abs(direct - grouped)))
@@ -152,8 +153,8 @@ def test_criterion_06_map_usefulness_threshold(capfd, cell_surface):
            "(want 0.327 +- 0.005)")
     assert ok, (
         f"exact exhaustive enumeration places the crossing at {crossing:.5f}, "
-        "outside 0.327 +- 0.005; see the decisions ledger for the convention "
-        "analysis behind this honest failure")
+        "outside 0.327 +- 0.005; see 'Criterion 6 convention analysis' in "
+        "CHANGES.md for why no tie convention moves it into the window")
 
 
 def test_criterion_07_transition_plateau(capfd, class_transition_records):

@@ -43,7 +43,7 @@ class TestAgainstExact:
         sp = exact.enumerate_spectrum(H)
         for T in (0.3, 1.0, 4.0):
             lnz_ex = logsumexp(-sp.energies / T)
-            assert bte.bte_log_partition(H, T) == pytest.approx(
+            assert bte.bte_log_partition_curve(H, np.array([T]))[0] == pytest.approx(
                 float(lnz_ex), abs=1e-10)
 
     def test_two_cells_of_larger_grid(self):
@@ -118,6 +118,28 @@ class TestEngine:
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
             bte.bte_magnetization_curve(H, np.array([1.0]))
+
+    def test_capacity_error_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("tables built past the budget")
+
+        monkeypatch.setattr(bte, "_forward", no_tables)
+        H = core.Hamiltonian.uniform(core.build_chimera(8))
+        with pytest.raises(core.CapacityError):
+            bte.bte_magnetization_curve(H, np.array([1.0]))
+
+    @pytest.mark.parametrize("L", range(1, 6))
+    def test_chunk_fits_budget(self, L):
+        order = bte.elimination_order(core.build_chimera(L))
+        chunk = bte._temp_chunk(order)
+        assert chunk * 8 * order.table_entries <= bte.BUDGET
+        assert chunk == (32 if L <= 4 else 1)
+
+    def test_table_entries_count_the_forward_tables(self):
+        H = random_instance(2, 12)
+        order = bte.elimination_order(H.graph)
+        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order)
+        assert sum(b.lam.size for b in buckets.values()) == 2 * order.table_entries
 
     def test_curve_shape(self):
         eng = bte.BteEngine()

@@ -45,7 +45,7 @@ class TestSectorWeights:
         p, n = 0.3, 24
         for s in (0, 1, 12, 24):
             expected = comb(n, s, exact=True) * p ** s * (1 - p) ** (n - s)
-            assert channel.sector_weight(s, p, n) == pytest.approx(
+            assert channel.sector_weights(p, n)[s] == pytest.approx(
                 expected, rel=1e-12)
 
 

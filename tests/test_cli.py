@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,16 @@ class TestCanonicalize:
                     f"hamiltonian = {ham}\n")
         assert run(["canonicalize", "--config", str(cfg)]) == 0
         assert (out / "canonical.csv").exists()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about a second of every CLI start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = "import sys, isingdec.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

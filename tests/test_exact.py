@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingdec import channel, core, exact
+from isingdec import channel, core, exact, experiments
 
 
 def random_nominal(seed):
@@ -32,7 +32,7 @@ class TestSpectrum:
     def test_capacity(self):
         H = core.Hamiltonian.uniform(core.build_chimera(2))
         with pytest.raises(core.CapacityError):
-            exact.enumerate_spectrum(H, max_spins=10)
+            exact.enumerate_spectrum(H)
 
     @given(st.integers(0, 2 ** 32 - 1), st.sets(st.integers(0, 7)))
     @settings(max_examples=30, deadline=None)
@@ -139,16 +139,25 @@ class TestBatch:
         assert np.allclose(batch, sp.energies, atol=1e-12)
 
     def test_batch_decoders_match_single(self):
-        hs, js = [], []
         hams = [random_nominal(s) for s in range(10)]
         g = hams[0].graph
+        # zero field: every <sigma_i> is 0 by global flip symmetry
+        zero_field = core.Hamiltonian.from_vectors(
+            g, np.zeros(g.n_spins), hams[0].j_vector())
+        hams.append(zero_field)
         h_mat = np.array([H.h_vector() for H in hams])
         j_mat = np.array([H.j_vector() for H in hams])
         energies = exact.batch_energies(g, h_mat, j_mat, 1.0)
         map_b = exact.batch_map_decode(energies, 8, 1.0)
         temps = np.array([0.4, 1.3])
         mpm_b = exact.batch_mpm_decode_curve(energies, 8, temps)
+        mpm_d = experiments.MpmDecoder(g, temps)(np.hstack([h_mat, j_mat]))
+        assert np.array_equal(mpm_d, mpm_b)
         for k, H in enumerate(hams):
             assert np.array_equal(map_b[k], exact.map_decode(H))
             for t, T in enumerate(temps):
                 assert np.array_equal(mpm_b[k, t], exact.mpm_decode(H, T))
+        for T in temps:
+            assert np.all(exact.mpm_decode(zero_field, T) == 0)
+        assert np.all(mpm_b[-1] == 0)
+        assert np.all(mpm_d[-1] == 0)

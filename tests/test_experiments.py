@@ -3,6 +3,7 @@ import pytest
 from scipy.special import comb
 
 from isingdec import channel, core, exact, experiments as ex
+from oracles import direct_rtot
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +223,7 @@ class TestDirectRtot:
     def test_matches_sector_polynomial(self, truncated_clean):
         dec = ex.MapDecoder(truncated_clean.graph)
         ps = np.linspace(0.02, 0.45, 9)
-        direct = ex.direct_rtot(truncated_clean, dec, ps)
+        direct = direct_rtot(truncated_clean, dec, ps)
         rates = ex.sector_rates(truncated_clean, dec, 2 ** 15,
                                 np.random.default_rng(0))
         poly = ex.ber_curve(rates, ps)
