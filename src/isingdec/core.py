@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "unit_cell_automorphisms",
     "canonicalize_cell",
     "CanonicalCell",
+    "cell_orbits",
     "enumerate_cell_classes",
     "parse_hamiltonian",
     "format_hamiltonian",
@@ -235,15 +237,79 @@ def unit_cell_automorphisms() -> list[tuple[int, ...]]:
     return perms
 
 
-def _edge_permutations(perms: list[tuple[int, ...]]) -> np.ndarray:
-    """Gather table G with G[g, new_edge_index] = old_edge_index under perm g."""
-    edge_index = {e: t for t, e in enumerate(CELL_EDGES)}
-    G = np.empty((len(perms), len(CELL_EDGES)), dtype=np.int64)
+@lru_cache(maxsize=8)
+def _cell_group(graph: ChimeraGraph) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Cell automorphisms that map a single-cell graph's active spins onto
+    themselves, and their gather table G over the graph's edges:
+    G[g, new_edge_index] = old_edge_index under perm g.
+
+    The full cell keeps all 1152 elements, `truncated_cell()` 72.
+    """
+    if graph.L != 1:
+        raise ValueError("cell symmetries need a single unit cell")
+    every = unit_cell_automorphisms()
+    P = np.array(every)
+    active = np.array(graph.spins)
+    keep = np.isin(P[:, active], active).all(axis=1)
+    perms, P = tuple(p for p, k in zip(every, keep) if k), P[keep]
+    E = np.array(graph.edges)
+    index = np.zeros((8, 8), dtype=np.int64)
+    index[E[:, 0], E[:, 1]] = index[E[:, 1], E[:, 0]] = np.arange(graph.n_edges)
+    # row g maps old edge index -> new edge index; its inverse is the gather
+    G = np.argsort(index[P[:, E[:, 0]], P[:, E[:, 1]]], axis=1)
+    G.flags.writeable = False
+    return perms, G
+
+
+def _generators(perms: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Indices of a generating set of the group `perms`, picked greedily: an
+    element joins when the group generated so far does not hold it."""
+    identity = tuple(range(len(perms[0])))
+    gens: list[int] = []
+    group = {identity}
     for g, p in enumerate(perms):
-        for t, (i, j) in enumerate(CELL_EDGES):
-            a, b = p[i], p[j]
-            G[g, edge_index[(min(a, b), max(a, b))]] = t
-    return G
+        if p in group:
+            continue
+        gens.append(g)
+        group, frontier = {identity}, [identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for k in gens:
+                    y = tuple(x[i] for i in perms[k])
+                    if y not in group:
+                        group.add(y)
+                        new.append(y)
+            frontier = new
+    return gens
+
+
+def cell_orbits(graph: ChimeraGraph) -> np.ndarray:
+    """Canonical (orbit-minimum) word of every coupler word of a single cell.
+
+    Words pack the graph's coupler signs as `_pack_word` does (a negative
+    coupler is a 1 bit, edge 0 the most significant), so the result has
+    2^n_edges entries. The group is every cell automorphism that maps the
+    active spins onto themselves; minima are closed under a small generating
+    set of it rather than taken over every element.
+    """
+    perms, G = _cell_group(graph)
+    m = graph.n_edges
+    shifts = np.arange(m - 1, -1, -1)
+    words = np.arange(1 << m, dtype=np.int64)
+    images = []
+    for g in _generators(perms):
+        image = np.zeros_like(words)
+        for new, old in enumerate(G[g]):
+            image |= ((words >> shifts[old]) & 1) << shifts[new]
+        images.append(image)
+    canonical = words
+    while True:
+        previous = canonical
+        for image in images:
+            canonical = np.minimum(canonical, canonical[image])
+        if np.array_equal(canonical, previous):
+            return canonical
 
 
 _WORD_WEIGHTS = (1 << np.arange(15, -1, -1)).astype(np.int64)
@@ -290,8 +356,7 @@ def canonicalize_cell(H: Hamiltonian) -> CanonicalCell:
     flip = frozenset(i for i in H.graph.spins if H.h[i] == -1)
     fixed = gauge_transform(H, flip)
     signs = np.array([fixed.J[e] for e in CELL_EDGES], dtype=np.int64)
-    perms = unit_cell_automorphisms()
-    G = _edge_permutations(perms)
+    perms, G = _cell_group(H.graph)
     words = _pack_word(signs[G])  # word of every automorphism image
     g_best = int(np.argmin(words))
     word = int(words[g_best])
@@ -310,15 +375,7 @@ def enumerate_cell_classes() -> tuple[int, dict[int, int], np.ndarray]:
     orbits}, canonical word of every input word). The group is the full
     order-1152 cell automorphism group acting on the 16 coupler signs.
     """
-    perms = unit_cell_automorphisms()
-    G = _edge_permutations(perms)
-    n = 1 << 16
-    words = np.arange(n, dtype=np.int64)
-    bits = ((words[:, None] >> np.arange(15, -1, -1)[None, :]) & 1).astype(np.int8)
-    canonical = words.copy()
-    for g in range(len(perms)):
-        permuted = bits[:, G[g]].astype(np.int64) @ _WORD_WEIGHTS
-        np.minimum(canonical, permuted, out=canonical)
+    canonical = cell_orbits(build_chimera(1))
     uniq, counts = np.unique(canonical, return_counts=True)
     hist: dict[int, int] = {}
     for c in counts:

@@ -22,7 +22,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import comb
 
 from . import channel, exact
-from .core import ChimeraGraph, Hamiltonian
+from .core import ChimeraGraph, Hamiltonian, cell_orbits
 from .transitions import significance_band
 
 __all__ = [
@@ -147,15 +147,19 @@ def sector_rates(H_clean: Hamiltonian, decoder, samples_per_sector: int,
     )
 
 
-def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray,
-                       chunk: int = 4096):
-    """Exact sector means over every corruption pattern of a nominal instance.
+def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
+    """Exact sector means over every corruption pattern of a nominal cell.
 
     Every corrupted (h, J) pattern gauge-transforms to h = +1 with some
     coupler sign word, and decode signs transform covariantly, so the full
-    2^(N+M) channel average reduces to one decode per coupler word plus
-    orbit bookkeeping of how many patterns of each sector the word's gauge
-    orbit contains. Feasible when M <= ~20 active couplers.
+    2^(N+M) channel average reduces to gauge-fixed coupler words plus
+    bookkeeping of how many patterns of each sector a word's gauge orbit
+    contains. A cell automorphism applied to both the gauge and the word
+    keeps the sector and permutes the decoded signs with the spins, so one
+    decode per orbit of the cell group, weighted by the orbit size, stands
+    for every word of the orbit. Every accumulated term is an integer, so the
+    grouping does not change a bit of the result. Single-cell graphs only
+    (with or without excluded spins).
 
     Returns (map_means (S+1,), mpm_means (S+1, n_t_decode)) with S = N+M.
     """
@@ -164,47 +168,43 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray,
             or np.any(H_clean.j_vector() != 1.0)):
         raise ValueError(
             "exact sector means require the all-+1 nominal instance")
+    if graph.L != 1:
+        raise exact.CapacityError(
+            f"exact sector means need a single cell, not L={graph.L}")
     n = len(graph.spins)
     m = len(graph.edges)
-    if m > 20:
-        raise exact.CapacityError(f"2^{m} coupler words is too many")
     t_decode = np.asarray(t_decode, dtype=float)
+
+    # one representative word per orbit, edge 0 the most significant bit
+    words, orbit_size = np.unique(cell_orbits(graph), return_counts=True)
+    bits = (words[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    energies = exact.batch_energies(graph, np.ones((len(words), n)),
+                                    (1 - 2 * bits).astype(np.float64),
+                                    H_clean.alpha)
+    mpm_signs = exact.batch_mpm_decode_curve(energies, n, t_decode)
+    map_signs = exact.batch_map_decode(energies, n, H_clean.alpha)
 
     # gauge variables: one +-1 vector per spin assignment
     tau = exact.config_matrix(n)                      # (2^n, n)
     edge_parity = (
         (1 - exact._pair_products(graph, graph.edges)) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
-    parity_sum = edge_parity.sum(axis=1).astype(np.int64)
     n_el = n + m
     n_sectors = n_el + 1
-
-    words = np.arange(1 << m, dtype=np.int64)
-    n_temps = len(t_decode)
-    mpm_acc = np.zeros((n_temps, n_sectors))
-    map_acc = np.zeros(n_sectors)
-    for start in range(0, len(words), chunk):
-        block = words[start:start + chunk]
-        bits = ((block[:, None] >> np.arange(m)) & 1)
-        j_mat = (1 - 2 * bits).astype(np.float64)
-        h_mat = np.ones((len(block), n))
-        energies = exact.batch_energies(graph, h_mat, j_mat, H_clean.alpha)
-        mpm_signs = exact.batch_mpm_decode_curve(energies, n, t_decode)
-        map_signs = exact.batch_map_decode(energies, n, H_clean.alpha)
-        # sector of pattern (tau, word): flipped fields plus flipped couplers
-        # of the gauge-transformed word
-        s_tot = (neg_h + parity_sum)[None, :] \
-            + bits.sum(axis=1, dtype=np.int64)[:, None] \
-            - 2 * (bits @ edge_parity.T)                      # (W, 2^n)
-        flat = (np.arange(len(block))[:, None] * n_sectors + s_tot).ravel()
-        tau_sum = np.zeros((len(block), n, n_sectors))
-        for i in range(n):
-            weights = np.broadcast_to(tau[:, i], s_tot.shape).ravel()
-            tau_sum[:, i, :] = np.bincount(
-                flat, weights=weights, minlength=len(block) * n_sectors,
-            ).reshape(len(block), n_sectors)
-        mpm_acc += np.einsum("wti,wis->ts", mpm_signs, tau_sum)
-        map_acc += np.einsum("wi,wis->s", map_signs, tau_sum)
+    # sector of pattern (tau, word): flipped fields plus flipped couplers of
+    # the gauge-transformed word
+    s_tot = (neg_h + edge_parity.sum(axis=1))[None, :] \
+        + bits.sum(axis=1)[:, None] - 2 * (bits @ edge_parity.T)   # (W, 2^n)
+    flat = (np.arange(len(words))[:, None] * n_sectors + s_tot).ravel()
+    tau_sum = np.empty((len(words), n, n_sectors))
+    for i in range(n):
+        weights = np.broadcast_to(tau[:, i], s_tot.shape).ravel()
+        tau_sum[:, i, :] = np.bincount(
+            flat, weights=weights, minlength=len(words) * n_sectors,
+        ).reshape(len(words), n_sectors)
+    tau_sum *= orbit_size[:, None, None]
+    mpm_acc = np.einsum("wti,wis->ts", mpm_signs, tau_sum)
+    map_acc = np.einsum("wi,wis->s", map_signs, tau_sum)
 
     counts = comb(n_el, np.arange(n_sectors))
     mpm_means = 0.5 - mpm_acc.T / (2.0 * n * counts[:, None])
@@ -239,11 +239,11 @@ def ber_surface(H_clean: Hamiltonian, t_decode: np.ndarray,
                 mode: str = "exhaustive") -> BerSurface:
     """BER surface of one instance over decode and Nishimori temperatures.
 
-    mode="exhaustive" reduces the full corruption average to one decode per
-    gauge-fixed coupler word (exact to rounding); mode="sampled" Monte-Carlo
-    samples each sector with samples_per_sector draws. Sector rates are
-    computed once per decoder; every (T_decode, T_Nish) entry is then
-    polynomial evaluation at p(T_Nish).
+    mode="exhaustive" reduces the full corruption average of a single cell to
+    one decode per cell-symmetry orbit of gauge-fixed coupler words (exact to
+    rounding); mode="sampled" Monte-Carlo samples each sector with
+    samples_per_sector draws. Sector rates are computed once per decoder;
+    every (T_decode, T_Nish) entry is then polynomial evaluation at p(T_Nish).
     """
     t_decode = np.asarray(t_decode, dtype=float)
     t_nish = np.asarray(t_nish, dtype=float)

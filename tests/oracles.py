@@ -1,8 +1,10 @@
 """Independent oracles the tests check the package against."""
 
 import numpy as np
+from scipy.special import comb
 
-from isingdec.core import CapacityError
+from isingdec import exact
+from isingdec.core import CapacityError, _cell_group
 
 
 def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
@@ -33,3 +35,79 @@ def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
         ])
         total += weights @ r
     return total
+
+
+def brute_cell_classes(graph):
+    """Canonical (orbit-minimum) word of every coupler word of a single-cell
+    graph, minimised over every element of its cell group in turn.
+
+    Words pack the coupler signs with edge 0 as the most significant bit.
+    """
+    perms, G = _cell_group(graph)
+    m = graph.n_edges
+    weights = 1 << np.arange(m - 1, -1, -1)
+    words = np.arange(1 << m, dtype=np.int64)
+    bits = ((words[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.int8)
+    canonical = words.copy()
+    for g in range(len(perms)):
+        np.minimum(canonical, bits[:, G[g]].astype(np.int64) @ weights,
+                   out=canonical)
+    return canonical
+
+
+def all_words_sector_means(H_clean, t_decode, chunk=4096):
+    """Exact sector means of a nominal all-+1 instance, one decode per
+    gauge-fixed coupler word.
+
+    Every corrupted (h, J) pattern gauge-transforms to h = +1 with some
+    coupler sign word, and decode signs transform covariantly, so the full
+    2^(N+M) channel average reduces to one decode per coupler word plus
+    bookkeeping of how many patterns of each sector the word's gauge orbit
+    contains. Returns (map_means (S+1,), mpm_means (S+1, n_t_decode)) with
+    S = N+M.
+    """
+    graph = H_clean.graph
+    n = len(graph.spins)
+    m = len(graph.edges)
+    if m > 20:
+        raise CapacityError(f"2^{m} coupler words is too many")
+    t_decode = np.asarray(t_decode, dtype=float)
+
+    tau = exact.config_matrix(n)                      # (2^n, n) gauges
+    edge_parity = (
+        (1 - exact._pair_products(graph, graph.edges)) // 2).astype(np.int64)
+    neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
+    parity_sum = edge_parity.sum(axis=1).astype(np.int64)
+    n_el = n + m
+    n_sectors = n_el + 1
+
+    words = np.arange(1 << m, dtype=np.int64)
+    mpm_acc = np.zeros((len(t_decode), n_sectors))
+    map_acc = np.zeros(n_sectors)
+    for start in range(0, len(words), chunk):
+        block = words[start:start + chunk]
+        bits = ((block[:, None] >> np.arange(m)) & 1)
+        j_mat = (1 - 2 * bits).astype(np.float64)
+        energies = exact.batch_energies(graph, np.ones((len(block), n)), j_mat,
+                                        H_clean.alpha)
+        mpm_signs = exact.batch_mpm_decode_curve(energies, n, t_decode)
+        map_signs = exact.batch_map_decode(energies, n, H_clean.alpha)
+        # sector of pattern (tau, word): flipped fields plus flipped couplers
+        # of the gauge-transformed word
+        s_tot = (neg_h + parity_sum)[None, :] \
+            + bits.sum(axis=1, dtype=np.int64)[:, None] \
+            - 2 * (bits @ edge_parity.T)                      # (W, 2^n)
+        flat = (np.arange(len(block))[:, None] * n_sectors + s_tot).ravel()
+        tau_sum = np.zeros((len(block), n, n_sectors))
+        for i in range(n):
+            weights = np.broadcast_to(tau[:, i], s_tot.shape).ravel()
+            tau_sum[:, i, :] = np.bincount(
+                flat, weights=weights, minlength=len(block) * n_sectors,
+            ).reshape(len(block), n_sectors)
+        mpm_acc += np.einsum("wti,wis->ts", mpm_signs, tau_sum)
+        map_acc += np.einsum("wi,wis->s", map_signs, tau_sum)
+
+    counts = comb(n_el, np.arange(n_sectors))
+    mpm_means = 0.5 - mpm_acc.T / (2.0 * n * counts[:, None])
+    map_means = 0.5 - map_acc / (2.0 * n * counts)
+    return map_means, mpm_means

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingdec import core
+from oracles import brute_cell_classes
 
 
 def random_nominal(rng, L=1, excluded=frozenset()):
@@ -116,6 +117,50 @@ class TestCanonicalization:
     def test_nominal_ferromagnet_is_word_zero(self):
         g = core.build_chimera(1)
         assert core.canonicalize_cell(core.Hamiltonian.uniform(g)).word == 0
+
+
+CELL_GRAPHS = {
+    "full": core.build_chimera(1),
+    "truncated": core.truncated_cell(),
+    "excluded-3": core.build_chimera(1, excluded={3}),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_classes():
+    return {name: brute_cell_classes(g) for name, g in CELL_GRAPHS.items()}
+
+
+class TestCellOrbits:
+    @pytest.mark.parametrize("name, order", [
+        ("full", 1152), ("truncated", 72), ("excluded-3", 144)])
+    def test_matches_every_group_element(self, oracle_classes, name, order):
+        graph = CELL_GRAPHS[name]
+        canonical = core.cell_orbits(graph)
+        assert len(core._cell_group(graph)[0]) == order
+        assert np.array_equal(canonical, oracle_classes[name])
+        _, sizes = np.unique(canonical, return_counts=True)
+        assert np.all(order % sizes == 0)
+        assert sizes.sum() == 2 ** graph.n_edges
+
+    def test_enumerate_cell_classes_matches_oracle(self, oracle_classes):
+        count, hist, canonical = core.enumerate_cell_classes()
+        oracle = oracle_classes["full"]
+        assert np.array_equal(canonical, oracle)
+        _, sizes = np.unique(oracle, return_counts=True)
+        assert count == len(sizes) == 192
+        assert hist == dict(zip(*np.unique(sizes, return_counts=True)))
+
+    def test_canonical_word_is_an_orbit_minimum(self):
+        canonical = core.cell_orbits(core.build_chimera(1))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            H = random_nominal(rng)
+            word = core.canonicalize_cell(H).word
+            flip = frozenset(s for s in H.graph.spins if H.h[s] == -1)
+            fixed = core.gauge_transform(H, flip)
+            raw = core._pack_word(fixed.j_vector())
+            assert word == canonical[raw]
 
 
 class TestTextFormat:

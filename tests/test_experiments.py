@@ -3,7 +3,7 @@ import pytest
 from scipy.special import comb
 
 from isingdec import channel, core, exact, experiments as ex
-from oracles import direct_rtot
+from oracles import all_words_sector_means, direct_rtot
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,23 @@ class TestExactSectorMeans:
         assert np.all(raw_map.exhaustive)
         assert np.allclose(map_means, raw_map.means, atol=1e-13)
         assert np.allclose(mpm_means, raw_mpm.means, atol=1e-13)
+
+    @pytest.mark.parametrize("excluded, temps", [
+        ((), [0.02, 0.05, 0.1, 0.3, 0.8, 1.5, 3.0, 7.0]),
+        ((3, 7), [0.05, 0.8, 1.5]),
+        ((3,), [0.05, 0.8, 1.5]),
+    ])
+    def test_orbit_reduction_matches_all_words(self, excluded, temps):
+        H = core.Hamiltonian.uniform(core.build_chimera(1, excluded=set(excluded)))
+        map_means, mpm_means = ex.exact_sector_means(H, np.array(temps))
+        map_all, mpm_all = all_words_sector_means(H, np.array(temps))
+        assert np.array_equal(map_means, map_all)
+        assert np.array_equal(mpm_means, mpm_all)
+
+    def test_capacity_error_beyond_one_cell(self):
+        H = core.Hamiltonian.uniform(core.build_chimera(2))
+        with pytest.raises(core.CapacityError):
+            ex.exact_sector_means(H, np.array([1.0]))
 
     def test_requires_nominal_instance(self, truncated_clean):
         H, _ = channel.corrupt(truncated_clean, 0.2, channel.stream(0, 0))
