@@ -32,6 +32,7 @@ __all__ = [
 # chunk on L=4 (2.10 GiB) fits, L=5 gets one temperature per pass (1.66 GiB)
 BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
+_PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,12 @@ def _factors(H: Hamiltonian, temps: np.ndarray, pos: dict[int, int]):
     """Log-domain field and coupler factors with a leading temperature axis."""
     inv_t = 1.0 / temps
     factors = []
-    for s in H.graph.spins:
-        base = H.alpha * H.h[s] * _SPIN_VALUES
+    fields = H.alpha * H.h[:, None] * _SPIN_VALUES
+    for s, base in zip(H.graph.spins, fields):
         factors.append(("F", (s,), inv_t[:, None] * base[None, :]))
-    for i, j in H.graph.edges:
+    couplers = (H.alpha * H.J)[:, None, None] * _PAIR_VALUES
+    for (i, j), base in zip(H.graph.edges, couplers):
         a, b = (i, j) if pos[i] < pos[j] else (j, i)
-        base = H.alpha * H.J[i, j] * np.outer(_SPIN_VALUES, _SPIN_VALUES)
         factors.append(("F", (a, b), inv_t[:, None, None] * base[None, :, :]))
     return factors
 
@@ -226,8 +227,7 @@ def _pair_means(belief: np.ndarray, scope: tuple[int, ...],
     moved = np.moveaxis(belief, (ai, aj), (1, 2)).reshape(belief.shape[0], 2, 2, -1)
     m = moved.max(axis=(1, 2, 3), keepdims=True)
     w = np.exp(moved - m).sum(axis=3)
-    prod = np.outer(_SPIN_VALUES, _SPIN_VALUES)
-    return (w * prod).sum(axis=(1, 2)) / w.sum(axis=(1, 2))
+    return (w * _PAIR_VALUES).sum(axis=(1, 2)) / w.sum(axis=(1, 2))
 
 
 def _backward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
@@ -236,25 +236,26 @@ def _backward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     buckets, _ = _forward(H, temps, order)
     pos = {v: t for t, v in enumerate(order.order)}
     n_temps = len(temps)
-    spin_pos = {s: t for t, s in enumerate(H.graph.spins)}
 
     pair_bucket: dict[tuple[int, int], int] = {}
     if pairs:
+        edges = set(H.graph.edges)
         for i, j in pairs:
-            if (min(i, j), max(i, j)) not in set(H.graph.edges):
+            if (min(i, j), max(i, j)) not in edges:
                 raise ValueError(f"pair {(i, j)} is not a graph edge")
             pair_bucket[(i, j)] = min((i, j), key=pos.__getitem__)
 
     down: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     mags = np.empty((n_temps, H.graph.n_spins))
     pair_out = {p: None for p in pairs} if pairs else {}
-    for v in reversed(order.order):
+    spin_pos = H.graph.positions(order.order)
+    for v, t in zip(reversed(order.order), spin_pos[::-1]):
         b = buckets[v]
         items = list(b.items)
         if v in down:
             items.append(("D", down[v][0], down[v][1]))
         scope, belief = _combine(items, pos, n_temps)
-        mags[:, spin_pos[v]] = _spin_means(belief, scope, v)
+        mags[:, t] = _spin_means(belief, scope, v)
         if pairs:
             for (i, j), bv in pair_bucket.items():
                 if bv == v:
@@ -337,10 +338,7 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
         w = np.exp(logp - mx)
         p_up = w[1] / (w[0] + w[1])
         bits[v] = (rng.random(n) < p_up).astype(np.int64)
-    spins = np.empty((n, H.graph.n_spins), dtype=np.int64)
-    for t, s in enumerate(H.graph.spins):
-        spins[:, t] = 2 * bits[s] - 1
-    return spins
+    return 2 * np.stack([bits[s] for s in H.graph.spins], axis=1) - 1
 
 
 class BteEngine:

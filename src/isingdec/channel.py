@@ -2,14 +2,15 @@
 
 The transmitted codeword is the set of N fields and M couplers of a nominal
 Hamiltonian; the channel independently negates each element's sign with
-crossover probability p. Decoding at the Nishimori temperature
+crossover probability p. Which elements it negated is one bool `flipped`
+vector of length N+M: fields first in spin order, then couplers in edge
+order. Decoding at the Nishimori temperature
 T = 2 / ln((1-p)/p) minimizes the bit error rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -17,7 +18,6 @@ from scipy.special import gammaln, xlog1py, xlogy
 from .core import Hamiltonian
 
 __all__ = [
-    "CorruptionMask",
     "nishimori_temperature",
     "crossover_probability",
     "corrupt",
@@ -38,18 +38,6 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class CorruptionMask:
-    """Which fields and couplers the channel flipped; N_corr is the total."""
-
-    flipped_fields: frozenset[int]
-    flipped_couplers: frozenset[tuple[int, int]]
-
-    @property
-    def n_corr(self) -> int:
-        return len(self.flipped_fields) + len(self.flipped_couplers)
-
-
 def nishimori_temperature(p: float) -> float:
     """T_Nish = 2 / ln((1-p)/p) for the binary symmetric channel."""
     if not 0.0 < p < 0.5:
@@ -64,54 +52,44 @@ def crossover_probability(t_nish: float) -> float:
     return 1.0 / (1.0 + math.exp(2.0 / t_nish))
 
 
-def apply_mask(H: Hamiltonian, mask: CorruptionMask) -> Hamiltonian:
-    """Negate the masked fields and couplers of H."""
-    h = {i: -v if i in mask.flipped_fields else v for i, v in H.h.items()}
-    J = {e: -v if e in mask.flipped_couplers else v for e, v in H.J.items()}
-    return Hamiltonian(H.graph, h, J, H.alpha)
+def apply_mask(H: Hamiltonian, flipped: np.ndarray) -> Hamiltonian:
+    """Negate the fields and couplers of H marked in the (N+M,) bool vector."""
+    n = H.graph.n_spins
+    flipped = np.asarray(flipped, dtype=bool)
+    if flipped.shape != (n + H.graph.n_edges,):
+        raise ValueError("flipped must hold one flag per field and coupler")
+    return Hamiltonian(H.graph, np.where(flipped[:n], -H.h, H.h),
+                       np.where(flipped[n:], -H.J, H.J), H.alpha)
 
 
 def corrupt(H_clean: Hamiltonian, p: float,
-            rng: np.random.Generator) -> tuple[Hamiltonian, CorruptionMask]:
-    """Flip each field and coupler sign independently with probability p."""
+            rng: np.random.Generator) -> tuple[Hamiltonian, np.ndarray]:
+    """Flip each field and coupler sign independently with probability p.
+
+    Returns the corrupted instance and its (N+M,) bool `flipped` vector.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not H_clean.is_nominal():
         raise ValueError("corrupt requires a nominal (+-1) Hamiltonian")
-    spins = H_clean.graph.spins
-    edges = H_clean.graph.edges
-    draws = rng.random(len(spins) + len(edges)) < p
-    mask = CorruptionMask(
-        flipped_fields=frozenset(s for t, s in enumerate(spins) if draws[t]),
-        flipped_couplers=frozenset(
-            e for t, e in enumerate(edges) if draws[len(spins) + t]
-        ),
-    )
-    return apply_mask(H_clean, mask), mask
+    flipped = rng.random(H_clean.graph.n_spins + H_clean.graph.n_edges) < p
+    return apply_mask(H_clean, flipped), flipped
 
 
 def sample_sector(H_clean: Hamiltonian, s: int,
-                  rng: np.random.Generator) -> tuple[Hamiltonian, CorruptionMask]:
-    """Flip exactly s elements, uniform over all (N+M choose s) subsets."""
+                  rng: np.random.Generator) -> tuple[Hamiltonian, np.ndarray]:
+    """Flip exactly s elements, uniform over all (N+M choose s) subsets.
+
+    Returns the corrupted instance and its (N+M,) bool `flipped` vector.
+    """
     if not H_clean.is_nominal():
         raise ValueError("sample_sector requires a nominal (+-1) Hamiltonian")
-    spins = H_clean.graph.spins
-    edges = H_clean.graph.edges
-    total = len(spins) + len(edges)
+    total = H_clean.graph.n_spins + H_clean.graph.n_edges
     if not 0 <= s <= total:
         raise ValueError(f"sector {s} outside [0, {total}]")
-    chosen = rng.choice(total, size=s, replace=False)
-    mask = mask_from_flat(H_clean, chosen)
-    return apply_mask(H_clean, mask), mask
-
-
-def mask_from_flat(H: Hamiltonian, flat_indices) -> CorruptionMask:
-    """Mask from flat element indices: fields first (graph order), then edges."""
-    spins = H.graph.spins
-    edges = H.graph.edges
-    fields = frozenset(spins[i] for i in flat_indices if i < len(spins))
-    couplers = frozenset(edges[i - len(spins)] for i in flat_indices if i >= len(spins))
-    return CorruptionMask(fields, couplers)
+    flipped = np.zeros(total, dtype=bool)
+    flipped[rng.choice(total, size=s, replace=False)] = True
+    return apply_mask(H_clean, flipped), flipped
 
 
 def sector_weights(p, n_elements: int) -> np.ndarray:

@@ -139,11 +139,30 @@ def _require(config: dict, key: str):
 
 def _temperature_grid(config: dict) -> np.ndarray:
     points = _require(config, "grid.points")
+    if points < 1:
+        raise ConfigError("grid.points must be >= 1")
     t_max = config.get("grid.t_max", 7.0)
     t_min = config.get("grid.t_min", t_max / points)
-    if points < 1 or t_min <= 0 or t_max < t_min:
+    if t_min <= 0 or t_max < t_min:
         raise ConfigError("invalid temperature grid")
     return np.linspace(t_min, t_max, points)
+
+
+def _channel_p(config: dict) -> tuple[np.ndarray, np.ndarray]:
+    """channel.p values and their Nishimori temperatures."""
+    p_vals = np.asarray(_require(config, "channel.p"), dtype=float)
+    if np.any(p_vals <= 0) or np.any(p_vals >= 0.5):
+        raise ConfigError("channel.p values must lie in (0, 0.5)")
+    return p_vals, np.array([channel.nishimori_temperature(p) for p in p_vals])
+
+
+def _channel_mode(config: dict) -> str:
+    mode = config.get("channel.mode", "exhaustive")
+    if mode not in ("exhaustive", "sampled"):
+        raise ConfigError(f"unknown channel.mode {mode!r}")
+    if mode == "sampled" and _require(config, "channel.samples_per_sector") < 1:
+        raise ConfigError("channel.samples_per_sector must be >= 1")
+    return mode
 
 
 def _engine(config: dict):
@@ -231,11 +250,8 @@ def cmd_canonicalize(config, seed, out_dir):
 def cmd_ber(config, seed, out_dir):
     """BER ratio curve r_mpm(T_Nish)/r_map at matched decoding temperature."""
     H = _clean_hamiltonian(config)
-    p_vals = np.asarray(_require(config, "channel.p"), dtype=float)
-    if np.any(p_vals <= 0) or np.any(p_vals >= 0.5):
-        raise ConfigError("channel.p values must lie in (0, 0.5)")
-    t_nish = np.array([channel.nishimori_temperature(p) for p in p_vals])
-    mode = config.get("channel.mode", "exhaustive")
+    p_vals, t_nish = _channel_p(config)
+    mode = _channel_mode(config)
     rng = channel.stream(seed, 0)
     surf = experiments.ber_surface(
         H, np.sort(t_nish), t_nish,
@@ -261,14 +277,13 @@ def cmd_ber(config, seed, out_dir):
 def cmd_surface(config, seed, out_dir):
     H = _clean_hamiltonian(config)
     grid = _temperature_grid(config)
-    p_vals = np.asarray(_require(config, "channel.p"), dtype=float)
-    t_nish = np.array([channel.nishimori_temperature(p) for p in p_vals])
+    _, t_nish = _channel_p(config)
+    mode = _channel_mode(config)
     t_decode = np.unique(np.concatenate([grid, t_nish]))
     surf = experiments.ber_surface(
         H, t_decode, t_nish,
         samples_per_sector=config.get("channel.samples_per_sector"),
-        rng=channel.stream(seed, 0),
-        mode=config.get("channel.mode", "exhaustive"))
+        rng=channel.stream(seed, 0), mode=mode)
     rows = []
     for d, td in enumerate(surf.t_decode):
         for k, tn in enumerate(surf.t_nish):

@@ -12,8 +12,9 @@ side-1 spins to the like-indexed side-1 spin of the column-adjacent cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "FormatError",
     "ChimeraGraph",
     "Hamiltonian",
-    "SpinConfig",
     "build_chimera",
     "truncated_cell",
     "energy",
@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_cell_classes",
     "parse_hamiltonian",
     "format_hamiltonian",
-    "CELL_EDGES",
 ]
 
 
@@ -71,6 +70,22 @@ class ChimeraGraph:
     def spin_index(self, cell_x: int, cell_y: int, side: int, offset: int) -> int:
         return 8 * (cell_y * self.L + cell_x) + 4 * side + offset
 
+    def positions(self, labels) -> np.ndarray:
+        """Positions in `spins` of an int array of active spin labels."""
+        labels = np.asarray(labels, dtype=np.int64)
+        spins = np.array(self.spins, dtype=np.int64)
+        if not np.isin(labels, spins).all():
+            raise ValueError("labels contain non-active spin indices")
+        return np.searchsorted(spins, labels)
+
+    @cached_property
+    def edge_positions(self) -> np.ndarray:
+        """(m, 2) read-only positions in `spins` of every edge's endpoints."""
+        pos = np.searchsorted(self.spins, np.array(self.edges, dtype=np.int64))
+        pos = pos.reshape(-1, 2)
+        pos.flags.writeable = False
+        return pos
+
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {s: [] for s in self.spins}
         for i, j in self.edges:
@@ -79,73 +94,52 @@ class ChimeraGraph:
         return {s: tuple(v) for s, v in adj.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Ising instance on a Chimera graph: fields h, couplers J, scale alpha.
 
     E(s) = alpha * (-sum_i h_i s_i - sum_(i,j) J_ij s_i s_j)
 
+    `h` holds one field per active spin in `graph.spins` order and `J` one
+    coupler per edge in `graph.edges` order, as read-only float64 arrays.
     Nominal (channel-transmitted) instances have h, J in {-1, +1}; control
-    error perturbed instances hold arbitrary reals.
+    error perturbed instances hold arbitrary finite reals. Instances compare
+    by identity.
     """
 
     graph: ChimeraGraph
-    h: dict[int, float]
-    J: dict[tuple[int, int], float]
+    h: np.ndarray
+    J: np.ndarray
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, size in (("h", self.graph.n_spins), ("J", self.graph.n_edges)):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != (size,):
+                raise ValueError(f"{name} must hold {size} values in graph order, "
+                                 f"not shape {values.shape}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if set(self.h) != set(self.graph.spins):
-            raise ValueError("h must be defined on exactly the active spins")
-        if set(self.J) != set(self.graph.edges):
-            raise ValueError("J must be defined on exactly the graph edges")
 
     def is_nominal(self) -> bool:
-        return all(v in (-1.0, 1.0) for v in self.h.values()) and all(
-            v in (-1.0, 1.0) for v in self.J.values()
-        )
-
-    def h_vector(self) -> np.ndarray:
-        return np.array([self.h[s] for s in self.graph.spins], dtype=float)
-
-    def j_vector(self) -> np.ndarray:
-        return np.array([self.J[e] for e in self.graph.edges], dtype=float)
+        return bool(np.all(np.abs(self.h) == 1.0) and np.all(np.abs(self.J) == 1.0))
 
     @staticmethod
     def from_vectors(graph: ChimeraGraph, h: np.ndarray, j: np.ndarray,
                      alpha: float = 1.0) -> "Hamiltonian":
-        return Hamiltonian(
-            graph,
-            {s: float(h[t]) for t, s in enumerate(graph.spins)},
-            {e: float(j[t]) for t, e in enumerate(graph.edges)},
-            alpha,
-        )
+        return Hamiltonian(graph, h, j, alpha)
 
     @staticmethod
     def uniform(graph: ChimeraGraph, h: float = 1.0, j: float = 1.0,
                 alpha: float = 1.0) -> "Hamiltonian":
-        return Hamiltonian(
-            graph,
-            {s: float(h) for s in graph.spins},
-            {e: float(j) for e in graph.edges},
-            alpha,
-        )
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """One +-1 assignment to every active spin of a graph."""
-
-    spins: dict[int, int]
-
-    def vector(self, graph: ChimeraGraph) -> np.ndarray:
-        return np.array([self.spins[s] for s in graph.spins], dtype=float)
-
-    @staticmethod
-    def from_vector(graph: ChimeraGraph, v: np.ndarray) -> "SpinConfig":
-        return SpinConfig({s: int(v[t]) for t, s in enumerate(graph.spins)})
+        return Hamiltonian(graph, np.full(graph.n_spins, float(h)),
+                           np.full(graph.n_edges, float(j)), alpha)
 
 
 def build_chimera(L: int, excluded: set[int] | frozenset[int] = frozenset(),
@@ -193,33 +187,31 @@ def truncated_cell() -> ChimeraGraph:
     return build_chimera(1, excluded={3, 7})
 
 
-# Canonical edge order of the full single cell, used by cell canonicalization.
-CELL_EDGES: tuple[tuple[int, int], ...] = build_chimera(1).edges
+# one shared full-cell graph, so its cached edge positions are computed once
+_CELL = build_chimera(1)
 
 
-def energy(H: Hamiltonian, s: SpinConfig) -> float:
-    """Ising energy alpha * (-sum h_i s_i - sum J_ij s_i s_j)."""
-    if set(s.spins) != set(H.graph.spins):
+def energy(H: Hamiltonian, s: np.ndarray) -> float:
+    """Ising energy alpha * (-sum h_i s_i - sum J_ij s_i s_j) of a +-1
+    vector s in `graph.spins` order."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != H.h.shape:
         raise ValueError("configuration does not match the graph's spins")
-    e = -sum(H.h[i] * s.spins[i] for i in H.graph.spins)
-    e -= sum(H.J[i, j] * s.spins[i] * s.spins[j] for i, j in H.graph.edges)
-    return H.alpha * e
+    ij = H.graph.edge_positions
+    return float(H.alpha * (-(H.h @ s) - H.J @ (s[ij[:, 0]] * s[ij[:, 1]])))
 
 
 def gauge_transform(H: Hamiltonian, flip: set[int] | frozenset[int]) -> Hamiltonian:
-    """Negate h on `flip` and J on edges with exactly one endpoint in `flip`.
+    """Negate h on the spin labels in `flip` and J on edges with exactly one
+    endpoint in `flip`.
 
     The energy spectrum is preserved: E'(s') = E(s) for s'_i = -s_i on flip.
     """
-    flip = frozenset(flip)
-    if not flip <= set(H.graph.spins):
-        raise ValueError("flip set contains non-active spin indices")
-    h = {i: -v if i in flip else v for i, v in H.h.items()}
-    J = {
-        (i, j): -v if ((i in flip) != (j in flip)) else v
-        for (i, j), v in H.J.items()
-    }
-    return Hamiltonian(H.graph, h, J, H.alpha)
+    sign = np.ones(H.graph.n_spins)
+    sign[H.graph.positions(sorted(flip))] = -1.0
+    ij = H.graph.edge_positions
+    return Hamiltonian(H.graph, sign * H.h, sign[ij[:, 0]] * sign[ij[:, 1]] * H.J,
+                       H.alpha)
 
 
 def unit_cell_automorphisms() -> list[tuple[int, ...]]:
@@ -353,9 +345,8 @@ def canonicalize_cell(H: Hamiltonian) -> CanonicalCell:
         raise ValueError("canonicalize_cell requires a full single unit cell")
     if not H.is_nominal():
         raise ValueError("canonicalize_cell requires h, J in {-1, +1}")
-    flip = frozenset(i for i in H.graph.spins if H.h[i] == -1)
-    fixed = gauge_transform(H, flip)
-    signs = np.array([fixed.J[e] for e in CELL_EDGES], dtype=np.int64)
+    flip = frozenset(np.array(H.graph.spins)[H.h == -1].tolist())
+    signs = gauge_transform(H, flip).J.astype(np.int64)
     perms, G = _cell_group(H.graph)
     words = _pack_word(signs[G])  # word of every automorphism image
     g_best = int(np.argmin(words))
@@ -375,7 +366,7 @@ def enumerate_cell_classes() -> tuple[int, dict[int, int], np.ndarray]:
     orbits}, canonical word of every input word). The group is the full
     order-1152 cell automorphism group acting on the 16 coupler signs.
     """
-    canonical = cell_orbits(build_chimera(1))
+    canonical = cell_orbits(_CELL)
     uniq, counts = np.unique(canonical, return_counts=True)
     hist: dict[int, int] = {}
     for c in counts:
@@ -385,14 +376,8 @@ def enumerate_cell_classes() -> tuple[int, dict[int, int], np.ndarray]:
 
 def cell_from_word(word: int, alpha: float = 1.0) -> Hamiltonian:
     """Gauge-fixed single-cell instance (all h = +1) with the given word."""
-    graph = build_chimera(1)
-    signs = _unpack_word(word)
-    return Hamiltonian(
-        graph,
-        {s: 1.0 for s in graph.spins},
-        {e: float(signs[t]) for t, e in enumerate(CELL_EDGES)},
-        alpha,
-    )
+    return Hamiltonian(_CELL, np.ones(_CELL.n_spins),
+                       np.array(_unpack_word(word), dtype=np.float64), alpha)
 
 
 def format_hamiltonian(H: Hamiltonian) -> str:
@@ -401,18 +386,26 @@ def format_hamiltonian(H: Hamiltonian) -> str:
     if H.graph.excluded:
         lines.append("exclude " + " ".join(str(i) for i in sorted(H.graph.excluded)))
     lines.append(f"alpha {H.alpha!r}")
-    for s in H.graph.spins:
-        lines.append(f"h {s} {H.h[s]!r}")
-    for i, j in H.graph.edges:
-        lines.append(f"J {i} {j} {H.J[i, j]!r}")
+    for s, v in zip(H.graph.spins, H.h.tolist()):
+        lines.append(f"h {s} {v!r}")
+    for (i, j), v in zip(H.graph.edges, H.J.tolist()):
+        lines.append(f"J {i} {j} {v!r}")
     return "\n".join(lines) + "\n"
+
+
+def _finite(text: str, no: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise FormatError(f"line {no}: non-finite value {text!r}")
+    return value
 
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse the line-oriented Hamiltonian format.
 
-    Rejects duplicate or missing h/J entries, edges not in the graph, and
-    malformed lines. Line numbers are reported in error messages.
+    Rejects duplicate or missing h/J entries, edges not in the graph,
+    non-finite values, a non-positive alpha and malformed lines. Line numbers
+    are reported in error messages.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     body = [(no + 1, ln) for no, ln in enumerate(lines) if ln and not ln.startswith("#")]
@@ -442,21 +435,25 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             elif tok[0] == "alpha":
                 if alpha is not None:
                     raise FormatError(f"line {no}: duplicate alpha line")
-                alpha = float(tok[1])
+                alpha = _finite(tok[1], no)
+                if alpha <= 0:
+                    raise FormatError(f"line {no}: alpha must be positive")
             elif tok[0] == "h":
                 i = int(tok[1])
                 if i in h:
                     raise FormatError(f"line {no}: duplicate h entry for spin {i}")
-                h[i] = float(tok[2])
+                h[i] = _finite(tok[2], no)
             elif tok[0] == "J":
                 i, j = int(tok[1]), int(tok[2])
                 if i >= j:
                     raise FormatError(f"line {no}: J requires i < j")
                 if (i, j) in J:
                     raise FormatError(f"line {no}: duplicate J entry for edge {(i, j)}")
-                J[i, j] = float(tok[3])
+                J[i, j] = _finite(tok[3], no)
             else:
                 raise FormatError(f"line {no}: unknown directive {tok[0]!r}")
+        except FormatError:
+            raise
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {no}: malformed entry {ln!r}") from exc
 
@@ -471,4 +468,5 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     extra_j = set(J) - set(graph.edges)
     if missing_j or extra_j:
         raise FormatError(f"J entries missing {sorted(missing_j)}, extra {sorted(extra_j)}")
-    return Hamiltonian(graph, h, J, alpha)
+    return Hamiltonian(graph, [h[s] for s in graph.spins],
+                       [J[e] for e in graph.edges], alpha)

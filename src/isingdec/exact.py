@@ -60,12 +60,11 @@ def config_matrix(n: int) -> np.ndarray:
     return _cached_config_matrix(n)
 
 
-def _pair_products(graph: ChimeraGraph, pairs) -> np.ndarray:
-    """(2^n, n_pairs) values of s_i s_j in every configuration."""
-    pos = {s: t for t, s in enumerate(graph.spins)}
-    idx = np.array([(pos[i], pos[j]) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
+def _pair_products(graph: ChimeraGraph, positions: np.ndarray) -> np.ndarray:
+    """(2^n, k) values of s_i s_j in every configuration, for (k, 2) spin
+    positions such as `graph.edge_positions`."""
     S = config_matrix(graph.n_spins)
-    return S[:, idx[:, 0]] * S[:, idx[:, 1]]
+    return S[:, positions[:, 0]] * S[:, positions[:, 1]]
 
 
 def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
@@ -76,15 +75,13 @@ def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
     Returns (B, 2^n).
     """
     S = config_matrix(graph.n_spins)
-    P = _pair_products(graph, graph.edges)
+    P = _pair_products(graph, graph.edge_positions)
     return alpha * (-(h_mat @ S.T) - (j_mat @ P.T))
 
 
 def enumerate_spectrum(H: Hamiltonian) -> Spectrum:
     """Exact energies of all 2^n configurations of H."""
-    energies = batch_energies(
-        H.graph, H.h_vector()[None, :], H.j_vector()[None, :], H.alpha
-    )[0]
+    energies = batch_energies(H.graph, H.h[None, :], H.J[None, :], H.alpha)[0]
     ground = float(energies.min())
     tol = GROUND_TIE_RTOL * H.alpha
     ground_set = np.flatnonzero(energies <= ground + tol)
@@ -124,8 +121,9 @@ def magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
 def pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
                            pairs: list[tuple[int, int]]) -> np.ndarray:
     """(n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary pairs."""
+    idx = H.graph.positions(pairs).reshape(-1, 2)
     return thermal_average(enumerate_spectrum(H).energies, temps,
-                           _pair_products(H.graph, pairs))
+                           _pair_products(H.graph, idx))
 
 
 def _sign_with_zero(m: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:

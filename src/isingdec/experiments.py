@@ -127,7 +127,7 @@ def sector_rates(H_clean: Hamiltonian, decoder, samples_per_sector: int,
     """
     if samples_per_sector < 1:
         raise ValueError("samples_per_sector must be >= 1")
-    clean = np.concatenate([H_clean.h_vector(), H_clean.j_vector()])
+    clean = np.concatenate([H_clean.h, H_clean.J])
     n_el = len(clean)
     counts, means, samples, exhaustive = [], [], [], []
     for s in range(n_el + 1):
@@ -164,8 +164,7 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     Returns (map_means (S+1,), mpm_means (S+1, n_t_decode)) with S = N+M.
     """
     graph = H_clean.graph
-    if (np.any(H_clean.h_vector() != 1.0)
-            or np.any(H_clean.j_vector() != 1.0)):
+    if np.any(H_clean.h != 1.0) or np.any(H_clean.J != 1.0):
         raise ValueError(
             "exact sector means require the all-+1 nominal instance")
     if graph.L != 1:
@@ -187,7 +186,7 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     # gauge variables: one +-1 vector per spin assignment
     tau = exact.config_matrix(n)                      # (2^n, n)
     edge_parity = (
-        (1 - exact._pair_products(graph, graph.edges)) // 2).astype(np.int64)
+        (1 - exact._pair_products(graph, graph.edge_positions)) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
     n_el = n + m
     n_sectors = n_el + 1

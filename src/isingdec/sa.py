@@ -60,30 +60,30 @@ class ControlErrorSpec:
 def inject_control_error(H: Hamiltonian, spec: ControlErrorSpec,
                          rng: np.random.Generator) -> Hamiltonian:
     """One realization of H with perturbed field and coupler values."""
-    h = H.h_vector() + spec.sigma_h * rng.standard_normal(len(H.graph.spins))
-    j = H.j_vector() + spec.sigma_j * rng.standard_normal(len(H.graph.edges))
+    h = H.h + spec.sigma_h * rng.standard_normal(H.graph.n_spins)
+    j = H.J + spec.sigma_j * rng.standard_normal(H.graph.n_edges)
     return Hamiltonian.from_vectors(H.graph, h, j, H.alpha)
 
 
 def _local_field_tables(H: Hamiltonian):
-    """Padded neighbor index and coupling tables for vectorized local fields."""
-    spins = H.graph.spins
-    pos = {s: i for i, s in enumerate(spins)}
-    n = len(spins)
-    neigh = [[] for _ in range(n)]
-    for (a, b) in H.graph.edges:
-        j = H.J[(a, b)]
-        neigh[pos[a]].append((pos[b], j))
-        neigh[pos[b]].append((pos[a], j))
-    width = max(len(nb) for nb in neigh)
-    idx = np.zeros((n, width), dtype=np.intp)
-    val = np.zeros((n, width))
-    for i, nb in enumerate(neigh):
-        for k, (j_pos, j_val) in enumerate(nb):
-            idx[i, k] = j_pos
-            val[i, k] = j_val
-    h = np.array([H.h[s] for s in spins])
-    return h, idx, val
+    """Padded neighbor index and coupling tables for vectorized local fields.
+
+    Row i lists spin i's neighbours in edge order, so the local-field dot
+    products sum their terms in that order.
+    """
+    n, m = H.graph.n_spins, H.graph.n_edges
+    ij = H.graph.edge_positions
+    owner = np.concatenate([ij[:, 0], ij[:, 1]])
+    other = np.concatenate([ij[:, 1], ij[:, 0]])
+    edge = np.concatenate([np.arange(m), np.arange(m)])
+    order = np.lexsort((edge, owner))   # by spin, then by edge index
+    counts = np.bincount(owner, minlength=n)
+    slot = np.arange(2 * m) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((n, counts.max(initial=0)), dtype=np.intp)
+    val = np.zeros(idx.shape)
+    idx[owner[order], slot] = other[order]
+    val[owner[order], slot] = H.J[edge[order]]
+    return H.h, idx, val
 
 
 def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
@@ -98,7 +98,7 @@ def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
     <= each checkpoint.
     """
     h, idx, val = _local_field_tables(H)
-    n = len(H.graph.spins)
+    n = H.graph.n_spins
     alpha = H.alpha
     state = rng.integers(0, 2, size=(n_runs, n)) * 2 - 1
     snaps = None

@@ -233,21 +233,17 @@ def fit_effective_temperature(observations, n_run: int, engine,
     if np.allclose(obs_p, obs_p[0]):
         raise ValueError("degenerate input: all observed P_low identical")
 
-    hams: list[Hamiltonian] = []
-    h_index: dict[int, int] = {}
+    h_index: dict[Hamiltonian, int] = {}  # instances hash by identity
     for H, _, _, _ in observations:
-        if id(H) not in h_index:
-            h_index[id(H)] = len(hams)
-            hams.append(H)
-    spin_pos = [
-        {s: t for t, s in enumerate(H.graph.spins)} for H in hams
-    ]
+        h_index.setdefault(H, len(h_index))
+    hams = list(h_index)
+    spin_pos = [int(H.graph.positions(spin)) for H, spin, _, _ in observations]
 
     def loss(T: float) -> float:
         mags = [engine.magnetization_curve(H, np.array([T]))[0] for H in hams]
         total = 0.0
-        for (H, spin, sigma_low, p_obs) in observations:
-            m = mags[h_index[id(H)]][spin_pos[h_index[id(H)]][spin]]
+        for (H, _, sigma_low, p_obs), t in zip(observations, spin_pos):
+            m = mags[h_index[H]][t]
             p_agree = 0.5 * (1.0 + sigma_low * m)
             total += (plow_model(p_agree, n_run) - p_obs) ** 2
         return total

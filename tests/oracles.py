@@ -15,7 +15,7 @@ def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
     decoder is called on (B, N+M) element matrices and must return one sign
     vector per row.
     """
-    clean = np.concatenate([H_clean.h_vector(), H_clean.j_vector()])
+    clean = np.concatenate([H_clean.h, H_clean.J])
     n_el = len(clean)
     if n_el > 26:
         raise CapacityError(f"2^{n_el} corruption patterns is too many")
@@ -75,7 +75,7 @@ def all_words_sector_means(H_clean, t_decode, chunk=4096):
 
     tau = exact.config_matrix(n)                      # (2^n, n) gauges
     edge_parity = (
-        (1 - exact._pair_products(graph, graph.edges)) // 2).astype(np.int64)
+        (1 - exact._pair_products(graph, graph.edge_positions)) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
     parity_sum = edge_parity.sum(axis=1).astype(np.int64)
     n_el = n + m

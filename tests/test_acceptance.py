@@ -24,8 +24,8 @@ def report(capfd, number, ok, detail):
 def random_cell(seed):
     rng = np.random.default_rng(seed)
     g = core.build_chimera(1)
-    h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-    J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+    h = [float(rng.choice([-1, 1])) for _ in g.spins]
+    J = [float(rng.choice([-1, 1])) for _ in g.edges]
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 

@@ -8,8 +8,8 @@ from isingdec import bte, channel, core, exact
 def random_instance(L, seed):
     rng = np.random.default_rng(seed)
     g = core.build_chimera(L)
-    h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-    J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+    h = [float(rng.choice([-1, 1])) for _ in g.spins]
+    J = [float(rng.choice([-1, 1])) for _ in g.edges]
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 
@@ -50,8 +50,8 @@ class TestAgainstExact:
         # Keep 16 spins (two cells of a 2x2 grid) so exact stays feasible.
         rng = np.random.default_rng(7)
         g = core.build_chimera(2, excluded=frozenset(range(16, 32)))
-        h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-        J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+        h = [float(rng.choice([-1, 1])) for _ in g.spins]
+        J = [float(rng.choice([-1, 1])) for _ in g.edges]
         H = core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
         temps = np.array([0.5, 1.5, 3.0])
         m_bte = bte.bte_magnetization_curve(H, temps)
@@ -80,8 +80,8 @@ class TestSampling:
         # 4-spin chain carved out of a cell: exhaustible state space.
         g = core.build_chimera(1, excluded=frozenset({2, 3, 6, 7}))
         rng = np.random.default_rng(0)
-        h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-        J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+        h = [float(rng.choice([-1, 1])) for _ in g.spins]
+        J = [float(rng.choice([-1, 1])) for _ in g.edges]
         H = core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
         T, n = 2.0, 200_000
         samples = bte.bte_sample(H, T, n, np.random.default_rng(1))

@@ -53,43 +53,45 @@ class TestCorruption:
     def test_deterministic_per_seed(self, clean):
         H1, m1 = channel.corrupt(clean, 0.3, channel.stream(5, 1))
         H2, m2 = channel.corrupt(clean, 0.3, channel.stream(5, 1))
-        assert H1.h == H2.h and H1.J == H2.J and m1 == m2
+        assert np.array_equal(H1.h, H2.h) and np.array_equal(H1.J, H2.J) \
+            and np.array_equal(m1, m2)
 
     def test_streams_independent(self, clean):
         _, m1 = channel.corrupt(clean, 0.3, channel.stream(5, 1))
         _, m2 = channel.corrupt(clean, 0.3, channel.stream(5, 2))
-        assert m1 != m2
+        assert not np.array_equal(m1, m2)
 
     def test_flips_are_sign_flips(self, clean):
-        H, mask = channel.corrupt(clean, 0.3, channel.stream(6, 0))
-        for s in clean.graph.spins:
-            expected = -1.0 if s in mask.flipped_fields else 1.0
-            assert H.h[s] == expected
-        for e in clean.graph.edges:
-            expected = -1.0 if e in mask.flipped_couplers else 1.0
-            assert H.J[e] == expected
+        H, flipped = channel.corrupt(clean, 0.3, channel.stream(6, 0))
+        n = clean.graph.n_spins
+        assert flipped.dtype == bool and flipped.shape == (24,)
+        assert np.array_equal(H.h, np.where(flipped[:n], -1.0, 1.0))
+        assert np.array_equal(H.J, np.where(flipped[n:], -1.0, 1.0))
 
     def test_sample_sector_exact_count(self, clean):
         for s in (0, 5, 24):
-            H, mask = channel.sample_sector(clean, s, channel.stream(7, s))
-            assert mask.n_corr == s
+            H, flipped = channel.sample_sector(clean, s, channel.stream(7, s))
+            assert flipped.sum() == s
+            assert (np.concatenate([H.h, H.J]) == -1.0).sum() == s
 
     def test_apply_mask_round_trip(self, clean):
-        _, mask = channel.corrupt(clean, 0.4, channel.stream(8, 0))
-        H = channel.apply_mask(clean, mask)
-        back = channel.apply_mask(H, mask)
-        assert back.h == clean.h and back.J == clean.J
+        _, flipped = channel.corrupt(clean, 0.4, channel.stream(8, 0))
+        H = channel.apply_mask(clean, flipped)
+        back = channel.apply_mask(H, flipped)
+        assert np.array_equal(back.h, clean.h) and np.array_equal(back.J, clean.J)
 
-    def test_mask_from_flat_ordering(self, clean):
+    def test_flip_vector_ordering(self, clean):
         n = len(clean.graph.spins)
-        mask = channel.mask_from_flat(clean, [0, n, n + 1])
-        assert clean.graph.spins[0] in mask.flipped_fields
-        assert clean.graph.edges[0] in mask.flipped_couplers
-        assert clean.graph.edges[1] in mask.flipped_couplers
-        assert mask.n_corr == 3
+        flipped = np.zeros(n + len(clean.graph.edges), dtype=bool)
+        flipped[[0, n, n + 1]] = True
+        H = channel.apply_mask(clean, flipped)
+        assert np.flatnonzero(H.h == -1.0).tolist() == [0]
+        assert np.flatnonzero(H.J == -1.0).tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            channel.apply_mask(clean, flipped[1:])
 
     def test_corruption_rate_statistics(self, clean):
         rng = channel.stream(9, 0)
-        counts = [channel.corrupt(clean, 0.25, rng)[1].n_corr
+        counts = [channel.corrupt(clean, 0.25, rng)[1].sum()
                   for _ in range(400)]
         assert np.mean(counts) / 24 == pytest.approx(0.25, abs=0.02)

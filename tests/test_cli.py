@@ -109,6 +109,24 @@ p = 0.1 0.2
         assert run(["ber", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["ber", "surface"])
+    @pytest.mark.parametrize("channel, message", [
+        ("mode = bogus", "unknown channel.mode 'bogus'"),
+        ("mode = sampled", "missing required key channel.samples_per_sector"),
+        ("mode = sampled\nsamples_per_sector = 0", "samples_per_sector must be >= 1"),
+        ("p = 0.7", "channel.p values must lie in"),
+    ], ids=["unknown-mode", "sampled-without-samples", "zero-samples", "bad-p"])
+    def test_bad_channel_is_config_error(self, tmp_path, capsys, command,
+                                         channel, message):
+        if not channel.startswith("p ="):
+            channel = "p = 0.1\n" + channel
+        cfg = write(tmp_path, "m.cfg",
+                    "[run]\nseed = 1\n[graph]\nl = 1\nexclude = 3 7 6\n"
+                    f"[grid]\npoints = 5\n[channel]\n{channel}\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTransitions:
     def test_classes_mode(self, tmp_path):
@@ -151,6 +169,13 @@ flips = 20
                     "[run]\nseed = 1\n[grid]\npoints = 3\n")
         assert run(["transitions", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
+
+    def test_zero_grid_points_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "g.cfg",
+                    "[run]\nseed = 1\n[grid]\npoints = 0\n")
+        assert run(["transitions", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert "grid.points must be >= 1" in capsys.readouterr().err
 
     def test_correlation_mode_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -195,6 +220,17 @@ class TestCanonicalize:
                     f"hamiltonian = {ham}\n")
         assert run(["canonicalize", "--config", str(cfg)]) == 0
         assert (out / "canonical.csv").exists()
+
+    def test_non_finite_file_is_config_error(self, tmp_path, capsys):
+        from isingdec import core
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("h 0 1.0", "h 0 nan")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "k.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n")
+        assert run(["canonicalize", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert "line 3: non-finite value 'nan'" in capsys.readouterr().err
 
 
 class TestImport:

@@ -8,8 +8,8 @@ from oracles import brute_cell_classes
 
 def random_nominal(rng, L=1, excluded=frozenset()):
     g = core.build_chimera(L, excluded=excluded)
-    h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-    J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+    h = [float(rng.choice([-1, 1])) for _ in g.spins]
+    J = [float(rng.choice([-1, 1])) for _ in g.edges]
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 
@@ -52,26 +52,76 @@ class TestTopology:
         assert all(0 not in e for e in g.edges)
         assert len(g.edges) == 12
 
+    @pytest.mark.parametrize("L, excluded", [(1, ()), (2, (3, 12, 20))])
+    def test_edge_positions(self, L, excluded):
+        g = core.build_chimera(L, excluded=excluded)
+        expected = [[g.spins.index(i), g.spins.index(j)] for i, j in g.edges]
+        assert g.edge_positions.tolist() == expected
+        assert g.edge_positions is g.edge_positions
+        assert not g.edge_positions.flags.writeable
+
+    def test_positions_reject_inactive_spins(self):
+        g = core.build_chimera(1, excluded={3})
+        assert g.positions([0, 4, 7]).tolist() == [0, 3, 6]
+        for bad in ([3], [8], [-1]):
+            with pytest.raises(ValueError):
+                g.positions(bad)
+
 
 class TestHamiltonian:
     def test_uniform_energy_ferromagnet(self):
         g = core.build_chimera(1)
         H = core.Hamiltonian.uniform(g)
-        s = core.SpinConfig({i: 1 for i in g.spins})
+        s = np.ones(g.n_spins)
         assert core.energy(H, s) == -24.0
 
     def test_alpha_scales_energy(self):
         g = core.build_chimera(1)
         H = core.Hamiltonian.uniform(g, alpha=0.25)
-        s = core.SpinConfig({i: 1 for i in g.spins})
+        s = np.ones(g.n_spins)
         assert core.energy(H, s) == -6.0
+
+    def test_arrays_are_read_only_copies(self):
+        g = core.build_chimera(1)
+        h = np.ones(g.n_spins)
+        H = core.Hamiltonian.from_vectors(g, h, np.ones(g.n_edges))
+        h[0] = -1.0
+        assert H.h[0] == 1.0 and H.h.dtype == np.float64
+        with pytest.raises(ValueError):
+            H.h[0] = -1.0
+        with pytest.raises(ValueError):
+            H.J[0] = -1.0
+
+    def test_shapes_checked(self):
+        g = core.build_chimera(1)
+        with pytest.raises(ValueError, match="h must hold 8"):
+            core.Hamiltonian(g, np.ones(7), np.ones(16))
+        with pytest.raises(ValueError, match="J must hold 16"):
+            core.Hamiltonian(g, np.ones(8), np.ones((1, 16)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", np.nan), ("J", np.inf), ("alpha", np.nan), ("alpha", np.inf)])
+    def test_non_finite_rejected(self, field, value):
+        g = core.build_chimera(1)
+        values = {"h": np.ones(8), "J": -np.ones(16), "alpha": 1.0}
+        if field == "alpha":
+            values["alpha"] = value
+        else:
+            values[field][3] = value
+        with pytest.raises(ValueError, match="finite"):
+            core.Hamiltonian(g, **values)
+
+    def test_compares_by_identity(self):
+        g = core.build_chimera(1)
+        H = core.Hamiltonian.uniform(g)
+        assert H == H and H != core.Hamiltonian.uniform(g)
+        assert len({H, H, core.Hamiltonian.uniform(g)}) == 2
 
     def test_vector_round_trip(self):
         rng = np.random.default_rng(0)
         H = random_nominal(rng)
-        H2 = core.Hamiltonian.from_vectors(H.graph, H.h_vector(),
-                                           H.j_vector(), H.alpha)
-        assert H2.h == H.h and H2.J == H.J
+        H2 = core.Hamiltonian.from_vectors(H.graph, H.h, H.J, H.alpha)
+        assert np.array_equal(H2.h, H.h) and np.array_equal(H2.J, H.J)
 
 
 class TestGauge:
@@ -81,18 +131,23 @@ class TestGauge:
         rng = np.random.default_rng(seed)
         H = random_nominal(rng)
         Hg = core.gauge_transform(H, flip)
-        s = {i: int(rng.choice([-1, 1])) for i in H.graph.spins}
-        sg = {i: (-v if i in flip else v) for i, v in s.items()}
-        e1 = core.energy(H, core.SpinConfig(s))
-        e2 = core.energy(Hg, core.SpinConfig(sg))
+        s = np.array([int(rng.choice([-1, 1])) for _ in H.graph.spins])
+        sg = np.where(np.isin(H.graph.spins, list(flip)), -s, s)
+        e1 = core.energy(H, s)
+        e2 = core.energy(Hg, sg)
         assert e1 == pytest.approx(e2, abs=1e-12)
+
+    def test_rejects_inactive_spins(self):
+        H = core.Hamiltonian.uniform(core.truncated_cell())
+        with pytest.raises(ValueError):
+            core.gauge_transform(H, {3})
 
     def test_involution(self):
         rng = np.random.default_rng(1)
         H = random_nominal(rng)
         flip = {0, 3, 5}
         back = core.gauge_transform(core.gauge_transform(H, flip), flip)
-        assert back.h == H.h and back.J == H.J
+        assert np.array_equal(back.h, H.h) and np.array_equal(back.J, H.J)
 
 
 class TestCanonicalization:
@@ -157,9 +212,9 @@ class TestCellOrbits:
         for _ in range(20):
             H = random_nominal(rng)
             word = core.canonicalize_cell(H).word
-            flip = frozenset(s for s in H.graph.spins if H.h[s] == -1)
+            flip = frozenset(np.array(H.graph.spins)[H.h == -1].tolist())
             fixed = core.gauge_transform(H, flip)
-            raw = core._pack_word(fixed.j_vector())
+            raw = core._pack_word(fixed.J)
             assert word == canonical[raw]
 
 
@@ -168,7 +223,8 @@ class TestTextFormat:
         rng = np.random.default_rng(4)
         H = random_nominal(rng)
         H2 = core.parse_hamiltonian(core.format_hamiltonian(H))
-        assert H2.h == H.h and H2.J == H.J and H2.alpha == H.alpha
+        assert np.array_equal(H2.h, H.h) and np.array_equal(H2.J, H.J) \
+            and H2.alpha == H.alpha
 
     def test_round_trip_with_exclusions(self):
         g = core.truncated_cell()
@@ -196,6 +252,26 @@ class TestTextFormat:
         text = core.format_hamiltonian(core.Hamiltonian.uniform(g))
         with pytest.raises(core.FormatError):
             core.parse_hamiltonian(text + "\nJ 0 1 1.0")
+
+    def test_duplicate_message_kept(self):
+        text = core.format_hamiltonian(core.Hamiltonian.uniform(core.build_chimera(1)))
+        with pytest.raises(core.FormatError,
+                           match=r"line 27: duplicate h entry for spin 0"):
+            core.parse_hamiltonian(text + "h 0 1.0\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("h 0 1.0", "h 0 nan"), ("J 0 4 1.0", "J 0 4 -inf"),
+        ("alpha 1.0", "alpha inf"), ("alpha 1.0", "alpha nan")])
+    def test_non_finite_rejected_with_line(self, old, new):
+        text = core.format_hamiltonian(core.Hamiltonian.uniform(core.build_chimera(1)))
+        no = text.splitlines().index(old) + 1
+        with pytest.raises(core.FormatError, match=rf"line {no}: non-finite"):
+            core.parse_hamiltonian(text.replace(old, new))
+
+    def test_non_positive_alpha_rejected_with_line(self):
+        text = core.format_hamiltonian(core.Hamiltonian.uniform(core.build_chimera(1)))
+        with pytest.raises(core.FormatError, match=r"line 2: alpha must be positive"):
+            core.parse_hamiltonian(text.replace("alpha 1.0", "alpha 0.0"))
 
     def test_garbage_rejected(self):
         with pytest.raises(core.FormatError):

@@ -8,14 +8,14 @@ from isingdec import channel, core, exact, experiments
 def random_nominal(seed):
     rng = np.random.default_rng(seed)
     g = core.build_chimera(1)
-    h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-    J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+    h = [float(rng.choice([-1, 1])) for _ in g.spins]
+    J = [float(rng.choice([-1, 1])) for _ in g.edges]
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 
 def one_spin_hamiltonian():
     g = core.build_chimera(1, excluded=frozenset(range(1, 8)))
-    return core.Hamiltonian(graph=g, h={0: 1.0}, J={}, alpha=1.0)
+    return core.Hamiltonian(graph=g, h=[1.0], J=[], alpha=1.0)
 
 
 class TestSpectrum:
@@ -92,7 +92,7 @@ class TestDecoders:
 
     def test_mpm_symmetric_spin_undecided(self):
         g = core.build_chimera(1, excluded=frozenset(range(1, 8)))
-        H = core.Hamiltonian(graph=g, h={0: 0.0}, J={}, alpha=1.0)
+        H = core.Hamiltonian(graph=g, h=[0.0], J=[], alpha=1.0)
         assert exact.mpm_decode(H, 1.0)[0] == 0
 
     def test_map_unique_ground(self):
@@ -101,7 +101,7 @@ class TestDecoders:
 
     def test_map_tie_gives_zero(self):
         g = core.build_chimera(1, excluded=frozenset(range(1, 8)))
-        H = core.Hamiltonian(graph=g, h={0: 0.0}, J={}, alpha=1.0)
+        H = core.Hamiltonian(graph=g, h=[0.0], J=[], alpha=1.0)
         assert exact.map_decode(H)[0] == 0
 
     def test_map_is_low_temperature_mpm_limit(self):
@@ -135,7 +135,7 @@ class TestBatch:
         H = random_nominal(20)
         sp = exact.enumerate_spectrum(H)
         batch = exact.batch_energies(
-            H.graph, H.h_vector()[None], H.j_vector()[None], H.alpha)[0]
+            H.graph, H.h[None], H.J[None], H.alpha)[0]
         assert np.allclose(batch, sp.energies, atol=1e-12)
 
     def test_batch_decoders_match_single(self):
@@ -143,10 +143,10 @@ class TestBatch:
         g = hams[0].graph
         # zero field: every <sigma_i> is 0 by global flip symmetry
         zero_field = core.Hamiltonian.from_vectors(
-            g, np.zeros(g.n_spins), hams[0].j_vector())
+            g, np.zeros(g.n_spins), hams[0].J)
         hams.append(zero_field)
-        h_mat = np.array([H.h_vector() for H in hams])
-        j_mat = np.array([H.j_vector() for H in hams])
+        h_mat = np.array([H.h for H in hams])
+        j_mat = np.array([H.J for H in hams])
         energies = exact.batch_energies(g, h_mat, j_mat, 1.0)
         map_b = exact.batch_map_decode(energies, 8, 1.0)
         temps = np.array([0.4, 1.3])

@@ -1,0 +1,128 @@
+"""Golden SHA-256 pins of seeded outputs.
+
+Each pin hashes the exact bytes of a seeded output, so a change to how a
+random stream is consumed, to the element order or to float rounding fails
+it. The cases use only the text format and `Hamiltonian.from_vectors` to read
+and build instances: the text lists the fields in spin order, then the
+couplers in edge order, with every value written by `repr`.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from isingdec import channel, core, sa
+
+
+def sha(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode() if isinstance(part, str)
+                      else np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def elements(H) -> np.ndarray:
+    """(N+M,) element values of H, fields first and then couplers."""
+    return np.array([float(line.split()[-1])
+                     for line in core.format_hamiltonian(H).splitlines()
+                     if line.startswith(("h ", "J "))])
+
+
+def nominal(L, seed, excluded=frozenset(), alpha=1.0):
+    g = core.build_chimera(L, excluded=excluded)
+    rng = channel.stream(seed, 0)
+    h = rng.choice([-1.0, 1.0], g.n_spins)
+    j = rng.choice([-1.0, 1.0], g.n_edges)
+    return core.Hamiltonian.from_vectors(g, h, j, alpha)
+
+
+def corrupted(L, seed, **kw):
+    clean = nominal(L, seed, **kw)
+    return channel.corrupt(clean, 0.2, channel.stream(seed, 1))[0]
+
+
+def channel_draws(draw, clean, args, rng):
+    """Element values and flips (against `clean`) of successive draws."""
+    parts = []
+    for arg in args:
+        H = draw(clean, arg, rng)[0]
+        values = elements(H)
+        parts += [values, values != elements(clean)]
+    return sha(*parts)
+
+
+def case_corrupt():
+    return channel_draws(channel.corrupt, nominal(2, 101), (0.3, 0.05, 0.5),
+                         channel.stream(101, 1))
+
+
+def case_sample_sector():
+    clean = nominal(2, 102)
+    total = clean.graph.n_spins + clean.graph.n_edges
+    return channel_draws(channel.sample_sector, clean, (0, 1, 17, total),
+                         channel.stream(102, 1))
+
+
+def case_inject_control_error():
+    H = corrupted(2, 103)
+    rng = channel.stream(103, 2)
+    spec = sa.ControlErrorSpec(0.05, 0.03)
+    return sha(*(elements(sa.inject_control_error(H, spec, rng))
+                 for _ in range(3)))
+
+
+def case_format_control_error():
+    H = corrupted(1, 104, excluded=frozenset({5}), alpha=0.7)
+    Hp = sa.inject_control_error(H, sa.ControlErrorSpec(0.05, 0.03),
+                                 channel.stream(104, 2))
+    return sha(core.format_hamiltonian(Hp))
+
+
+def sweep(H, seed):
+    schedule = sa.AnnealSchedule(t_start=6.0, t_end=0.5, total_updates=3000)
+    curve = sa.sa_orientation_sweep(H, schedule, np.array([0.5, 2.0, 4.0]),
+                                    16, channel.stream(seed, 3))
+    return sha(curve.temperatures, curve.values)
+
+
+def case_sweep():
+    return sweep(corrupted(2, 105), 105)
+
+
+def case_sweep_control_error():
+    H = sa.inject_control_error(corrupted(2, 106),
+                                sa.ControlErrorSpec(0.05, 0.03),
+                                channel.stream(106, 2))
+    return sweep(H, 106)
+
+
+def case_sweep_excluded_alpha():
+    H = sa.inject_control_error(
+        corrupted(2, 107, excluded=frozenset({3, 12, 20}), alpha=0.5),
+        sa.ControlErrorSpec(0.05, 0.03), channel.stream(107, 2))
+    return sweep(H, 107)
+
+
+PINS = {
+    case_corrupt:
+        "b536526c083dc50233e7279f1d1437fb21bf53578d6a7b5a16b693a6a0ba7321",
+    case_sample_sector:
+        "a279425e7119e9ad2e7c8d77a1a116884ab38f907b371e2d22a245150cdcbaf9",
+    case_inject_control_error:
+        "5f3ff2f28c7a55bd3c8272b2cff1bd383cc8f97434817dba379b141e896724cd",
+    case_format_control_error:
+        "b9b2eff992004c2cdce82011fb29ceb1728d44c8b1fdd0061da959e7aafbccf3",
+    case_sweep:
+        "fe61dff01ed1b8ed1cc472cb7a9a44a7a09278423b4c10f610d01d125b48b6c9",
+    case_sweep_control_error:
+        "899159f21ba61ddfd887fee9dba5b69a9be746acf5503923067954a0f530bfe9",
+    case_sweep_excluded_alpha:
+        "1e6a09f28fa02ada5048172d65e4563889be7c424d1c2cfef9ae387dede7f4bb",
+}
+
+
+@pytest.mark.parametrize("case", PINS, ids=lambda f: f.__name__[5:])
+def test_golden(case):
+    assert case() == PINS[case]

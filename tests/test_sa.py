@@ -7,8 +7,8 @@ from isingdec import channel, core, exact, sa
 def random_cell(seed):
     rng = np.random.default_rng(seed)
     g = core.build_chimera(1)
-    h = {s: float(rng.choice([-1, 1])) for s in g.spins}
-    J = {e: float(rng.choice([-1, 1])) for e in g.edges}
+    h = [float(rng.choice([-1, 1])) for _ in g.spins]
+    J = [float(rng.choice([-1, 1])) for _ in g.edges]
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 
@@ -39,8 +39,8 @@ class TestControlError:
         dh, dj = [], []
         for _ in range(40):
             Hp = sa.inject_control_error(H, spec, rng)
-            dh.append(Hp.h_vector() - H.h_vector())
-            dj.append(Hp.j_vector() - H.j_vector())
+            dh.append(Hp.h - H.h)
+            dj.append(Hp.J - H.J)
         dh = np.concatenate(dh)
         dj = np.concatenate(dj)
         assert abs(dh.mean()) < 4 * 0.05 / np.sqrt(dh.size)
@@ -53,8 +53,8 @@ class TestControlError:
         spec = sa.ControlErrorSpec()
         a = sa.inject_control_error(H, spec, np.random.default_rng(7))
         b = sa.inject_control_error(H, spec, np.random.default_rng(7))
-        assert np.array_equal(a.h_vector(), b.h_vector())
-        assert np.array_equal(a.j_vector(), b.j_vector())
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.J, b.J)
 
     def test_preserves_structure(self):
         H = random_cell(2)
@@ -62,6 +62,23 @@ class TestControlError:
                                      np.random.default_rng(3))
         assert Hp.graph is H.graph
         assert Hp.alpha == H.alpha
+
+
+class TestLocalFieldTables:
+    def test_rows_list_neighbours_in_edge_order(self):
+        g = core.build_chimera(2, excluded={3, 12, 20})
+        rng = np.random.default_rng(4)
+        H = core.Hamiltonian(g, rng.standard_normal(g.n_spins),
+                             rng.standard_normal(g.n_edges))
+        h, idx, val = sa._local_field_tables(H)
+        assert np.array_equal(h, H.h)
+        for t, s in enumerate(g.spins):
+            incident = [(e, b if a == s else a) for e, (a, b) in enumerate(g.edges)
+                        if s in (a, b)]
+            k = len(incident)
+            assert idx[t, :k].tolist() == [g.spins.index(o) for _, o in incident]
+            assert np.array_equal(val[t, :k], H.J[[e for e, _ in incident]])
+            assert not val[t, k:].any()
 
 
 class TestAnneal:
