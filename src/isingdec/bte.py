@@ -1,13 +1,25 @@
 """Exact Boltzmann inference on Chimera graphs via bucket-tree elimination.
 
-Replaces exhaustive enumeration for instances too large to enumerate: the
-forward (elimination) pass yields ln Z, a downward pass yields exact
-single-spin and edge-pair marginals, and backward sampling draws i.i.d.
-configurations from the Boltzmann distribution at temperature T.
+Replaces exhaustive enumeration for instances too large to enumerate.
 
-All message tables live in the log domain with per-table max subtraction, so
-the near-zero temperatures of the orientation grid do not underflow. Tables
-carry a leading temperature axis so a whole grid chunk is processed at once.
+The forward pass eliminates the spins in order. Bucket v combines the field
+and coupler factors whose earliest spin is v with its children's messages
+into lam_v over scope (v, separator...), sends msg_v = ln sum_v exp(lam_v)
+to its parent (the separator's earliest spin) and keeps one table, the
+log-conditional cond_v = lam_v - msg_v = ln P(v | separator). The factors
+and messages are dropped as soon as the bucket is combined. Buckets with an
+empty separator are roots, and ln Z is the sum of their messages.
+
+The other outputs read only the cond tables:
+- marginals walk the buckets in reverse order. A bucket's belief
+  ln P(v, separator) is cond_v plus its parent's belief marginalized onto
+  the separator; it gives <sigma_v> and <sigma_i sigma_j> for the edges
+  whose earliest spin is v;
+- sampling draws each spin from cond_v at its already-drawn separator.
+
+Tables live in the log domain, so the near-zero temperatures of the
+orientation grid do not underflow, and carry a leading temperature axis, so
+a whole grid chunk is processed at once.
 """
 
 from __future__ import annotations
@@ -28,8 +40,9 @@ __all__ = [
     "BteEngine",
 ]
 
-# bytes of bucket tables one elimination pass may hold: a 32-temperature
-# chunk on L=4 (2.10 GiB) fits, L=5 gets one temperature per pass (1.66 GiB)
+# bytes of cond tables (8 * n_T * table_entries) one pass may hold: a
+# 32-temperature chunk on L=4 (2.10 GiB) fits, L=5 gets one temperature per
+# pass (1.66 GiB). Messages, beliefs and temporaries add at most a quarter.
 BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
@@ -95,25 +108,25 @@ def _temp_chunk(order: EliminationOrder) -> int:
 
 @dataclass
 class _Bucket:
-    var: int
-    # each item: (source, scope, table); source is "F" for an original factor
-    # or the child bucket's variable for an upward message
-    items: list[tuple[object, tuple[int, ...], np.ndarray]]
-    lam_scope: tuple[int, ...] = ()
-    lam: np.ndarray | None = None
-    out_scope: tuple[int, ...] = ()
-    parent: int | None = None
+    """One eliminated spin. scope is (spin, separator...) in elimination
+    order, so scope[1] is the parent; cond = ln P(spin | separator) has axes
+    (temperature, *scope)."""
+
+    scope: tuple[int, ...]
+    cond: np.ndarray
+    children: list[int]
 
 
 def _sum_out(table: np.ndarray, axis: int) -> np.ndarray:
     """Log-sum-exp over one binary axis: max + log1p(exp(-|diff|))."""
-    idx: list = [slice(None)] * table.ndim
-    idx[axis] = 0
-    a0 = table[tuple(idx)]
-    idx[axis] = 1
-    a1 = table[tuple(idx)]
+    a0, a1 = np.moveaxis(table, axis, 0)
     out = np.maximum(a0, a1)
-    out += np.log1p(np.exp(-np.abs(a0 - a1)))
+    d = a0 - a1  # the one temporary, transformed in place
+    np.abs(d, out=d)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    out += d
     return out
 
 
@@ -134,17 +147,17 @@ def _expand(table: np.ndarray, scope: tuple[int, ...],
 
 
 def _combine(items, pos, n_temps: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Log-domain product of factors; small tables merge before large ones.
+    """Log-domain product of (scope, table) items; small tables merge first.
 
-    Returns the union scope (sorted by elimination position) and a table of
-    full shape over it.
+    Returns the union scope (sorted by elimination position) and a fresh table
+    of full shape over it.
     """
-    scope = tuple(sorted({v for _, s, _ in items for v in s}, key=pos.__getitem__))
-    ordered = sorted(items, key=lambda it: it[2].size)
-    acc_scope, acc = ordered[0][1], ordered[0][2]
+    scope = tuple(sorted({v for s, _ in items for v in s}, key=pos.__getitem__))
+    ordered = sorted(items, key=lambda it: it[1].size)
+    acc_scope, acc = ordered[0]
     acc_vars = set(acc_scope)
     copied = False
-    for _, s, table in ordered[1:]:
+    for s, table in ordered[1:]:
         if set(s) <= acc_vars:
             if not copied:
                 acc = acc.copy()
@@ -164,118 +177,83 @@ def _combine(items, pos, n_temps: int) -> tuple[tuple[int, ...], np.ndarray]:
     return scope, acc
 
 
-def _marginalize_onto(table: np.ndarray, scope: tuple[int, ...],
-                      keep: tuple[int, ...]) -> np.ndarray:
-    drop = tuple(1 + a for a, v in enumerate(scope) if v not in keep)
-    if not drop:
-        return table
-    return logsumexp(table, axis=drop)
-
-
 def _factors(H: Hamiltonian, temps: np.ndarray, pos: dict[int, int]):
     """Log-domain field and coupler factors with a leading temperature axis."""
     inv_t = 1.0 / temps
     factors = []
     fields = H.alpha * H.h[:, None] * _SPIN_VALUES
     for s, base in zip(H.graph.spins, fields):
-        factors.append(("F", (s,), inv_t[:, None] * base[None, :]))
+        factors.append(((s,), inv_t[:, None] * base[None, :]))
     couplers = (H.alpha * H.J)[:, None, None] * _PAIR_VALUES
     for (i, j), base in zip(H.graph.edges, couplers):
         a, b = (i, j) if pos[i] < pos[j] else (j, i)
-        factors.append(("F", (a, b), inv_t[:, None, None] * base[None, :, :]))
+        factors.append(((a, b), inv_t[:, None, None] * base[None, :, :]))
     return factors
 
 
 def _forward(H: Hamiltonian, temps: np.ndarray,
              order: EliminationOrder) -> tuple[dict[int, _Bucket], np.ndarray]:
-    """Eliminate all variables; returns calibrated buckets and ln Z per T."""
+    """Eliminate all variables; returns the buckets and ln Z per T."""
     if len(temps) > _temp_chunk(order):
         raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
     pos = {v: t for t, v in enumerate(order.order)}
     n_temps = len(temps)
-    buckets = {v: _Bucket(var=v, items=[]) for v in order.order}
-    for src, scope, table in _factors(H, temps, pos):
-        buckets[scope[0]].items.append((src, scope, table))
+    pending: dict[int, list] = {v: [] for v in order.order}  # factors, messages
+    children: dict[int, list[int]] = {v: [] for v in order.order}
+    for scope, table in _factors(H, temps, pos):
+        pending[scope[0]].append((scope, table))
+    buckets: dict[int, _Bucket] = {}
     lnz = np.zeros(n_temps)
     for v in order.order:
-        b = buckets[v]
-        b.lam_scope, b.lam = _combine(b.items, pos, n_temps)
-        assert b.lam_scope[0] == v
-        msg = logsumexp(b.lam, axis=1)
-        b.out_scope = b.lam_scope[1:]
-        if b.out_scope:
-            b.parent = b.out_scope[0]
-            buckets[b.parent].items.append((v, b.out_scope, msg))
+        scope, cond = _combine(pending.pop(v), pos, n_temps)
+        msg = logsumexp(cond, axis=1)
+        cond -= msg[:, None]
+        buckets[v] = _Bucket(scope, cond, children.pop(v))
+        if len(scope) > 1:
+            pending[scope[1]].append((scope[1:], msg))
+            children[scope[1]].append(v)
         else:
-            b.parent = None
             lnz += msg
     return buckets, lnz
 
 
-def _spin_means(belief: np.ndarray, scope: tuple[int, ...], var: int) -> np.ndarray:
-    """<sigma_var> per temperature from a log-domain belief over `scope`."""
-    axis = 1 + scope.index(var)
-    moved = np.moveaxis(belief, axis, 1).reshape(belief.shape[0], 2, -1)
-    m = moved.max(axis=(1, 2), keepdims=True)
-    w = np.exp(moved - m).sum(axis=2)
-    return (w @ _SPIN_VALUES) / w.sum(axis=1)
+_SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
 
 
-def _pair_means(belief: np.ndarray, scope: tuple[int, ...],
-                i: int, j: int) -> np.ndarray:
-    ai, aj = 1 + scope.index(i), 1 + scope.index(j)
-    moved = np.moveaxis(belief, (ai, aj), (1, 2)).reshape(belief.shape[0], 2, 2, -1)
-    m = moved.max(axis=(1, 2, 3), keepdims=True)
-    w = np.exp(moved - m).sum(axis=3)
-    return (w * _PAIR_VALUES).sum(axis=(1, 2)) / w.sum(axis=(1, 2))
+def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
+             groups: list[tuple[int, ...]]) -> np.ndarray:
+    """<product of sigma over g>(T) for each group g of one spin or of an
+    edge's two spins: (n_temps, len(groups)).
 
-
-def _backward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
-              pairs: list[tuple[int, int]] | None):
-    """Two-pass marginals: (magnetizations (nT, n), pair correlations)."""
-    buckets, _ = _forward(H, temps, order)
+    A group is read from the belief of the bucket of its earliest spin,
+    whose scope holds the whole group. Each belief is built in place of the
+    bucket's cond table and freed once read.
+    """
     pos = {v: t for t, v in enumerate(order.order)}
-    n_temps = len(temps)
-
-    pair_bucket: dict[tuple[int, int], int] = {}
-    if pairs:
-        edges = set(H.graph.edges)
-        for i, j in pairs:
-            if (min(i, j), max(i, j)) not in edges:
-                raise ValueError(f"pair {(i, j)} is not a graph edge")
-            pair_bucket[(i, j)] = min((i, j), key=pos.__getitem__)
-
-    down: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    mags = np.empty((n_temps, H.graph.n_spins))
-    pair_out = {p: None for p in pairs} if pairs else {}
-    spin_pos = H.graph.positions(order.order)
-    for v, t in zip(reversed(order.order), spin_pos[::-1]):
-        b = buckets[v]
-        items = list(b.items)
-        if v in down:
-            items.append(("D", down[v][0], down[v][1]))
-        scope, belief = _combine(items, pos, n_temps)
-        mags[:, t] = _spin_means(belief, scope, v)
-        if pairs:
-            for (i, j), bv in pair_bucket.items():
-                if bv == v:
-                    pair_out[(i, j)] = _pair_means(belief, scope, i, j)
-        for src, msg_scope, msg in b.items:
-            if src == "F":
-                continue
-            # dividing the child's upward message out of the belief leaves
-            # the product of everything on the parent side of that edge
-            child = src
-            rest = belief - _expand(msg, msg_scope, scope)
-            sep = buckets[child].out_scope
-            down[child] = (sep, _marginalize_onto(rest, scope, sep))
-        down.pop(v, None)  # free as we go
-        buckets[v].items = []
-    if pairs:
-        corr = np.stack([pair_out[p] for p in pairs], axis=1)
-    else:
-        corr = None
-    return mags, corr
+    at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for k, g in enumerate(groups):
+        at.setdefault(min(g, key=pos.__getitem__), []).append((k, g))
+    buckets, _ = _forward(H, temps, order)
+    out = np.empty((len(temps), len(groups)))
+    down: dict[int, np.ndarray] = {}  # ln P(separator) per pending child
+    for v in reversed(order.order):
+        b = buckets.pop(v)
+        belief = b.cond  # ln P(v | separator) + ln P(separator) = ln P(scope)
+        if len(b.scope) > 1:
+            belief += down.pop(v)[:, None]
+        for c in b.children:
+            sep = buckets[c].scope[1:]
+            drop = tuple(1 + a for a, s in enumerate(b.scope) if s not in sep)
+            down[c] = logsumexp(belief, drop) if drop else belief.copy()
+        if v not in at:
+            continue
+        # normalized, so no shift: its largest entry is >= 2^-len(scope)
+        np.exp(belief, out=belief)
+        for k, g in at[v]:
+            rest = tuple(1 + a for a, s in enumerate(b.scope) if s not in g)
+            p = belief.sum(axis=rest).reshape(len(temps), -1)
+            out[:, k] = (p @ _SIGNS[len(g)]) / p.sum(axis=1)
+    return out
 
 
 def _chunked(H: Hamiltonian, temps: np.ndarray,
@@ -300,24 +278,30 @@ def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray,
 def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray,
                             order: EliminationOrder | None = None) -> np.ndarray:
     """Exact <sigma_i>(T): (n_temps, n_spins) aligned with graph.spins."""
+    groups = [(s,) for s in H.graph.spins]
     return _chunked(H, temps, order,
-                    lambda block, o: _backward(H, block, o, None)[0])
+                    lambda block, o: _moments(H, block, o, groups))
 
 
 def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
                                pairs: list[tuple[int, int]],
                                order: EliminationOrder | None = None) -> np.ndarray:
     """Exact <sigma_i sigma_j>(T) for graph edges: (n_temps, n_pairs)."""
+    edges = set(H.graph.edges)
+    for i, j in pairs:
+        if (min(i, j), max(i, j)) not in edges:
+            raise ValueError(f"pair {(i, j)} is not a graph edge")
+    groups = [tuple(p) for p in pairs]
     return _chunked(H, temps, order,
-                    lambda block, o: _backward(H, block, o, pairs)[1])
+                    lambda block, o: _moments(H, block, o, groups))
 
 
 def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
                order: EliminationOrder | None = None) -> np.ndarray:
     """n i.i.d. exact Boltzmann samples: (n, n_spins) of +-1, graph spin order.
 
-    Forward elimination followed by backward sampling: each variable is drawn
-    from its bucket function conditioned on the already-drawn separator.
+    Forward elimination, then each spin in reverse order is drawn from its
+    cond table at the already-drawn separator.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -328,16 +312,9 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
     bits: dict[int, np.ndarray] = {}
     for v in reversed(order.order):
         b = buckets[v]
-        others = b.lam_scope[1:]
-        table = b.lam[0]  # axes: (v, others...)
-        if others:
-            logp = table[(slice(None),) + tuple(bits[o] for o in others)]  # (2, n)
-        else:
-            logp = np.broadcast_to(table[:, None], (2, n))
-        mx = logp.max(axis=0)
-        w = np.exp(logp - mx)
-        p_up = w[1] / (w[0] + w[1])
-        bits[v] = (rng.random(n) < p_up).astype(np.int64)
+        # ln P(v | separator) per sample, (2, n); (2,) at a root
+        logp = b.cond[0][(slice(None),) + tuple(bits[s] for s in b.scope[1:])]
+        bits[v] = (rng.random(n) < np.exp(logp[1])).astype(np.int64)
     return 2 * np.stack([bits[s] for s in H.graph.spins], axis=1) - 1
 
 

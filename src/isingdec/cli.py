@@ -180,6 +180,21 @@ def _graph(config: dict):
     return build_chimera(L, excluded=excluded)
 
 
+def _control_spec(config: dict) -> sa.ControlErrorSpec | None:
+    """The [control] Gaussian control error, or None when control.realizations
+    is absent or 0; an unset sigma takes the ControlErrorSpec default."""
+    n_real = config.get("control.realizations", 0)
+    if n_real < 0:
+        raise ConfigError("control.realizations must be >= 0")
+    if n_real == 0:
+        return None
+    sigmas = {k: config[f"control.{k}"] for k in ("sigma_h", "sigma_j")
+              if f"control.{k}" in config}
+    if not all(0 <= v < float("inf") for v in sigmas.values()):
+        raise ConfigError("control.sigma_h and control.sigma_j must be finite and >= 0")
+    return sa.ControlErrorSpec(**sigmas)
+
+
 def _clean_hamiltonian(config: dict) -> Hamiltonian:
     if "graph.hamiltonian" in config:
         text = Path(config["graph.hamiltonian"]).read_text()
@@ -232,8 +247,12 @@ def cmd_validate(config, seed, out_dir):
 def cmd_canonicalize(config, seed, out_dir):
     """Emit the canonical single-cell coupler classes, or canonicalize a file."""
     if "graph.hamiltonian" in config:
-        H = parse_hamiltonian(Path(config["graph.hamiltonian"]).read_text())
-        canon = canonicalize_cell(H)
+        path = config["graph.hamiltonian"]
+        H = parse_hamiltonian(Path(path).read_text())
+        try:
+            canon = canonicalize_cell(H)
+        except ValueError as err:  # not a nominal full cell
+            raise ConfigError(f"{path}: {err}") from err
         _write_csv(out_dir / "canonical.csv",
                    ["canonical_word", "n_negative_couplers"],
                    [[canon.word, bin(canon.word).count("1")]])
@@ -349,20 +368,18 @@ def _plow_scatter(config, seed):
     engine = _engine(config)
     n_run = config.get("plow.n_run", 1000)
     t_samp = _require(config, "plow.sampler_temperature")
-    n_real = config.get("control.realizations", 0)
-    spec = sa.ControlErrorSpec(config.get("control.sigma_h", 0.0),
-                               config.get("control.sigma_j", 0.0))
+    spec = _control_spec(config)
     points = []
     for k, (label, H) in enumerate(_transition_instances(config, seed)):
         curve = transitions.orientation_curve(H, grid, engine)
         recs = transitions.find_transitions(curve)
-        if n_real:
+        if spec is not None:
             rng = channel.stream(seed, 20, k)
             mags = np.array([
                 engine.magnetization_curve(
                     sa.inject_control_error(H, spec, rng),
                     np.array([t_samp]))[0]
-                for _ in range(n_real)
+                for _ in range(config["control.realizations"])
             ])
         else:
             mags = engine.magnetization_curve(H, np.array([t_samp]))
@@ -401,9 +418,8 @@ def cmd_sa_compare(config, seed, out_dir):
     n_runs = config.get("sa.runs", 1000)
     checkpoints = np.asarray(config.get(
         "sa.checkpoints", list(np.linspace(schedule.t_end, schedule.t_start, 8))))
-    if "control.realizations" in config:
-        spec = sa.ControlErrorSpec(config.get("control.sigma_h", 0.05),
-                                   config.get("control.sigma_j", 0.03))
+    spec = _control_spec(config)
+    if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))
     sweep = sa.sa_orientation_sweep(H, schedule, checkpoints, n_runs,
                                     channel.stream(seed, 30))

@@ -418,10 +418,12 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     try:
         L = int(parts[1].removeprefix("L="))
         K = int(parts[2].removeprefix("K="))
+        build_chimera(L, K=K)
     except ValueError as exc:
-        raise FormatError(f"line {no}: bad chimera header") from exc
+        raise FormatError(f"line {no}: bad chimera header {head!r}: {exc}") from exc
 
     excluded: set[int] = set()
+    exclude_no = 0
     alpha: float | None = None
     h: dict[int, float] = {}
     J: dict[tuple[int, int], float] = {}
@@ -432,6 +434,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
                 if excluded:
                     raise FormatError(f"line {no}: duplicate exclude line")
                 excluded = {int(t) for t in tok[1:]}
+                exclude_no = no
             elif tok[0] == "alpha":
                 if alpha is not None:
                     raise FormatError(f"line {no}: duplicate alpha line")
@@ -457,7 +460,10 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {no}: malformed entry {ln!r}") from exc
 
-    graph = build_chimera(L, excluded, K)
+    try:  # the header is valid, so only the exclude line can fail here
+        graph = build_chimera(L, excluded, K)
+    except ValueError as exc:
+        raise FormatError(f"line {exclude_no}: {exc}") from exc
     if alpha is None:
         raise FormatError("missing alpha line")
     missing_h = set(graph.spins) - set(h)

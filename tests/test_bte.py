@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -75,6 +77,55 @@ class TestAgainstExact:
         assert np.max(np.abs(m_bte - m_ex)) < 1e-9
 
 
+
+def corrupted_two_cells(excluded=frozenset()):
+    """Cells (0, 0) and (1, 0) of a 2x2 grid, 16 spins: small enough for exact."""
+    g = core.build_chimera(2, excluded=frozenset(range(16, 32)) | excluded)
+    H, _ = channel.sample_sector(core.Hamiltonian.uniform(g), 7,
+                                 channel.stream(13, len(excluded)))
+    return H
+
+
+class TestOracle:
+    """ln Z, <sigma_i> and <sigma_i sigma_j> against exhaustive enumeration on
+    graphs whose elimination has several roots, inter-cell separators, or a
+    non-cell-aligned exclusion."""
+
+    temps = np.array([0.1, 0.6, 1.7, 5.0])
+
+    def check(self, H, pairs):
+        sp = exact.enumerate_spectrum(H)
+        lnz_ex = [logsumexp(-sp.energies / T) for T in self.temps]
+        np.testing.assert_allclose(bte.bte_log_partition_curve(H, self.temps),
+                                   lnz_ex, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bte.bte_magnetization_curve(H, self.temps),
+                                   exact.magnetization_curve(H, self.temps),
+                                   rtol=0, atol=1e-10)
+        if pairs:
+            np.testing.assert_allclose(
+                bte.bte_pair_correlation_curve(H, self.temps, pairs),
+                exact.pair_correlation_curve(H, self.temps, pairs),
+                rtol=0, atol=1e-10)
+
+    def test_disconnected_graph(self):
+        # one side of a cell: four spins, no edges, one root bucket each
+        g = core.build_chimera(1, excluded={4, 5, 6, 7})
+        assert g.edges == ()
+        H = core.Hamiltonian(graph=g, h=[1.0, -0.5, 0.25, 0.0], J=[], alpha=0.8)
+        self.check(H, [])
+
+    def test_two_cells_all_edges(self):
+        H = corrupted_two_cells()
+        pairs = list(H.graph.edges)
+        assert {(4 + k, 12 + k) for k in range(4)} <= set(pairs)
+        pairs[5] = pairs[5][::-1]
+        self.check(H, pairs)
+
+    def test_two_cells_partial_exclusion(self):
+        H = corrupted_two_cells(frozenset({2, 13}))
+        self.check(H, list(H.graph.edges))
+
+
 class TestSampling:
     def test_distribution_matches_boltzmann(self):
         # 4-spin chain carved out of a cell: exhaustible state space.
@@ -139,7 +190,24 @@ class TestEngine:
         H = random_instance(2, 12)
         order = bte.elimination_order(H.graph)
         buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order)
-        assert sum(b.lam.size for b in buckets.values()) == 2 * order.table_entries
+        assert sum(b.cond.size for b in buckets.values()) == 2 * order.table_entries
+
+    @pytest.mark.parametrize("curve", [bte.bte_magnetization_curve,
+                                       bte.bte_log_partition_curve])
+    def test_peak_memory_within_counted_tables(self, curve):
+        # BUDGET is charged 8 * n_T * table_entries bytes per pass; what a
+        # pass really holds at its peak may exceed that by at most 25%
+        H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
+                                     110, channel.stream(14, 0))
+        order = bte.elimination_order(H.graph)
+        temps = np.linspace(0.2, 4.0, 8)
+        tracemalloc.start()
+        try:
+            curve(H, temps, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * len(temps) * order.table_entries
 
     def test_curve_shape(self):
         eng = bte.BteEngine()

@@ -232,6 +232,75 @@ class TestCanonicalize:
                     str(tmp_path / "o")]) == 2
         assert "line 3: non-finite value 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("excluded, old, new, message", [
+        ((), "chimera L=1 K=4", "chimera L=0 K=4", "line 1: bad chimera header"),
+        ((3, 7), "exclude 3 7", "exclude 3 99",
+         "line 2: excluded spin 99 out of range"),
+        ((), "h 0 1.0", "h 0 0.5", "requires h, J in {-1, +1}"),
+        ((3, 7), "", "", "requires a full single unit cell"),
+    ], ids=["bad-header", "bad-exclude", "not-nominal", "not-full-cell"])
+    def test_unusable_file_is_config_error(self, tmp_path, capsys, excluded,
+                                           old, new, message):
+        from isingdec import core
+        H = core.Hamiltonian.uniform(core.build_chimera(1, excluded=excluded))
+        ham = write(tmp_path, "h.txt", core.format_hamiltonian(H).replace(old, new))
+        cfg = write(tmp_path, "k.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n")
+        assert run(["canonicalize", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestControl:
+    """[control] injects control error only when realizations >= 1."""
+
+    plow = ("[graph]\nl = 1\nengine = exact\n[grid]\npoints = 40\nt_max = 6.0\n"
+            "[channel]\nflips = 6\n[ensemble]\ninstances = 8\n"
+            "[plow]\nn_run = 100\nsampler_temperature = 1.5\n")
+    anneal = ("[graph]\nl = 1\nengine = exact\n[channel]\nflips = 6\n"
+              "[sa]\nupdates = 2000\nruns = 20\ncheckpoints = 1.5 4.0\n")
+
+    def outputs(self, tmp_path, command, text, name):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.cfg", text)
+        assert run([command, "--config", str(cfg), "--seed", "1",
+                    "--out", str(out)]) == 0
+        return {f: (out / f).read_bytes() for f in
+                (["plow.csv", "fit.json"] if command == "plow-fit"
+                 else ["deviation.csv", "summary.json"])}
+
+    @pytest.mark.parametrize("command", ["plow-fit", "sa-compare"])
+    def test_zero_realizations_is_no_control_error(self, tmp_path, command):
+        base = self.plow if command == "plow-fit" else self.anneal
+        none = self.outputs(tmp_path, command, base, "none")
+        zero = self.outputs(tmp_path, command, base + "[control]\nsigma_h = 0.5\n"
+                            "sigma_j = 0.5\nrealizations = 0\n", "zero")
+        one = self.outputs(tmp_path, command, base + "[control]\nrealizations = 1\n",
+                           "one")
+        assert zero == none
+        assert one != none
+
+    def test_unset_sigmas_take_the_paper_defaults(self, tmp_path):
+        implicit = self.outputs(tmp_path, "sa-compare",
+                                self.anneal + "[control]\nrealizations = 1\n", "a")
+        explicit = self.outputs(tmp_path, "sa-compare", self.anneal
+                                + "[control]\nsigma_h = 0.05\nsigma_j = 0.03\n"
+                                "realizations = 1\n", "b")
+        assert implicit == explicit
+
+    @pytest.mark.parametrize("command", ["plow-fit", "sa-compare"])
+    @pytest.mark.parametrize("control, message", [
+        ("realizations = -1", "control.realizations must be >= 0"),
+        ("realizations = 2\nsigma_h = -0.1", "must be finite and >= 0"),
+    ], ids=["negative-realizations", "negative-sigma"])
+    def test_bad_control_is_config_error(self, tmp_path, capsys, command,
+                                         control, message):
+        base = self.plow if command == "plow-fit" else self.anneal
+        cfg = write(tmp_path, "c.cfg", f"{base}[control]\n{control}\n")
+        assert run([command, "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_stats_out(self):

@@ -273,6 +273,17 @@ class TestTextFormat:
         with pytest.raises(core.FormatError, match=r"line 2: alpha must be positive"):
             core.parse_hamiltonian(text.replace("alpha 1.0", "alpha 0.0"))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("chimera L=1 K=4", "chimera L=0 K=4", r"line 1: bad chimera header .*L must be >= 1"),
+        ("chimera L=1 K=4", "chimera L=1 K=3", r"line 1: bad chimera header .*K = 4"),
+        ("exclude 3 7", "exclude 3 99", r"line 2: excluded spin 99 out of range"),
+    ], ids=["L=0", "K=3", "exclude-99"])
+    def test_bad_graph_rejected_with_line(self, old, new, message):
+        text = core.format_hamiltonian(core.Hamiltonian.uniform(core.truncated_cell()))
+        assert old in text
+        with pytest.raises(core.FormatError, match=message):
+            core.parse_hamiltonian(text.replace(old, new))
+
     def test_garbage_rejected(self):
         with pytest.raises(core.FormatError):
             core.parse_hamiltonian("not a header\n")
