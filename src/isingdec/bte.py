@@ -4,27 +4,46 @@ Replaces exhaustive enumeration for instances too large to enumerate.
 
 The forward pass eliminates the spins in order. Bucket v combines the field
 and coupler factors whose earliest spin is v with its children's messages
-into lam_v over scope (v, separator...), sends msg_v = ln sum_v exp(lam_v)
-to its parent (the separator's earliest spin) and keeps one table, the
-log-conditional cond_v = lam_v - msg_v = ln P(v | separator). The factors
-and messages are dropped as soon as the bucket is combined. Buckets with an
-empty separator are roots, and ln Z is the sum of their messages.
+into lam_v over scope (v, separator...), sends msg_v = sum over v of lam_v
+to its parent (the separator's earliest spin) and keeps one table,
+cond_v = lam_v / msg_v = P(v | separator). Each factor and each message is
+scaled so that its largest entry at each temperature is 1; ln Z is the sum
+of the logs of those scales (a root's message is its own scale). Factors and
+messages are dropped as soon as their bucket is combined.
 
-The other outputs read only the cond tables:
+The pass runs in linear arithmetic: a product, a pairwise sum and a division
+per table entry. Every table it combines is a product of scaled factors and
+messages, so its entries are at most 1, and a guard checks that none falls
+below the smallest normal float, `np.finfo(float).tiny`; then every number
+of the pass, messages included, is a normal float. Where one does, at any
+temperature, the pass is abandoned and its tables freed; the flagged
+temperatures run again in log arithmetic (sums of log tables, log-add-exp
+over v), the others linear again. Only low temperatures trip the guard. A
+corrupted 4x4 table spans about 52/T nats against a float's 708, and where
+several messages meet, their largest entries need not coincide, which adds
+up to 42/T: the linear pass holds down to about T = 0.125 there (0.09 on
+3x3). Both arithmetics leave the same tables, cond_v as probabilities, which
+the other outputs read:
 - marginals walk the buckets in reverse order. A bucket's belief
-  ln P(v, separator) is cond_v plus its parent's belief marginalized onto
-  the separator; it gives <sigma_v> and <sigma_i sigma_j> for the edges
-  whose earliest spin is v;
+  P(v, separator) is cond_v times its parent's belief marginalized onto the
+  separator; it gives <sigma_v> and <sigma_i sigma_j> for the edges whose
+  earliest spin is v;
 - sampling draws each spin from cond_v at its already-drawn separator.
 
-Tables live in the log domain, so the near-zero temperatures of the
-orientation grid do not underflow, and carry a leading temperature axis, so
-a whole grid chunk is processed at once.
+Tables carry a leading temperature axis, so a whole grid chunk is processed
+at once, and one axis per scope spin in elimination order. Broadcasts and
+marginals see adjacent axes that play the same part as one run. A broadcast
+whose innermost run is short loops over it in Python, so that numpy's inner
+loop runs over the long run outside it; a marginal sums one run at a time
+as a product with a vector of ones.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +65,8 @@ __all__ = [
 BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
+_TINY = np.finfo(float).tiny
+_SHORT = 4  # a broadcast loops in Python over an innermost run this short
 
 
 @dataclass(frozen=True)
@@ -109,7 +130,7 @@ def _temp_chunk(order: EliminationOrder) -> int:
 @dataclass
 class _Bucket:
     """One eliminated spin. scope is (spin, separator...) in elimination
-    order, so scope[1] is the parent; cond = ln P(spin | separator) has axes
+    order, so scope[1] is the parent; cond = P(spin | separator) has axes
     (temperature, *scope)."""
 
     scope: tuple[int, ...]
@@ -117,104 +138,195 @@ class _Bucket:
     children: list[int]
 
 
-def _sum_out(table: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp over one binary axis: max + log1p(exp(-|diff|))."""
-    a0, a1 = np.moveaxis(table, axis, 0)
-    out = np.maximum(a0, a1)
+class _Underflow(Exception):
+    """A linear pass left the normal float range at the flagged temperatures."""
+
+    def __init__(self, flags: np.ndarray):
+        super().__init__(f"{int(flags.sum())} temperature(s) need log arithmetic")
+        self.flags = flags
+
+
+def _runs(scope: tuple[int, ...], *parts) -> list[list]:
+    """Adjacent axes of scope merged into runs: [membership per part, size],
+    where consecutive axes with the same membership in every part merge."""
+    keys = zip(*([v in p for v in scope] for p in parts))
+    return [[key, 1 << len(list(axes))] for key, axes in itertools.groupby(keys)]
+
+
+def _broadcast(op: np.ufunc, a: np.ndarray, sa: tuple[int, ...], b: np.ndarray,
+               sb: tuple[int, ...], scope: tuple[int, ...],
+               out: np.ndarray | None = None) -> np.ndarray:
+    """op(a, b) over `scope`, each broadcast from its own scope (all sorted
+    by elimination position), into `out` (which may be a or b) or a new
+    table."""
+    n = a.shape[0]
+    runs = _runs(scope, set(sa), set(sb))
+
+    def view(t, k):
+        return t.reshape((n,) + tuple(size if key[k] else 1 for key, size in runs))
+
+    if out is None:
+        out = np.empty((n,) + (2,) * len(scope))
+    av, bv = view(a, 0), view(b, 1)
+    ov = out.reshape((n,) + tuple(size for _, size in runs))
+    (in_a, in_b), size = runs[-1]
+    if len(runs) == 1 or size > _SHORT:
+        op(av, bv, out=ov)
+    else:  # one op per innermost index: the inner loop runs over the next run
+        for i in range(size):
+            op(av[..., i if in_a else 0], bv[..., i if in_b else 0], out=ov[..., i])
+    return out
+
+
+def _marginal(table: np.ndarray, scope: tuple[int, ...],
+              keep: tuple[int, ...]) -> np.ndarray:
+    """Sum of `table` over the scope axes not in keep, one run of adjacent
+    dropped axes at a time, innermost first, each as a product with ones."""
+    runs = _runs(scope, set(keep))
+    shape = [table.shape[0]] + [size for _, size in runs]
+    t = table
+    for axis in range(len(runs), 0, -1):
+        (kept,), size = runs[axis - 1]
+        if kept:
+            continue
+        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        ones = np.ones(size)
+        t = t.reshape(pre, size) @ ones if post == 1 else ones @ t.reshape(pre, size, post)
+        del shape[axis]
+    return t.reshape((table.shape[0],) + (2,) * len(keep))
+
+
+def _combine(items, pos, op: np.ufunc) -> tuple[tuple[int, ...], np.ndarray]:
+    """op-product of (scope, table) items over their union scope, sorted by
+    elimination position. The tables are the bucket's own and are reused.
+
+    Tables with the same scope merge in place first; then the distinct
+    scopes merge smallest first, so the small factors become one small table
+    before the one broadcast that writes the bucket table.
+    """
+    merged: dict[tuple[int, ...], np.ndarray] = {}
+    for s, table in items:
+        if s in merged:
+            op(merged[s], table, out=merged[s])
+        else:
+            merged[s] = table
+    ordered = sorted(merged.items(), key=lambda it: it[1].size)
+    acc_scope, acc = ordered[0]
+    for s, table in ordered[1:]:
+        scope = tuple(sorted(set(acc_scope) | set(s), key=pos.__getitem__))
+        out = acc if scope == acc_scope else table if scope == s else None
+        acc = _broadcast(op, acc, acc_scope, table, s, scope, out)
+        acc_scope = scope
+    return acc_scope, acc
+
+
+def _sum_out_linear(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear sum-out of axis 1: lam becomes lam / msg; returns msg over the
+    separator scaled to a largest entry of 1 per temperature, and the log of
+    that scale. Raises _Underflow for the temperatures with an entry of lam
+    below the smallest normal float."""
+    n = lam.shape[0]
+    low = lam.reshape(n, -1).min(axis=1) < _TINY
+    if low.any():
+        raise _Underflow(low)
+    msg = lam[:, 0] + lam[:, 1]
+    lam /= msg[:, None]
+    top = msg.reshape(n, -1).max(axis=1)
+    msg /= top.reshape((n,) + (1,) * (msg.ndim - 1))
+    return msg, np.log(top)
+
+
+def _sum_out_log(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sum_out_linear on log tables: msg = ln(e^lam0 + e^lam1), taken as
+    max + log1p(exp(-|lam0 - lam1|)), and lam becomes exp(lam - msg), the
+    same probabilities. msg stays in logs, shifted to a largest entry of 0
+    per temperature; returns it and the shift."""
+    n = lam.shape[0]
+    a0, a1 = lam[:, 0], lam[:, 1]
+    msg = np.maximum(a0, a1)
     d = a0 - a1  # the one temporary, transformed in place
     np.abs(d, out=d)
     np.negative(d, out=d)
     np.exp(d, out=d)
     np.log1p(d, out=d)
-    out += d
-    return out
+    msg += d
+    del d
+    lam -= msg[:, None]
+    np.exp(lam, out=lam)
+    top = msg.reshape(n, -1).max(axis=1)
+    msg -= top.reshape((n,) + (1,) * (msg.ndim - 1))
+    return msg, top
 
 
-def logsumexp(a: np.ndarray, axis) -> np.ndarray:
-    """Stable log-sum-exp over binary table axes."""
-    axes = (axis,) if isinstance(axis, int) else axis
-    for ax in sorted(axes, reverse=True):
-        a = _sum_out(a, ax)
-    return a
+@dataclass(frozen=True)
+class _Arithmetic:
+    """How tables combine (op), how a spin is summed out (sum_out), and how a
+    log factor table enters the pass (enter)."""
+
+    op: np.ufunc
+    sum_out: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    enter: Callable[[np.ndarray], np.ndarray]
 
 
-def _expand(table: np.ndarray, scope: tuple[int, ...],
-            target: tuple[int, ...]) -> np.ndarray:
-    """Broadcast view of `table` onto `target` scope (both position-sorted)."""
-    have = set(scope)
-    shape = (table.shape[0],) + tuple(2 if v in have else 1 for v in target)
-    return table.reshape(shape)
-
-
-def _combine(items, pos, n_temps: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Log-domain product of (scope, table) items; small tables merge first.
-
-    Returns the union scope (sorted by elimination position) and a fresh table
-    of full shape over it.
-    """
-    scope = tuple(sorted({v for s, _ in items for v in s}, key=pos.__getitem__))
-    ordered = sorted(items, key=lambda it: it[1].size)
-    acc_scope, acc = ordered[0]
-    acc_vars = set(acc_scope)
-    copied = False
-    for s, table in ordered[1:]:
-        if set(s) <= acc_vars:
-            if not copied:
-                acc = acc.copy()
-                copied = True
-            acc += _expand(table, s, acc_scope)
-        else:
-            acc_vars |= set(s)
-            new_scope = tuple(v for v in scope if v in acc_vars)
-            acc = _expand(acc, acc_scope, new_scope) + _expand(table, s, new_scope)
-            acc_scope = new_scope
-            copied = True
-    if acc_scope != scope:  # single item or degenerate shapes
-        acc = np.broadcast_to(_expand(acc, acc_scope, scope),
-                              (n_temps,) + (2,) * len(scope)).copy()
-    elif not copied:
-        acc = acc.copy()
-    return scope, acc
+_LINEAR = _Arithmetic(np.multiply, _sum_out_linear, np.exp)
+_LOG = _Arithmetic(np.add, _sum_out_log, np.asarray)
 
 
 def _factors(H: Hamiltonian, temps: np.ndarray, pos: dict[int, int]):
-    """Log-domain field and coupler factors with a leading temperature axis."""
+    """Log field and coupler factors with a leading temperature axis, each
+    shifted to a largest entry of 0; returns them and the shifts' sum per T."""
     inv_t = 1.0 / temps
     factors = []
     fields = H.alpha * H.h[:, None] * _SPIN_VALUES
     for s, base in zip(H.graph.spins, fields):
-        factors.append(((s,), inv_t[:, None] * base[None, :]))
+        factors.append(((s,), inv_t[:, None] * (base - base.max())[None, :]))
     couplers = (H.alpha * H.J)[:, None, None] * _PAIR_VALUES
     for (i, j), base in zip(H.graph.edges, couplers):
         a, b = (i, j) if pos[i] < pos[j] else (j, i)
-        factors.append(((a, b), inv_t[:, None, None] * base[None, :, :]))
-    return factors
+        factors.append(((a, b), inv_t[:, None, None] * (base - base.max())[None, :, :]))
+    shift = np.abs(H.alpha * H.h).sum() + np.abs(H.alpha * H.J).sum()
+    return factors, shift * inv_t
 
 
-def _forward(H: Hamiltonian, temps: np.ndarray,
-             order: EliminationOrder) -> tuple[dict[int, _Bucket], np.ndarray]:
-    """Eliminate all variables; returns the buckets and ln Z per T."""
-    if len(temps) > _temp_chunk(order):
-        raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
+def _eliminate(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
+               arith: _Arithmetic) -> tuple[dict[int, _Bucket], np.ndarray]:
+    """The bucket loop in one arithmetic; returns the buckets and ln Z per T."""
     pos = {v: t for t, v in enumerate(order.order)}
-    n_temps = len(temps)
     pending: dict[int, list] = {v: [] for v in order.order}  # factors, messages
     children: dict[int, list[int]] = {v: [] for v in order.order}
-    for scope, table in _factors(H, temps, pos):
-        pending[scope[0]].append((scope, table))
+    factors, lnz = _factors(H, temps, pos)
+    for scope, table in factors:
+        pending[scope[0]].append((scope, arith.enter(table)))
     buckets: dict[int, _Bucket] = {}
-    lnz = np.zeros(n_temps)
     for v in order.order:
-        scope, cond = _combine(pending.pop(v), pos, n_temps)
-        msg = logsumexp(cond, axis=1)
-        cond -= msg[:, None]
+        scope, cond = _combine(pending.pop(v), pos, arith.op)
+        msg, log_scale = arith.sum_out(cond)
+        lnz += log_scale
         buckets[v] = _Bucket(scope, cond, children.pop(v))
         if len(scope) > 1:
             pending[scope[1]].append((scope[1:], msg))
             children[scope[1]].append(v)
-        else:
-            lnz += msg
     return buckets, lnz
+
+
+def _forward(H: Hamiltonian, temps: np.ndarray,
+             order: EliminationOrder) -> tuple[dict[int, _Bucket], np.ndarray]:
+    """Eliminate all variables; returns the buckets and ln Z per T.
+
+    Linear arithmetic first; if its guard flags every temperature the pass
+    runs again in logs, and if it flags only some it raises _Underflow for
+    the caller to split the temperatures.
+    """
+    if len(temps) > _temp_chunk(order):
+        raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
+    try:
+        return _eliminate(H, temps, order, _LINEAR)
+    except _Underflow as e:
+        flags = e.flags
+    # outside the handler, so the abandoned pass's tables are already freed
+    if not flags.all():
+        raise _Underflow(flags)
+    return _eliminate(H, temps, order, _LOG)
 
 
 _SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
@@ -235,24 +347,32 @@ def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
         at.setdefault(min(g, key=pos.__getitem__), []).append((k, g))
     buckets, _ = _forward(H, temps, order)
     out = np.empty((len(temps), len(groups)))
-    down: dict[int, np.ndarray] = {}  # ln P(separator) per pending child
+    down: dict[int, np.ndarray] = {}  # P(separator) per pending child
     for v in reversed(order.order):
         b = buckets.pop(v)
-        belief = b.cond  # ln P(v | separator) + ln P(separator) = ln P(scope)
+        belief = b.cond  # P(v | separator) * P(separator) = P(scope)
         if len(b.scope) > 1:
-            belief += down.pop(v)[:, None]
+            belief *= down.pop(v)[:, None]
         for c in b.children:
-            sep = buckets[c].scope[1:]
-            drop = tuple(1 + a for a, s in enumerate(b.scope) if s not in sep)
-            down[c] = logsumexp(belief, drop) if drop else belief.copy()
-        if v not in at:
-            continue
-        # normalized, so no shift: its largest entry is >= 2^-len(scope)
-        np.exp(belief, out=belief)
-        for k, g in at[v]:
-            rest = tuple(1 + a for a, s in enumerate(b.scope) if s not in g)
-            p = belief.sum(axis=rest).reshape(len(temps), -1)
+            down[c] = _marginal(belief, b.scope, buckets[c].scope[1:])
+        for k, g in at.get(v, ()):
+            p = _marginal(belief, b.scope, g).reshape(len(temps), -1)
             out[:, k] = (p @ _SIGNS[len(g)]) / p.sum(axis=1)
+    return out
+
+
+def _split(run, temps: np.ndarray, order: EliminationOrder) -> np.ndarray:
+    """run(temps, order); if a linear pass flags some temperatures, the
+    flagged and the other temperatures run apart and their rows are put
+    back in grid order."""
+    try:
+        return run(temps, order)
+    except _Underflow as e:
+        low = e.flags
+    rest = _split(run, temps[~low], order)
+    out = np.empty((len(temps),) + rest.shape[1:])
+    out[~low] = rest
+    out[low] = _split(run, temps[low], order)
     return out
 
 
@@ -264,7 +384,7 @@ def _chunked(H: Hamiltonian, temps: np.ndarray,
         raise ValueError("all temperatures must be positive")
     order = order or elimination_order(H.graph)
     chunk = _temp_chunk(order)
-    return np.concatenate([run(temps[i:i + chunk], order)
+    return np.concatenate([_split(run, temps[i:i + chunk], order)
                            for i in range(0, len(temps), chunk)])
 
 
@@ -312,9 +432,9 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
     bits: dict[int, np.ndarray] = {}
     for v in reversed(order.order):
         b = buckets[v]
-        # ln P(v | separator) per sample, (2, n); (2,) at a root
-        logp = b.cond[0][(slice(None),) + tuple(bits[s] for s in b.scope[1:])]
-        bits[v] = (rng.random(n) < np.exp(logp[1])).astype(np.int64)
+        # P(v | separator) per sample, (2, n); (2,) at a root
+        p = b.cond[0][(slice(None),) + tuple(bits[s] for s in b.scope[1:])]
+        bits[v] = (rng.random(n) < p[1]).astype(np.int64)
     return 2 * np.stack([bits[s] for s in H.graph.spins], axis=1) - 1
 
 

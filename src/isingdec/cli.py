@@ -195,10 +195,19 @@ def _control_spec(config: dict) -> sa.ControlErrorSpec | None:
     return sa.ControlErrorSpec(**sigmas)
 
 
+def _hamiltonian_file(path) -> Hamiltonian:
+    """Parse the Hamiltonian file at path; a file that cannot be read is a
+    config error, like the config file itself."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    return parse_hamiltonian(text)
+
+
 def _clean_hamiltonian(config: dict) -> Hamiltonian:
     if "graph.hamiltonian" in config:
-        text = Path(config["graph.hamiltonian"]).read_text()
-        return parse_hamiltonian(text)
+        return _hamiltonian_file(config["graph.hamiltonian"])
     return Hamiltonian.uniform(_graph(config),
                                alpha=config.get("graph.alpha", 1.0))
 
@@ -248,7 +257,7 @@ def cmd_canonicalize(config, seed, out_dir):
     """Emit the canonical single-cell coupler classes, or canonicalize a file."""
     if "graph.hamiltonian" in config:
         path = config["graph.hamiltonian"]
-        H = parse_hamiltonian(Path(path).read_text())
+        H = _hamiltonian_file(path)
         try:
             canon = canonicalize_cell(H)
         except ValueError as err:  # not a nominal full cell

@@ -15,6 +15,21 @@ def random_instance(L, seed):
     return core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
 
 
+@pytest.fixture
+def arithmetics(monkeypatch):
+    """The arithmetic of every elimination pass that ran to its end."""
+    ran = []
+    eliminate = bte._eliminate
+
+    def spy(H, temps, order, arith):
+        result = eliminate(H, temps, order, arith)
+        ran.append(arith)
+        return result
+
+    monkeypatch.setattr(bte, "_eliminate", spy)
+    return ran
+
+
 class TestEliminationOrder:
     @pytest.mark.parametrize("L,width", [(1, 4), (2, 8), (4, 16)])
     def test_induced_width(self, L, width):
@@ -93,18 +108,18 @@ class TestOracle:
 
     temps = np.array([0.1, 0.6, 1.7, 5.0])
 
-    def check(self, H, pairs):
+    def check(self, H, pairs, temps=temps):
         sp = exact.enumerate_spectrum(H)
-        lnz_ex = [logsumexp(-sp.energies / T) for T in self.temps]
-        np.testing.assert_allclose(bte.bte_log_partition_curve(H, self.temps),
+        lnz_ex = [logsumexp(-sp.energies / T) for T in temps]
+        np.testing.assert_allclose(bte.bte_log_partition_curve(H, temps),
                                    lnz_ex, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(bte.bte_magnetization_curve(H, self.temps),
-                                   exact.magnetization_curve(H, self.temps),
+        np.testing.assert_allclose(bte.bte_magnetization_curve(H, temps),
+                                   exact.magnetization_curve(H, temps),
                                    rtol=0, atol=1e-10)
         if pairs:
             np.testing.assert_allclose(
-                bte.bte_pair_correlation_curve(H, self.temps, pairs),
-                exact.pair_correlation_curve(H, self.temps, pairs),
+                bte.bte_pair_correlation_curve(H, temps, pairs),
+                exact.pair_correlation_curve(H, temps, pairs),
                 rtol=0, atol=1e-10)
 
     def test_disconnected_graph(self):
@@ -124,6 +139,30 @@ class TestOracle:
     def test_two_cells_partial_exclusion(self):
         H = corrupted_two_cells(frozenset({2, 13}))
         self.check(H, list(H.graph.edges))
+
+    def test_log_fallback(self, arithmetics):
+        # one coupler alone spans 2/T = 1000 nats at T = 0.002, more than a
+        # float's ~708, so the linear pass must give way to log arithmetic
+        H = corrupted_two_cells()
+        self.check(H, list(H.graph.edges), temps=np.array([0.002]))
+        assert arithmetics == [bte._LOG] * 3
+
+    def test_mixed_chunk_keeps_grid_order(self, arithmetics):
+        # guarded and unguarded temperatures interleaved in one chunk: the
+        # rows must be the one-temperature rows, in grid order
+        H = corrupted_two_cells()
+        pairs = list(H.graph.edges)
+        temps = np.array([1.3, 0.002, 0.4, 0.004, 5.0, 0.003])
+        curves = {
+            "lnz": lambda t: bte.bte_log_partition_curve(H, t)[:, None],
+            "m": lambda t: bte.bte_magnetization_curve(H, t),
+            "pairs": lambda t: bte.bte_pair_correlation_curve(H, t, pairs),
+        }
+        for name, curve in curves.items():
+            rows = np.concatenate([curve(np.array([T])) for T in temps])
+            np.testing.assert_allclose(curve(temps), rows, rtol=1e-13, atol=1e-13,
+                                       err_msg=name)
+        assert bte._LOG in arithmetics and bte._LINEAR in arithmetics
 
 
 class TestSampling:
@@ -192,15 +231,21 @@ class TestEngine:
         buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order)
         assert sum(b.cond.size for b in buckets.values()) == 2 * order.table_entries
 
-    @pytest.mark.parametrize("curve", [bte.bte_magnetization_curve,
-                                       bte.bte_log_partition_curve])
-    def test_peak_memory_within_counted_tables(self, curve):
+    @pytest.mark.parametrize("curve, t_min", [
+        pytest.param(bte.bte_magnetization_curve, 0.2, id="bte_magnetization_curve"),
+        pytest.param(bte.bte_log_partition_curve, 0.2, id="bte_log_partition_curve"),
+        # T = 0.05 trips the linear pass's guard: the chunk splits and its
+        # lowest temperature runs in logs, within the same budget
+        pytest.param(bte.bte_magnetization_curve, 0.05,
+                     id="bte_magnetization_curve-log-fallback"),
+    ])
+    def test_peak_memory_within_counted_tables(self, curve, t_min, arithmetics):
         # BUDGET is charged 8 * n_T * table_entries bytes per pass; what a
         # pass really holds at its peak may exceed that by at most 25%
         H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
                                      110, channel.stream(14, 0))
         order = bte.elimination_order(H.graph)
-        temps = np.linspace(0.2, 4.0, 8)
+        temps = np.linspace(t_min, 4.0, 8)
         tracemalloc.start()
         try:
             curve(H, temps, order)
@@ -208,6 +253,7 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * len(temps) * order.table_entries
+        assert (bte._LOG in arithmetics) == (t_min < 0.1)
 
     def test_curve_shape(self):
         eng = bte.BteEngine()

@@ -177,6 +177,16 @@ flips = 20
                     str(tmp_path / "o")]) == 2
         assert "grid.points must be >= 1" in capsys.readouterr().err
 
+    def test_missing_hamiltonian_file_is_config_error(self, tmp_path, capsys):
+        ham = tmp_path / "missing.txt"
+        cfg = write(tmp_path, "m.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n")
+        assert run(["transitions", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "missing.txt" in err
+
     def test_correlation_mode_schema(self, tmp_path):
         out = tmp_path / "out"
         cfg = write(tmp_path, "corr.cfg", f"""
@@ -249,6 +259,16 @@ class TestCanonicalize:
         assert run(["canonicalize", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        ham = tmp_path / "missing.txt"
+        cfg = write(tmp_path, "k.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n")
+        assert run(["canonicalize", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "missing.txt" in err
 
 
 class TestControl:
