@@ -16,9 +16,10 @@ per table entry. Every table it combines is a product of scaled factors and
 messages, so its entries are at most 1, and a guard checks that none falls
 below the smallest normal float, `np.finfo(float).tiny`; then every number
 of the pass, messages included, is a normal float. Where one does, at any
-temperature, the pass is abandoned and its tables freed; the flagged
-temperatures run again in log arithmetic (sums of log tables, log-add-exp
-over v), the others linear again. Only low temperatures trip the guard. A
+temperature, the pass is abandoned and its tables freed; the others run
+linear again, and the flagged ones on their own, where the guard fires for
+all of them and they run in log arithmetic (sums of log tables, log-add-exp
+over v). Only low temperatures trip the guard. A
 corrupted 4x4 table spans about 52/T nats against a float's 708, and where
 several messages meet, their largest entries need not coincide, which adds
 up to 42/T: the linear pass holds down to about T = 0.125 there (0.09 on
@@ -66,7 +67,9 @@ BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
 _TINY = np.finfo(float).tiny
-_SHORT = 4  # a broadcast loops in Python over an innermost run this short
+# a broadcast loops in Python over an innermost run of at most this many
+# entries: faster than one op at runs of 2 and 4, slower at 8 and 16
+_SHORT = 4
 
 
 @dataclass(frozen=True)
