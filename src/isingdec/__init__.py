@@ -8,7 +8,7 @@ Subpackages:
 - bte: bucket-tree elimination inference and backward sampling
 - transitions: spin-sign transition extraction and P_low analysis
 - sa: Metropolis simulated annealing with control-error injection
-- experiments: sector-grouped BER curves, surfaces, and ensemble metrics
+- experiments: sector-grouped BER curves and surfaces, Nishimori checks
 - cli: configuration-driven command-line front end
 """
 

@@ -16,15 +16,16 @@ per table entry. Every table it combines is a product of scaled factors and
 messages, so its entries are at most 1, and a guard checks that none falls
 below the smallest normal float, `np.finfo(float).tiny`; then every number
 of the pass, messages included, is a normal float. Where one does, at any
-temperature, the pass is abandoned and its tables freed; the others run
-linear again, and the flagged ones on their own, where the guard fires for
-all of them and they run in log arithmetic (sums of log tables, log-add-exp
-over v). Only low temperatures trip the guard. A
-corrupted 4x4 table spans about 52/T nats against a float's 708, and where
-several messages meet, their largest entries need not coincide, which adds
-up to 42/T: the linear pass holds down to about T = 0.125 there (0.09 on
-3x3). Both arithmetics leave the same tables, cond_v as probabilities, which
-the other outputs read:
+temperature, the pass is abandoned and its tables freed. Each temperature's
+rows are computed apart from the others', so a flagged temperature would
+trip the guard again: the flagged ones go straight to log arithmetic (sums
+of log tables, log-add-exp over v), and the others run linear again.
+
+Only low temperatures trip the guard. A corrupted 4x4 table spans about
+52/T nats against a float's 708, and where several messages meet, their
+largest entries need not coincide, which adds up to 42/T: the linear pass
+holds down to about T = 0.125 there (0.09 on 3x3). Both arithmetics leave
+the same tables, cond_v as probabilities, which the other outputs read:
 - marginals walk the buckets in reverse order. A bucket's belief
   P(v, separator) is cond_v times its parent's belief marginalized onto the
   separator; it gives <sigma_v> and <sigma_i sigma_j> for the edges whose
@@ -41,6 +42,7 @@ as a product with a vector of ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -291,9 +293,13 @@ def _factors(H: Hamiltonian, temps: np.ndarray, pos: dict[int, int]):
     return factors, shift * inv_t
 
 
-def _eliminate(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
-               arith: _Arithmetic) -> tuple[dict[int, _Bucket], np.ndarray]:
-    """The bucket loop in one arithmetic; returns the buckets and ln Z per T."""
+def _forward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
+             arith: _Arithmetic) -> tuple[dict[int, _Bucket], np.ndarray]:
+    """Eliminate all variables in one arithmetic; returns the buckets and
+    ln Z per T. The linear arithmetic raises _Underflow where its guard
+    fires."""
+    if len(temps) > _temp_chunk(order):
+        raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
     pos = {v: t for t, v in enumerate(order.order)}
     pending: dict[int, list] = {v: [] for v in order.order}  # factors, messages
     children: dict[int, list[int]] = {v: [] for v in order.order}
@@ -312,31 +318,11 @@ def _eliminate(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     return buckets, lnz
 
 
-def _forward(H: Hamiltonian, temps: np.ndarray,
-             order: EliminationOrder) -> tuple[dict[int, _Bucket], np.ndarray]:
-    """Eliminate all variables; returns the buckets and ln Z per T.
-
-    Linear arithmetic first; if its guard flags every temperature the pass
-    runs again in logs, and if it flags only some it raises _Underflow for
-    the caller to split the temperatures.
-    """
-    if len(temps) > _temp_chunk(order):
-        raise CapacityError(f"{len(temps)} temperatures exceed one pass's budget")
-    try:
-        return _eliminate(H, temps, order, _LINEAR)
-    except _Underflow as e:
-        flags = e.flags
-    # outside the handler, so the abandoned pass's tables are already freed
-    if not flags.all():
-        raise _Underflow(flags)
-    return _eliminate(H, temps, order, _LOG)
-
-
 _SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
 
 
 def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
-             groups: list[tuple[int, ...]]) -> np.ndarray:
+             arith: _Arithmetic, groups: list[tuple[int, ...]]) -> np.ndarray:
     """<product of sigma over g>(T) for each group g of one spin or of an
     edge's two spins: (n_temps, len(groups)).
 
@@ -348,7 +334,7 @@ def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for k, g in enumerate(groups):
         at.setdefault(min(g, key=pos.__getitem__), []).append((k, g))
-    buckets, _ = _forward(H, temps, order)
+    buckets, _ = _forward(H, temps, order, arith)
     out = np.empty((len(temps), len(groups)))
     down: dict[int, np.ndarray] = {}  # P(separator) per pending child
     for v in reversed(order.order):
@@ -364,24 +350,30 @@ def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     return out
 
 
-def _split(run, temps: np.ndarray, order: EliminationOrder) -> np.ndarray:
-    """run(temps, order); if a linear pass flags some temperatures, the
-    flagged and the other temperatures run apart and their rows are put
-    back in grid order."""
+def _split(run, temps: np.ndarray, order: EliminationOrder):
+    """run(temps, order, arith) in linear arithmetic. If the guard flags some
+    temperatures, they run in log arithmetic and the others linear again,
+    and the rows are put back in grid order; if it flags all of them, the
+    log run's result is returned as it is."""
     try:
-        return run(temps, order)
+        return run(temps, order, _LINEAR)
     except _Underflow as e:
         low = e.flags
+    # outside the handler, so the abandoned pass's tables are already freed
+    flagged = run(temps[low], order, _LOG)
+    if low.all():
+        return flagged
     rest = _split(run, temps[~low], order)
     out = np.empty((len(temps),) + rest.shape[1:])
     out[~low] = rest
-    out[low] = _split(run, temps[low], order)
+    out[low] = flagged
     return out
 
 
 def _chunked(H: Hamiltonian, temps: np.ndarray,
              order: EliminationOrder | None, run) -> np.ndarray:
-    """run(block, order) per temperature chunk, concatenated along axis 0."""
+    """_split(run, block, order) per temperature chunk, concatenated along
+    axis 0."""
     temps = np.asarray(temps, dtype=float)
     if np.any(temps <= 0):
         raise ValueError("all temperatures must be positive")
@@ -395,7 +387,7 @@ def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray,
                             order: EliminationOrder | None = None) -> np.ndarray:
     """ln Z(T) over a temperature grid, exact up to float rounding."""
     return _chunked(H, temps, order,
-                    lambda block, o: _forward(H, block, o)[1])
+                    lambda block, o, arith: _forward(H, block, o, arith)[1])
 
 
 def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray,
@@ -403,7 +395,7 @@ def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray,
     """Exact <sigma_i>(T): (n_temps, n_spins) aligned with graph.spins."""
     groups = [(s,) for s in H.graph.spins]
     return _chunked(H, temps, order,
-                    lambda block, o: _moments(H, block, o, groups))
+                    lambda block, o, arith: _moments(H, block, o, arith, groups))
 
 
 def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
@@ -416,7 +408,7 @@ def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
             raise ValueError(f"pair {(i, j)} is not a graph edge")
     groups = [tuple(p) for p in pairs]
     return _chunked(H, temps, order,
-                    lambda block, o: _moments(H, block, o, groups))
+                    lambda block, o, arith: _moments(H, block, o, arith, groups))
 
 
 def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
@@ -431,7 +423,7 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
     if n < 1:
         raise ValueError("n must be >= 1")
     order = order or elimination_order(H.graph)
-    buckets, _ = _forward(H, np.array([float(T)]), order)
+    buckets, _ = _split(functools.partial(_forward, H), np.array([float(T)]), order)
     bits: dict[int, np.ndarray] = {}
     for v in reversed(order.order):
         b = buckets[v]

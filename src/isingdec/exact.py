@@ -24,7 +24,6 @@ __all__ = [
     "thermal_average",
     "mpm_decode",
     "map_decode",
-    "bit_error_rate",
     "ExactEngine",
     "config_matrix",
     "batch_energies",
@@ -165,18 +164,6 @@ def batch_mpm_decode_curve(energies: np.ndarray, n_spins: int,
     energies: (B, 2^n). Returns signs (B, n_temps, n_spins).
     """
     return _sign_with_zero(thermal_average(energies, temps, config_matrix(n_spins)))
-
-
-def bit_error_rate(decoded: np.ndarray, truth: np.ndarray) -> float:
-    """Mean over spins of (1 - decoded_i * truth_i) / 2.
-
-    An undecided spin (decoded 0) contributes 1/2. Arrays must align.
-    """
-    decoded = np.asarray(decoded, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if decoded.shape != truth.shape:
-        raise ValueError("decoded and truth must have the same shape")
-    return float(np.mean(0.5 * (1.0 - decoded * truth)))
 
 
 class ExactEngine:

@@ -15,15 +15,13 @@ it by a gauge transform).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import comb
 
 from . import channel, exact
 from .core import ChimeraGraph, Hamiltonian, cell_orbits
-from .transitions import significance_band
 
 __all__ = [
     "MapDecoder",
@@ -35,11 +33,7 @@ __all__ = [
     "ber_surface",
     "NishimoriReport",
     "nishimori_check",
-    "min_ratio_temperature",
-    "shannon_reference",
     "bootstrap_std",
-    "DecodeMetrics",
-    "fourbyfour_metrics",
 ]
 
 
@@ -68,21 +62,19 @@ class MapDecoder:
 class MpmDecoder:
     """Finite-temperature sign-of-magnetization decoder over a T grid.
 
-    Called on (B, N+M) element matrices; with a scalar temperature it returns
-    signs (B, n_spins), with a grid (B, n_temps, n_spins).
+    Called on (B, N+M) element matrices; returns signs (B, n_temps, n_spins).
     """
 
-    def __init__(self, graph: ChimeraGraph, temperatures, alpha: float = 1.0):
+    def __init__(self, graph: ChimeraGraph, temperatures: np.ndarray,
+                 alpha: float = 1.0):
         self.graph = graph
         self.alpha = alpha
-        self.scalar = np.isscalar(temperatures)
-        self.temperatures = np.atleast_1d(np.asarray(temperatures, dtype=float))
+        self.temperatures = np.asarray(temperatures, dtype=float)
 
     def __call__(self, elements: np.ndarray) -> np.ndarray:
         energies = _batch_energies(self.graph, elements, self.alpha)
-        out = exact.batch_mpm_decode_curve(
+        return exact.batch_mpm_decode_curve(
             energies, len(self.graph.spins), self.temperatures)
-        return out[:, 0, :] if self.scalar else out
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class SectorRates:
 def _sector_masks(n_elements: int, s: int, samples_per_sector: int,
                   rng: np.random.Generator):
     """Boolean flip masks (B, n_elements) for sector s; exhaustive if cheap."""
-    total = comb(n_elements, s, exact=True)
+    total = math.comb(n_elements, s)
     if total <= samples_per_sector:
         masks = np.zeros((total, n_elements), dtype=bool)
         for b, pos in enumerate(itertools.combinations(range(n_elements), s)):
@@ -139,11 +131,10 @@ def sector_rates(H_clean: Hamiltonian, decoder, samples_per_sector: int,
         means.append(r.mean(axis=0))
         samples.append(r)
         exhaustive.append(full)
-    temps = None if getattr(decoder, "scalar", True) else decoder.temperatures
     return SectorRates(
         n_elements=n_el, counts=np.array(counts), means=np.array(means),
         sample_rates=tuple(samples), exhaustive=np.array(exhaustive),
-        temperatures=temps,
+        temperatures=getattr(decoder, "temperatures", None),
     )
 
 
@@ -205,7 +196,7 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     mpm_acc = np.einsum("wti,wis->ts", mpm_signs, tau_sum)
     map_acc = np.einsum("wi,wis->s", map_signs, tau_sum)
 
-    counts = comb(n_el, np.arange(n_sectors))
+    counts = np.array([math.comb(n_el, s) for s in range(n_sectors)])
     mpm_means = 0.5 - mpm_acc.T / (2.0 * n * counts[:, None])
     map_means = 0.5 - map_acc / (2.0 * n * counts)
     return map_means, mpm_means
@@ -214,7 +205,7 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
 def ber_curve(rates: SectorRates, p_grid: np.ndarray) -> np.ndarray:
     """Evaluate the sector polynomial r_tot(p) on a p grid.
 
-    Returns (n_p,) for scalar-decode rates or (n_p, n_temps) for grid rates.
+    Returns (n_p,) for single-decode rates or (n_p, n_temps) for grid rates.
     """
     return channel.sector_weights(p_grid, rates.n_elements) @ rates.means
 
@@ -249,7 +240,7 @@ def ber_surface(H_clean: Hamiltonian, t_decode: np.ndarray,
     if mode == "exhaustive":
         map_means, mpm_means = exact_sector_means(H_clean, t_decode)
         n_el = len(H_clean.graph.spins) + len(H_clean.graph.edges)
-        counts = comb(n_el, np.arange(n_el + 1)).astype(np.int64)
+        counts = np.array([math.comb(n_el, s) for s in range(n_el + 1)])
         full = np.ones(n_el + 1, dtype=bool)
         mpm = SectorRates(n_el, counts, mpm_means, (), full, t_decode)
         map_ = SectorRates(n_el, counts, map_means, (), full)
@@ -306,66 +297,6 @@ def nishimori_check(surface: BerSurface, tol: float = 1e-12) -> NishimoriReport:
     return NishimoriReport(violations=tuple(violations), max_excess=max_excess)
 
 
-def min_ratio_temperature(mpm_means: np.ndarray, map_means: np.ndarray,
-                          n_elements: int, t_nish_grid: np.ndarray,
-                          flat_tol: float = 1e-9):
-    """T_Nish minimizing the MPM/MAP r_tot ratio at a fixed decode T.
-
-    Dense grid scan plus bounded local refinement on the analytic
-    polynomials. Returns (t_low, t_high, t_star, ratio_min): when the
-    minimum sits on a plateau (ratio within flat_tol of the minimum) the
-    interval covers it instead of picking an arbitrary point.
-    """
-    t_grid = np.asarray(t_nish_grid, dtype=float)
-
-    def ratio_at(t):
-        p = channel.crossover_probability(t)
-        w = channel.sector_weights(p, n_elements)
-        return float((w @ mpm_means) / (w @ map_means))
-
-    vals = np.array([ratio_at(t) for t in t_grid])
-    k = int(np.argmin(vals))
-    lo = t_grid[max(k - 1, 0)]
-    hi = t_grid[min(k + 1, len(t_grid) - 1)]
-    if hi > lo:
-        res = minimize_scalar(ratio_at, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        t_star, r_min = float(res.x), float(res.fun)
-        if vals[k] < r_min:
-            t_star, r_min = float(t_grid[k]), float(vals[k])
-    else:
-        t_star, r_min = float(t_grid[k]), float(vals[k])
-    flat = vals <= r_min + flat_tol
-    t_low = float(t_grid[flat].min())
-    t_high = float(t_grid[flat].max())
-    return t_low, t_high, min(max(t_star, t_low), t_high), r_min
-
-
-def _binary_entropy(d: float) -> float:
-    if d <= 0.0 or d >= 1.0:
-        return 0.0
-    return -d * np.log2(d) - (1.0 - d) * np.log2(1.0 - d)
-
-
-def shannon_reference(rate: float, p: float) -> float:
-    """Shannon minimum bit error rate for a rate-R code on a BSC(p).
-
-    Solves H2(d) = max(0, 1 - (1 - H2(p)) / R) for d in [0, 1/2]; zero when
-    channel capacity exceeds the code rate.
-    """
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    if not 0.0 <= p < 0.5:
-        raise ValueError("p must be in [0, 0.5)")
-    target = 1.0 - (1.0 - _binary_entropy(p)) / rate
-    if target <= 0.0:
-        return 0.0
-    if target >= 1.0:
-        return 0.5
-    return float(brentq(lambda d: _binary_entropy(d) - target, 0.0, 0.5,
-                        xtol=1e-14))
-
-
 def bootstrap_std(rates: SectorRates, p_grid: np.ndarray, n_boot: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Bootstrap standard deviation of r_tot(p).
@@ -389,62 +320,3 @@ def bootstrap_std(rates: SectorRates, p_grid: np.ndarray, n_boot: int,
         ])
         boots[b] = weights @ means
     return boots.std(axis=0)
-
-
-@dataclass(frozen=True)
-class DecodeMetrics:
-    """Sampler-vs-reference error metrics over an ensemble of instances."""
-
-    temperatures: np.ndarray
-    p_err_all: np.ndarray
-    p_err_significant: np.ndarray
-    min_per_hamiltonian: np.ndarray
-    mean_min: float
-    median_min: float
-
-
-def fourbyfour_metrics(temperatures: np.ndarray,
-                       reference_curves: list[np.ndarray],
-                       experiment_signs: list[np.ndarray],
-                       include_masks: list[np.ndarray],
-                       p_low_values: list[np.ndarray] | None = None,
-                       n_sets: int = 100,
-                       level: float = 0.95) -> DecodeMetrics:
-    """Decode-error metrics for an instance ensemble against a reference.
-
-    Averages per-spin disagreement between the reference decode curves and
-    the experimental decodes, over included spins (those with a spin-sign
-    transition), then over instances. When per-spin P_low values are given,
-    a second curve restricted to spins whose P_low differs from 1/2 at the
-    two-sided `level` exact binomial significance (over n_sets set-level
-    trials) is reported alongside.
-    """
-    from .transitions import p_err as _p_err
-
-    temperatures = np.asarray(temperatures, dtype=float)
-    report = _p_err(temperatures, reference_curves, experiment_signs,
-                    include_masks)
-    if p_low_values is None:
-        p_sig = report.p_err
-    else:
-        band = significance_band(n_sets, level)
-        curves = []
-        for ref, expt, inc, plow in zip(reference_curves, experiment_signs,
-                                        include_masks, p_low_values):
-            sig = np.asarray(inc, dtype=bool) & (
-                np.abs(np.asarray(plow) - 0.5) >= band)
-            if not sig.any():
-                continue
-            diff = np.abs(ref[:, sig] - np.asarray(expt, float)[sig]) / 2.0
-            curves.append(diff.mean(axis=1))
-        if not curves:
-            raise ValueError("no spin passes the significance band")
-        p_sig = np.array(curves).mean(axis=0)
-    return DecodeMetrics(
-        temperatures=temperatures,
-        p_err_all=report.p_err,
-        p_err_significant=p_sig,
-        min_per_hamiltonian=report.min_per_hamiltonian,
-        mean_min=float(report.min_per_hamiltonian.mean()),
-        median_min=float(np.median(report.min_per_hamiltonian)),
-    )

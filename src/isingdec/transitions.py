@@ -10,13 +10,11 @@ noise around zero produces spurious crossings.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
-from scipy.special import erfc, ndtr
+from scipy.special import erfc
 
 from .core import Hamiltonian
 
@@ -28,15 +26,12 @@ __all__ = [
     "smooth_curve",
     "find_transitions",
     "plow_model",
-    "PErrReport",
-    "p_err",
-    "fit_effective_temperature",
     "fit_logistic",
-    "significance_band",
     "default_temperature_grid",
 ]
 
-DEFAULT_EXCLUSION_EPS = 0.01
+# |orientation| at the lowest grid temperature below which an item is excluded
+EXCLUSION_EPS = 0.01
 
 
 def default_temperature_grid(n_points: int = 200, t_max: float = 7.0) -> np.ndarray:
@@ -110,15 +105,14 @@ def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def find_transitions(curve: OrientationCurve, smoothing_window: int = 5,
-                     exclusion_eps: float = DEFAULT_EXCLUSION_EPS,
-                     ) -> list[TransitionRecord]:
+def find_transitions(curve: OrientationCurve,
+                     smoothing_window: int = 5) -> list[TransitionRecord]:
     """Extract sign transitions per item from an orientation curve.
 
     Smooths with the running average, locates sign changes between
     consecutive smoothed points, and places each transition by linear
     interpolation of the zero crossing. sigma_low is the sign at the lowest
-    grid temperature; items with |orientation| < exclusion_eps there are
+    grid temperature; items with |orientation| < EXCLUSION_EPS there are
     marked excluded and carry no transitions.
     """
     if len(curve.temperatures) < smoothing_window:
@@ -129,7 +123,7 @@ def find_transitions(curve: OrientationCurve, smoothing_window: int = 5,
     for k, item in enumerate(curve.items):
         v = smoothed[:, k]
         low = curve.values[0, k]
-        if abs(low) < exclusion_eps:
+        if abs(low) < EXCLUSION_EPS:
             records.append(TransitionRecord(item, 0, (), excluded=True))
             continue
         crossings = []
@@ -142,126 +136,22 @@ def find_transitions(curve: OrientationCurve, smoothing_window: int = 5,
     return records
 
 
-def plow_model(p_agree, n_run: int, variant: str = "paper"):
+def plow_model(p_agree, n_run: int):
     """Probability that an n_run-shot majority vote lands on the low-T sign.
 
     p_agree is the per-shot probability of agreeing with sigma_low, i.e.
-    (1 + sigma_low * <sigma_i>) / 2 for a Boltzmann sampler. Two readings:
-
-    - "paper": erfc(2 (1/2 - p_agree) sqrt(n_run)) / 2, the printed formula
-      with the Boltzmann expectation read as a per-shot probability;
-    - "clt": the central-limit majority probability
-      Phi((p_agree - 1/2) sqrt(n_run) / sqrt(p_agree (1 - p_agree))).
-
-    Both map 1/2 -> 1/2, increase in p_agree, and saturate to {0, 1} as
-    n_run grows.
+    (1 + sigma_low * <sigma_i>) / 2 for a Boltzmann sampler. The model is the
+    paper's printed formula, erfc(2 (1/2 - p_agree) sqrt(n_run)) / 2, with
+    the Boltzmann expectation read as a per-shot probability. It maps
+    1/2 -> 1/2, increases in p_agree, and saturates to {0, 1} as n_run grows.
     """
     p = np.asarray(p_agree, dtype=float)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("p_agree must lie in [0, 1]")
     if n_run < 1:
         raise ValueError("n_run must be >= 1")
-    if variant == "paper":
-        out = 0.5 * erfc(2.0 * (0.5 - p) * np.sqrt(n_run))
-    elif variant == "clt":
-        var = p * (1.0 - p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (p - 0.5) * np.sqrt(n_run) / np.sqrt(var)
-        out = np.where(var == 0.0, (p > 0.5).astype(float), ndtr(z))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    out = 0.5 * erfc(2.0 * (0.5 - p) * np.sqrt(n_run))
     return float(out) if np.isscalar(p_agree) else out
-
-
-@dataclass(frozen=True)
-class PErrReport:
-    """Sampler-quality metrics comparing experimental decodes to a reference."""
-
-    temperatures: np.ndarray
-    p_err: np.ndarray             # ensemble mean over Hamiltonians, per T
-    per_hamiltonian: np.ndarray   # (n_H, n_T)
-    min_per_hamiltonian: np.ndarray
-    argmin_temperature: np.ndarray
-
-
-def p_err(temperatures: np.ndarray,
-          reference_curves: list[np.ndarray],
-          experiment_signs: list[np.ndarray],
-          include_masks: list[np.ndarray]) -> PErrReport:
-    """Per-Hamiltonian and ensemble decode-error rates against a reference.
-
-    reference_curves[h] holds the reference decode signs, shape
-    (n_temps, n_spins); experiment_signs[h] the experimental decode per spin.
-    Only spins with include_masks[h] True (those with at least one spin-sign
-    transition) enter the averages. Ties in min_T break toward lower T.
-    """
-    temperatures = np.asarray(temperatures, dtype=float)
-    per_h = []
-    for ref, expt, inc in zip(reference_curves, experiment_signs, include_masks):
-        inc = np.asarray(inc, dtype=bool)
-        if not inc.any():
-            raise ValueError("empty inclusion set for a Hamiltonian")
-        diff = np.abs(ref[:, inc] - np.asarray(expt, dtype=float)[inc]) / 2.0
-        per_h.append(diff.mean(axis=1))
-    per_h = np.array(per_h)
-    return PErrReport(
-        temperatures=temperatures,
-        p_err=per_h.mean(axis=0),
-        per_hamiltonian=per_h,
-        min_per_hamiltonian=per_h.min(axis=1),
-        argmin_temperature=temperatures[per_h.argmin(axis=1)],
-    )
-
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def fit_effective_temperature(observations, n_run: int, engine,
-                              bracket: tuple[float, float] = (0.02, 7.0),
-                              tol: float = 1e-4) -> float:
-    """Least-squares sampler temperature from observed P_low values.
-
-    observations: list of (H, spin_index, sigma_low, observed_p_low). For a
-    candidate temperature T the predicted P_low of each spin is
-    plow_model((1 + sigma_low * <sigma_i>(T)) / 2, n_run, "paper"); the fit
-    minimizes the summed squared deviation by golden-section search on
-    `bracket`, which is deterministic for a fixed bracket.
-    """
-    if len(observations) < 2:
-        raise ValueError("need at least 2 observations")
-    obs_p = np.array([o[3] for o in observations], dtype=float)
-    if np.allclose(obs_p, obs_p[0]):
-        raise ValueError("degenerate input: all observed P_low identical")
-
-    h_index: dict[Hamiltonian, int] = {}  # instances hash by identity
-    for H, _, _, _ in observations:
-        h_index.setdefault(H, len(h_index))
-    hams = list(h_index)
-    spin_pos = [int(H.graph.positions(spin)) for H, spin, _, _ in observations]
-
-    def loss(T: float) -> float:
-        mags = [engine.magnetization_curve(H, np.array([T]))[0] for H in hams]
-        total = 0.0
-        for (H, _, sigma_low, p_obs), t in zip(observations, spin_pos):
-            m = mags[h_index[H]][t]
-            p_agree = 0.5 * (1.0 + sigma_low * m)
-            total += (plow_model(p_agree, n_run) - p_obs) ** 2
-        return total
-
-    a, b = bracket
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = loss(c), loss(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = loss(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = loss(d)
-    return 0.5 * (a + b)
 
 
 def fit_logistic(t_trans: np.ndarray, p_low: np.ndarray) -> tuple[float, float]:
@@ -284,20 +174,3 @@ def fit_logistic(t_trans: np.ndarray, p_low: np.ndarray) -> tuple[float, float]:
         maxfev=20000,
     )
     return float(popt[0]), float(popt[1])
-
-
-def significance_band(n_sets: int, level: float = 0.95) -> float:
-    """Two-sided exact binomial band: smallest d with P(|k/n - 1/2| >= d) <= 1-level.
-
-    A spin's observed P_low over n_sets set-level trials is significant when
-    it lies at least d away from 1/2.
-    """
-    alpha = 1.0 - level
-    counts = [math.comb(n_sets, k) for k in range(n_sets // 2 + 1)]
-    lower = list(itertools.accumulate(counts))  # outcomes with <= k successes
-    for k in range(n_sets // 2, -1, -1):
-        # two-sided tail of counts <= k or >= n-k under p = 1/2, in exact integers
-        tail = 2 * lower[k] - (counts[k] if k * 2 == n_sets else 0)
-        if tail / 2 ** n_sets <= alpha:
-            return 0.5 - k / n_sets
-    return 0.5 + 1.0 / n_sets  # nothing is significant at this level

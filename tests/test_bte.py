@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,17 +18,25 @@ def random_instance(L, seed):
 
 @pytest.fixture
 def arithmetics(monkeypatch):
-    """The arithmetic of every elimination pass that ran to its end."""
-    ran = []
-    eliminate = bte._eliminate
+    """Every elimination pass: `tried` holds (arithmetic, temperatures, flags)
+    per attempted pass, flags None unless the guard fired; `ran` holds the
+    arithmetic of each pass that ran to its end."""
+    passes = types.SimpleNamespace(tried=[], ran=[])
+    forward = bte._forward
 
     def spy(H, temps, order, arith):
-        result = eliminate(H, temps, order, arith)
-        ran.append(arith)
+        attempt = [arith, temps.copy(), None]
+        passes.tried.append(attempt)
+        try:
+            result = forward(H, temps, order, arith)
+        except bte._Underflow as e:
+            attempt[2] = e.flags
+            raise
+        passes.ran.append(arith)
         return result
 
-    monkeypatch.setattr(bte, "_eliminate", spy)
-    return ran
+    monkeypatch.setattr(bte, "_forward", spy)
+    return passes
 
 
 class TestEliminationOrder:
@@ -145,7 +154,7 @@ class TestOracle:
         # float's ~708, so the linear pass must give way to log arithmetic
         H = corrupted_two_cells()
         self.check(H, list(H.graph.edges), temps=np.array([0.002]))
-        assert arithmetics == [bte._LOG] * 3
+        assert arithmetics.ran == [bte._LOG] * 3
 
     def test_mixed_chunk_keeps_grid_order(self, arithmetics):
         # guarded and unguarded temperatures interleaved in one chunk: the
@@ -162,7 +171,39 @@ class TestOracle:
             rows = np.concatenate([curve(np.array([T])) for T in temps])
             np.testing.assert_allclose(curve(temps), rows, rtol=1e-13, atol=1e-13,
                                        err_msg=name)
-        assert bte._LOG in arithmetics and bte._LINEAR in arithmetics
+        assert bte._LOG in arithmetics.ran and bte._LINEAR in arithmetics.ran
+
+    def test_flagged_temperatures_run_only_in_logs(self, arithmetics):
+        # each temperature's rows are computed apart from the others', so a
+        # temperature the guard flagged would trip it again in a linear pass
+        H = corrupted_two_cells()
+        bte.bte_magnetization_curve(H, np.array([1.3, 0.002, 0.4, 0.004, 5.0, 0.003]))
+        flagged, logged = set(), set()
+        for arith, temps, flags in arithmetics.tried:
+            if arith is bte._LOG:
+                logged |= set(temps)
+                continue
+            assert not flagged & set(temps), "a flagged temperature ran linear again"
+            if flags is not None:
+                flagged |= set(temps[flags])
+        assert 0.002 in flagged
+        assert logged == flagged
+        # sampling takes the same path: one linear attempt, then logs
+        arithmetics.tried.clear()
+        bte.bte_sample(H, 0.002, 10, np.random.default_rng(0))
+        assert [arith for arith, _, _ in arithmetics.tried] == [bte._LINEAR, bte._LOG]
+
+
+class TestGuard:
+    def test_subnormal_entry_flags_its_temperature(self):
+        # the guard is the smallest normal float: one subnormal entry trips
+        # it at its own temperature, an entry just above it trips nothing
+        lam = np.ones((3, 2, 2, 2))
+        lam[1, 0, 1, 0] = 1e-310
+        lam[2, 1, 0, 1] = 2 * np.finfo(float).tiny
+        with pytest.raises(bte._Underflow) as e:
+            bte._sum_out_linear(lam)
+        assert e.value.flags.tolist() == [False, True, False]
 
 
 class TestSampling:
@@ -228,7 +269,7 @@ class TestEngine:
     def test_table_entries_count_the_forward_tables(self):
         H = random_instance(2, 12)
         order = bte.elimination_order(H.graph)
-        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order)
+        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order, bte._LINEAR)
         assert sum(b.cond.size for b in buckets.values()) == 2 * order.table_entries
 
     @pytest.mark.parametrize("curve, t_min", [
@@ -254,7 +295,7 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * len(temps) * order.table_entries
-        assert (bte._LOG in arithmetics) == (t_min < 0.1)
+        assert (bte._LOG in arithmetics.ran) == (t_min < 0.1)
 
     def test_curve_shape(self):
         eng = bte.BteEngine()

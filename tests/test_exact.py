@@ -114,20 +114,25 @@ class TestDecoders:
 
 
 class TestBitErrorRate:
+    """The per-spin error rule that experiments.sector_rates applies against
+    the all-+1 truth word: an undecided spin counts 1/2."""
+
+    @staticmethod
+    def sector_means(decoded):
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        return experiments.sector_rates(
+            H, lambda elements: np.broadcast_to(decoded, (len(elements), 8)),
+            1, np.random.default_rng(0)).means
+
     def test_trivials(self):
         truth = np.ones(8)
-        assert exact.bit_error_rate(truth, truth) == 0.0
-        assert exact.bit_error_rate(-truth, truth) == 1.0
+        assert np.all(self.sector_means(truth) == 0.0)
+        assert np.all(self.sector_means(-truth) == 1.0)
 
     def test_single_undecided(self):
-        truth = np.ones(8)
-        decoded = truth.copy()
+        decoded = np.ones(8)
         decoded[3] = 0
-        assert exact.bit_error_rate(decoded, truth) == pytest.approx(1 / 16)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            exact.bit_error_rate(np.ones(8), np.ones(7))
+        assert self.sector_means(decoded) == pytest.approx(1 / 16)
 
 
 class TestBatch:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import comb
 
-from isingdec import channel, core, exact, experiments as ex
+from isingdec import channel, core, experiments as ex
 from oracles import all_words_sector_means, direct_rtot
 
 
@@ -156,57 +156,6 @@ class TestSurfaceAndNishimori:
             ex.nishimori_check(off)
 
 
-class TestMinRatio:
-    def test_identical_means_flat_at_one(self):
-        n = 15
-        means = np.linspace(0.0, 0.5, n + 1)
-        grid = np.linspace(0.3, 5.0, 40)
-        lo, hi, star, rmin = ex.min_ratio_temperature(means, means, n, grid)
-        assert rmin == pytest.approx(1.0, abs=1e-12)
-        assert lo == pytest.approx(grid[0])
-        assert hi == pytest.approx(grid[-1])
-        assert lo <= star <= hi
-
-    def test_synthetic_unimodal_minimum(self):
-        # make the MPM/MAP ratio dip where high sectors dominate
-        n = 10
-        map_means = np.linspace(0.0, 0.5, n + 1)
-        mpm_means = map_means.copy()
-        mpm_means[-3:] *= 0.5  # MPM wins only in high sectors -> high T best
-        grid = np.linspace(0.3, 6.0, 100)
-        lo, hi, star, rmin = ex.min_ratio_temperature(
-            mpm_means, map_means, n, grid)
-        assert rmin < 1.0
-        assert star == pytest.approx(grid[-1], abs=0.1)
-
-
-class TestShannon:
-    def test_zero_noise(self):
-        assert ex.shannon_reference(0.5, 0.0) == 0.0
-
-    def test_rate_one_channel_saturated(self):
-        # R = 1: target entropy equals H2(p), so d = p
-        for p in (0.05, 0.2, 0.4):
-            assert ex.shannon_reference(1.0, p) == pytest.approx(p, abs=1e-12)
-
-    def test_below_capacity_is_zero(self):
-        # R = 1/3 and small p: capacity comfortably exceeds the rate
-        assert ex.shannon_reference(1 / 3, 0.01) == 0.0
-
-    def test_bisection_oracle(self):
-        # R = 1/3, p = 0.2: solve H2(d) = 1 - 3(1 - H2(0.2)) by hand
-        d = ex.shannon_reference(1 / 3, 0.2)
-        target = 1.0 - (1.0 - ex._binary_entropy(0.2)) * 3.0
-        assert ex._binary_entropy(d) == pytest.approx(target, abs=1e-12)
-        assert d == pytest.approx(0.0244, abs=5e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            ex.shannon_reference(0.0, 0.1)
-        with pytest.raises(ValueError):
-            ex.shannon_reference(0.5, 0.5)
-
-
 class TestBootstrap:
     def test_degenerate_sectors_have_zero_std(self, truncated_clean):
         dec = ex.MapDecoder(truncated_clean.graph)
@@ -245,39 +194,3 @@ class TestDirectRtot:
                                 np.random.default_rng(0))
         poly = ex.ber_curve(rates, ps)
         assert np.max(np.abs(direct - poly)) < 1e-12
-
-
-class TestFourByFourMetrics:
-    def test_self_comparison_is_zero(self):
-        temps = np.linspace(0.5, 2.0, 4)
-        rng = np.random.default_rng(9)
-        refs, expts, incs = [], [], []
-        for _ in range(3):
-            ref = np.where(rng.random((4, 6)) < 0.5, -1.0, 1.0)
-            refs.append(ref)
-            expts.append(ref[0])
-            incs.append(np.ones(6, dtype=bool))
-        m = ex.fourbyfour_metrics(temps, refs, expts, incs)
-        assert m.p_err_all[0] == 0.0
-        assert m.mean_min == 0.0
-        assert m.median_min == 0.0
-
-    def test_significance_filter_drops_ambiguous_spins(self):
-        temps = np.array([1.0])
-        ref = np.ones((1, 4))
-        expt = np.array([1.0, -1.0, 1.0, 1.0])
-        inc = np.ones(4, dtype=bool)
-        # spin 1 disagrees but sits at P_low = 0.5: insignificant
-        plow = np.array([0.95, 0.5, 0.9, 0.05])
-        m = ex.fourbyfour_metrics(temps, [ref], [expt], [inc],
-                                  p_low_values=[plow], n_sets=100)
-        assert m.p_err_all[0] == pytest.approx(0.25)
-        assert m.p_err_significant[0] == 0.0
-
-    def test_all_insignificant_raises(self):
-        temps = np.array([1.0])
-        ref = np.ones((1, 2))
-        with pytest.raises(ValueError):
-            ex.fourbyfour_metrics(
-                temps, [ref], [np.ones(2)], [np.ones(2, dtype=bool)],
-                p_low_values=[np.full(2, 0.5)], n_sets=100)

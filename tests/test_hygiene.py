@@ -1,0 +1,63 @@
+"""Static checks on the package source, standing in for a linter: every
+module-level import is used, and every name in `__all__` is defined."""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "isingdec").glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def exported(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def imported(tree) -> dict[str, int]:
+    """Name bound by each module-level import -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def defined(tree) -> set[str]:
+    names = set(imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(exported(tree))  # a re-export counts as a use
+    unused = [f"{name} (line {line})" for name, line in imported(tree).items()
+              if name not in used]
+    assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    tree = parse(path)
+    missing = [name for name in exported(tree) if name not in defined(tree)]
+    assert not missing, f"{path.name}: __all__ names not defined: {missing}"

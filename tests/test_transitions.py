@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.special import ndtr
 
-from isingdec import bte, channel, core, exact, transitions as tr
+from isingdec import bte, core, exact, transitions as tr
 
 
 class FakeEngine:
@@ -106,7 +106,6 @@ class TestFindTransitions:
 class TestPlowModel:
     def test_half_agreement_is_half(self):
         assert tr.plow_model(0.5, 1000) == pytest.approx(0.5, abs=1e-12)
-        assert tr.plow_model(0.5, 1000, "clt") == pytest.approx(0.5, abs=1e-12)
 
     def test_certain_agreement(self):
         assert tr.plow_model(1.0, 1000) == pytest.approx(1.0, abs=1e-9)
@@ -126,78 +125,11 @@ class TestPlowModel:
         assert 0.5 < lo < hi < 1.0
 
     def test_variants_agree_in_bulk(self):
+        # the printed formula against the central-limit majority probability
         ps = np.linspace(0.4, 0.6, 21)
-        a = tr.plow_model(ps, 1000, "paper")
-        b = tr.plow_model(ps, 1000, "clt")
+        a = tr.plow_model(ps, 1000)
+        b = ndtr((ps - 0.5) * np.sqrt(1000) / np.sqrt(ps * (1 - ps)))
         assert np.max(np.abs(a - b)) < 0.1
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            tr.plow_model(0.5, 100, "bogus")
-
-
-class TestPErr:
-    def test_perfect_agreement_is_zero(self):
-        temps = np.linspace(0.5, 2.0, 4)
-        ref = np.ones((4, 6))
-        rep = tr.p_err(temps, [ref], [np.ones(6)], [np.ones(6, dtype=bool)])
-        assert np.all(rep.p_err == 0.0)
-        assert rep.min_per_hamiltonian[0] == 0.0
-
-    def test_counts_disagreements(self):
-        temps = np.array([1.0, 2.0])
-        ref = np.ones((2, 4))
-        ref[1, :2] = -1  # at T=2 two of four spins flip
-        expt = np.ones(4)
-        rep = tr.p_err(temps, [ref], [expt], [np.ones(4, dtype=bool)])
-        assert rep.per_hamiltonian[0].tolist() == [0.0, 0.5]
-        assert rep.argmin_temperature[0] == 1.0
-
-    def test_inclusion_mask_filters(self):
-        temps = np.array([1.0])
-        ref = np.ones((1, 4))
-        expt = np.array([1.0, -1.0, -1.0, -1.0])
-        inc = np.array([True, False, False, True])
-        rep = tr.p_err(temps, [ref], [expt], [inc])
-        assert rep.p_err[0] == pytest.approx(0.5)
-
-    def test_empty_inclusion_rejected(self):
-        with pytest.raises(ValueError):
-            tr.p_err(np.array([1.0]), [np.ones((1, 2))], [np.ones(2)],
-                     [np.zeros(2, dtype=bool)])
-
-    def test_argmin_breaks_ties_low(self):
-        temps = np.array([1.0, 2.0])
-        ref = np.ones((2, 2))
-        rep = tr.p_err(temps, [ref], [np.ones(2)], [np.ones(2, dtype=bool)])
-        assert rep.argmin_temperature[0] == 1.0
-
-
-class TestEffectiveTemperatureFit:
-    def test_round_trip(self):
-        # generate observations at a known sampler temperature and recover it
-        t_true = 3.0
-        n_run = 100
-        eng = bte.BteEngine()
-        obs = []
-        for k in range(6):
-            H, _ = channel.sample_sector(
-                core.Hamiltonian.uniform(core.build_chimera(1)), 8,
-                channel.stream(21, k))
-            m = eng.magnetization_curve(H, np.array([t_true]))[0]
-            for i, s in enumerate(H.graph.spins):
-                sig = 1 if m[i] >= 0 else -1
-                p = tr.plow_model(0.5 * (1 + sig * m[i]), n_run)
-                if 1e-6 < p < 1 - 1e-6:
-                    obs.append((H, s, sig, float(p)))
-        assert len(obs) >= 10
-        t_fit = tr.fit_effective_temperature(obs, n_run, eng)
-        assert t_fit == pytest.approx(t_true, abs=0.01)
-
-    def test_too_few_observations(self):
-        with pytest.raises(ValueError):
-            tr.fit_effective_temperature([], 100, bte.BteEngine())
-
 
 class TestLogisticFit:
     def test_recovers_parameters(self):
@@ -217,25 +149,6 @@ class TestLogisticFit:
         f0, fw = tr.fit_logistic(t, p)
         assert f0 == pytest.approx(2.0, abs=0.1)
         assert fw == pytest.approx(0.6, abs=0.1)
-
-
-class TestSignificanceBand:
-    def test_oracle_small_n(self):
-        # exhaustive check against the binomial definition for n = 100
-        n, level = 100, 0.95
-        d = tr.significance_band(n, level)
-        k = int(round((0.5 - d) * n))
-        tail = 2 * binom.cdf(k, n, 0.5)
-        assert tail <= 1 - level
-        tail_next = 2 * binom.cdf(k + 1, n, 0.5)
-        assert tail_next > 1 - level
-
-    def test_shrinks_with_n(self):
-        assert tr.significance_band(1000) < tr.significance_band(100)
-
-    def test_in_unit_range(self):
-        for n in (10, 100, 1000):
-            assert 0.0 < tr.significance_band(n) <= 0.5
 
 
 class TestGrid:
