@@ -420,13 +420,22 @@ def cmd_plow_fit(config, seed, out_dir):
 def cmd_sa_compare(config, seed, out_dir):
     """Annealer orientations vs equilibrium at checkpoint temperatures."""
     H = next(_transition_instances(config, seed))[1]
-    schedule = sa.AnnealSchedule(
-        t_start=config.get("sa.t_start", 10.0),
-        t_end=config.get("sa.t_end", 1.405),
-        total_updates=config.get("sa.updates", 1_000_000))
+    try:
+        schedule = sa.AnnealSchedule(
+            t_start=config.get("sa.t_start", 10.0),
+            t_end=config.get("sa.t_end", 1.405),
+            total_updates=config.get("sa.updates", 1_000_000))
+    except ValueError as err:
+        raise ConfigError(f"[sa] {err}") from err
     n_runs = config.get("sa.runs", 1000)
+    if n_runs < 1:
+        raise ConfigError("sa.runs must be >= 1")
     checkpoints = np.asarray(config.get(
         "sa.checkpoints", list(np.linspace(schedule.t_end, schedule.t_start, 8))))
+    if checkpoints.size == 0:
+        raise ConfigError("sa.checkpoints must list at least one temperature")
+    if not np.all((checkpoints >= schedule.t_end) & (checkpoints <= schedule.t_start)):
+        raise ConfigError("sa.checkpoints must lie within [sa.t_end, sa.t_start]")
     spec = _control_spec(config)
     if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))

@@ -5,10 +5,17 @@ Gaussian setting errors. Temperature is interpolated linearly in the update
 index (one update = one single-spin Metropolis attempt) between the schedule
 endpoints, expressed in units of alpha (the nominal |J|); spins are visited
 in fixed sequential order.
+
+The kernel updates each run of consecutive, mutually non-adjacent spins
+(one cell side, or side 1 of a cell and side 0 of the next) as one numpy
+step. No member of such a block reads another member's spin, so its updates
+commute, and each block draws its uniforms in sweep order: the chain is the
+sequential single-spin chain, bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +41,17 @@ class AnnealSchedule:
     total_updates: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.t_start <= 0 or self.t_end <= 0:
-            raise ValueError("schedule temperatures must be positive")
+        if not (0 < self.t_end and 0 < self.t_start < float("inf")):
+            raise ValueError("schedule temperatures must be positive and finite")
         if self.t_end > self.t_start:
             raise ValueError("t_end must not exceed t_start")
         if self.total_updates < 1:
             raise ValueError("total_updates must be >= 1")
 
-    def temperature(self, update: int) -> float:
-        """Scheduled temperature (in units of alpha) at a 0-based update index."""
-        if self.total_updates == 1:
-            return self.t_start
-        frac = update / (self.total_updates - 1)
+    def temperature(self, update: int | np.ndarray) -> float | np.ndarray:
+        """Scheduled temperature (in units of alpha) at a 0-based update
+        index, or elementwise at an integer array of them."""
+        frac = update / max(self.total_updates - 1, 1)
         return self.t_start + (self.t_end - self.t_start) * frac
 
 
@@ -86,6 +92,46 @@ def _local_field_tables(H: Hamiltonian):
     return H.h, idx, val
 
 
+def _blocks(graph) -> np.ndarray:
+    """Bounds of the update blocks: block b holds the sweep positions
+    bounds[b]..bounds[b+1]-1, a maximal run of consecutive positions no two
+    of which share an edge (greedy from position 0)."""
+    below = np.full(graph.n_spins, -1)   # each spin's last neighbour before it
+    ij = graph.edge_positions             # i < j in every edge
+    np.maximum.at(below, ij[:, 1], ij[:, 0])
+    starts = [0]
+    for i in range(1, graph.n_spins):
+        if below[i] >= starts[-1]:
+            starts.append(i)
+    return np.array(starts + [graph.n_spins])
+
+
+def _order_free(H: Hamiltonian) -> bool:
+    """True when every local field sums integers whose absolute values add
+    up to less than 2^53: every partial sum is then exact, and any summation
+    order gives the same float."""
+    elements = np.concatenate([H.h, H.J])
+    return bool(np.array_equal(elements, np.rint(elements))
+                and np.abs(elements).sum() < 2.0 ** 53)
+
+
+def _neighbour_sums(nb: np.ndarray, val: np.ndarray, any_order: bool):
+    """Coupler-weighted neighbour sums of one block, shape (k, runs): the
+    sum over slots of val * nb, for neighbour spins nb of shape
+    (k, slots, runs) and couplers val of shape (k, slots).
+
+    The sequential chain sums each run's slots with one BLAS matrix-vector
+    product over a run-major (runs, slots) matrix. The product over the
+    slot-major gather is cheaper, but BLAS then adds the terms in another
+    order, which can change the last bit of a non-integer sum. So it is used
+    only when `any_order` holds (every order gives the same sum); otherwise
+    the gather is copied run-major and summed by the sequential chain's call.
+    """
+    if any_order:
+        return np.matmul(val[:, None, :], nb)[:, 0]
+    return np.matmul(nb.transpose(0, 2, 1).copy(), val[:, :, None])[..., 0]
+
+
 def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
                rng: np.random.Generator,
                checkpoints: np.ndarray | None = None):
@@ -95,45 +141,56 @@ def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
     share the temperature schedule; randomness (initial state, acceptance)
     is independent per replica. Returns (final states, snapshot stack) where
     snapshots are taken at the first update whose scheduled temperature is
-    <= each checkpoint.
+    <= each checkpoint; the stack is empty without checkpoints.
+
+    The state is spin-major, (n_spins, n_runs), and each step updates a
+    block of `_blocks` at once; a step is cut short where a snapshot is due
+    and at the last update.
     """
     h, idx, val = _local_field_tables(H)
     n = H.graph.n_spins
     alpha = H.alpha
-    state = rng.integers(0, 2, size=(n_runs, n)) * 2 - 1
-    snaps = None
-    next_cp = 0
-    if checkpoints is not None:
-        snaps = np.empty((len(checkpoints), n_runs, n), dtype=np.int8)
+    state = np.ascontiguousarray(
+        (rng.integers(0, 2, size=(n_runs, n)) * 2 - 1).T, dtype=float)
+    bounds = _blocks(H.graph)
+    block_end = np.repeat(bounds[1:], np.diff(bounds)).tolist()
+    any_order = _order_free(H)
 
     total = schedule.total_updates
-    span = schedule.t_end - schedule.t_start
-    denom = max(total - 1, 1)
-    for u in range(total):
-        t_sched = schedule.t_start + span * (u / denom)
-        if snaps is not None:
-            while next_cp < len(checkpoints) and t_sched <= checkpoints[next_cp]:
-                snaps[next_cp] = state
-                next_cp += 1
+    # first update at or below each checkpoint; snapshots are taken in list
+    # order, before the update
+    due = [bisect_left(range(total), True,
+                       key=lambda u: schedule.temperature(u) <= cp)
+           for cp in (() if checkpoints is None else checkpoints)]
+    snaps = np.empty((len(due), n_runs, n), dtype=np.int8)
+    taken = u = 0
+    while True:
+        while taken < len(due) and due[taken] <= u:
+            snaps[taken] = state.T
+            taken += 1
+        if u == total:
+            break
         i = u % n
-        local = h[i] + state[:, idx[i]] @ val[i]
-        d_energy = 2.0 * alpha * state[:, i] * local
-        beta = 1.0 / (alpha * t_sched)
-        p_accept = np.exp(-np.maximum(d_energy, 0.0) * beta)
-        flip = rng.random(n_runs) < p_accept
-        state[flip, i] = -state[flip, i]
-    if snaps is not None:
-        while next_cp < len(checkpoints):   # checkpoints at/below t_end
-            snaps[next_cp] = state
-            next_cp += 1
-    return state, snaps
+        stop = due[taken] if taken < len(due) else total
+        k = min(block_end[i] - i, stop - u)
+        block = slice(i, i + k)
+        s = state[block]
+        local = h[block, None] + _neighbour_sums(state[idx[block]], val[block],
+                                                 any_order)
+        d_energy = 2.0 * alpha * s * local
+        beta = 1.0 / (alpha * schedule.temperature(np.arange(u, u + k)))
+        p_accept = np.exp(-np.maximum(d_energy, 0.0) * beta[:, None])
+        flip = rng.random((k, n_runs)) < p_accept
+        state[block] = np.where(flip, -s, s)
+        u += k
+    return np.ascontiguousarray(state.T, dtype=np.int8), snaps
 
 
 def anneal(H: Hamiltonian, schedule: AnnealSchedule,
            rng: np.random.Generator) -> np.ndarray:
     """Single annealing run; returns the final spin state aligned with graph.spins."""
     state, _ = _run_batch(H, schedule, 1, rng)
-    return state[0].astype(np.int8)
+    return state[0]
 
 
 def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
@@ -145,8 +202,10 @@ def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
     ramp cools through them; the returned curve is on the ascending grid of
     physical temperatures alpha * checkpoint.
     """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     cps = np.asarray(checkpoints, dtype=float)
-    if np.any(cps > schedule.t_start) or np.any(cps < schedule.t_end):
+    if not np.all((cps >= schedule.t_end) & (cps <= schedule.t_start)):
         raise ValueError("checkpoints must lie within the schedule range")
     order = np.argsort(-cps)  # descending: the order the ramp reaches them
     _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=cps[order])

@@ -4,7 +4,8 @@ import numpy as np
 from scipy.special import comb
 
 from isingdec import exact
-from isingdec.core import CapacityError, _cell_group
+from isingdec.core import CapacityError, Hamiltonian, _cell_group
+from isingdec.sa import AnnealSchedule, _local_field_tables
 
 
 def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
@@ -111,3 +112,49 @@ def all_words_sector_means(H_clean, t_decode, chunk=4096):
     mpm_means = 0.5 - mpm_acc.T / (2.0 * n * counts[:, None])
     map_means = 0.5 - map_acc / (2.0 * n * counts)
     return map_means, mpm_means
+
+
+def per_update_run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
+                         rng: np.random.Generator,
+                         checkpoints: np.ndarray | None = None):
+    """Anneal n_runs replicas under a shared update sequence.
+
+    All replicas visit the same spin at each update (sequential order) and
+    share the temperature schedule; randomness (initial state, acceptance)
+    is independent per replica. Returns (final states, snapshot stack) where
+    snapshots are taken at the first update whose scheduled temperature is
+    <= each checkpoint.
+
+    The sequential chain that `sa._run_batch` reproduces: one numpy step per
+    single-spin update, on a run-major (n_runs, n_spins) state.
+    """
+    h, idx, val = _local_field_tables(H)
+    n = H.graph.n_spins
+    alpha = H.alpha
+    state = rng.integers(0, 2, size=(n_runs, n)) * 2 - 1
+    snaps = None
+    next_cp = 0
+    if checkpoints is not None:
+        snaps = np.empty((len(checkpoints), n_runs, n), dtype=np.int8)
+
+    total = schedule.total_updates
+    span = schedule.t_end - schedule.t_start
+    denom = max(total - 1, 1)
+    for u in range(total):
+        t_sched = schedule.t_start + span * (u / denom)
+        if snaps is not None:
+            while next_cp < len(checkpoints) and t_sched <= checkpoints[next_cp]:
+                snaps[next_cp] = state
+                next_cp += 1
+        i = u % n
+        local = h[i] + state[:, idx[i]] @ val[i]
+        d_energy = 2.0 * alpha * state[:, i] * local
+        beta = 1.0 / (alpha * t_sched)
+        p_accept = np.exp(-np.maximum(d_energy, 0.0) * beta)
+        flip = rng.random(n_runs) < p_accept
+        state[flip, i] = -state[flip, i]
+    if snaps is not None:
+        while next_cp < len(checkpoints):   # checkpoints at/below t_end
+            snaps[next_cp] = state
+            next_cp += 1
+    return state, snaps

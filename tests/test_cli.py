@@ -322,6 +322,36 @@ class TestControl:
         assert message in capsys.readouterr().err
 
 
+class TestSaCompare:
+    sa_keys = {"t_start": "6.0", "t_end": "0.5", "updates": "200", "runs": "5",
+               "checkpoints": "1.5 4.0"}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("runs", "0", "sa.runs must be >= 1"),
+        ("runs", "-3", "sa.runs must be >= 1"),
+        ("updates", "0", "total_updates must be >= 1"),
+        ("t_end", "0.0", "must be positive"),
+        ("t_start", "nan", "positive and finite"),
+        ("checkpoints", "1.5 7.0", "sa.checkpoints must lie within"),
+        ("checkpoints", "0.4", "sa.checkpoints must lie within"),
+        ("checkpoints", "nan", "sa.checkpoints must lie within"),
+        ("checkpoints", "", "at least one temperature"),
+    ], ids=["zero-runs", "negative-runs", "zero-updates", "zero-t-end",
+            "nan-t-start", "checkpoint-above-t-start", "checkpoint-below-t-end",
+            "nan-checkpoint", "no-checkpoints"])
+    def test_bad_sa_value_is_config_error(self, tmp_path, capsys, key, value,
+                                          message):
+        keys = {**self.sa_keys, key: value}
+        cfg = write(tmp_path, "s.cfg",
+                    "[graph]\nl = 1\nengine = exact\n[channel]\nflips = 6\n[sa]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert run(["sa-compare", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "o" / "deviation.csv").exists()
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats costs about a second of every CLI start

@@ -105,6 +105,19 @@ def case_sweep_excluded_alpha():
     return sweep(H, 107)
 
 
+def case_sweep_l4_checkpoint_in_block():
+    # 3001 updates are not a whole number of 128-spin sweeps, and the ramp
+    # first reaches 3.643 at update 1286 (position 6, inside the block of
+    # positions 4-11) and 1.0 at update 2728 (position 40, block 36-43).
+    H = sa.inject_control_error(corrupted(4, 108),
+                                sa.ControlErrorSpec(0.05, 0.03),
+                                channel.stream(108, 2))
+    schedule = sa.AnnealSchedule(t_start=6.0, t_end=0.5, total_updates=3001)
+    curve = sa.sa_orientation_sweep(H, schedule, np.array([0.5, 1.0, 3.643, 6.0]),
+                                    16, channel.stream(108, 3))
+    return sha(curve.temperatures, curve.values)
+
+
 PINS = {
     case_corrupt:
         "b536526c083dc50233e7279f1d1437fb21bf53578d6a7b5a16b693a6a0ba7321",
@@ -120,6 +133,8 @@ PINS = {
         "899159f21ba61ddfd887fee9dba5b69a9be746acf5503923067954a0f530bfe9",
     case_sweep_excluded_alpha:
         "1e6a09f28fa02ada5048172d65e4563889be7c424d1c2cfef9ae387dede7f4bb",
+    case_sweep_l4_checkpoint_in_block:
+        "87af7948eea500adc8feba0815107791a96e11fe4758c94193abf5506b2e148d",
 }
 
 

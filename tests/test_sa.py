@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingdec import channel, core, exact, sa
+from oracles import per_update_run_batch
 
 
 def random_cell(seed):
@@ -22,6 +24,20 @@ class TestSchedule:
         sch = sa.AnnealSchedule(t_start=8.0, t_end=2.0, total_updates=7)
         assert sch.temperature(3) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("t_start, t_end, total", [
+        (10.0, 0.1, 1_000_000), (10.0, 1.405, 40_000), (6.0, 0.5, 3001),
+        (8.0, 2.0, 7), (3.0, 3.0, 5), (6.0, 0.5, 1)])
+    def test_array_form_matches_scalar(self, t_start, t_end, total):
+        sch = sa.AnnealSchedule(t_start=t_start, t_end=t_end,
+                                total_updates=total)
+        rng = np.random.default_rng(total)
+        u = np.concatenate([[0, total - 1], rng.integers(0, total, 50)])
+        scalar = [sch.temperature(int(v)) for v in u]
+        ramp = [t_start + (t_end - t_start) * (int(v) / max(total - 1, 1))
+                for v in u]
+        assert np.array_equal(sch.temperature(u), scalar)
+        assert scalar == ramp
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sa.AnnealSchedule(t_start=1.0, t_end=2.0)
@@ -29,6 +45,9 @@ class TestSchedule:
             sa.AnnealSchedule(t_start=0.0, t_end=0.0)
         with pytest.raises(ValueError):
             sa.AnnealSchedule(total_updates=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sa.AnnealSchedule(t_start=bad, t_end=0.5)
 
 
 class TestControlError:
@@ -81,6 +100,101 @@ class TestLocalFieldTables:
             assert not val[t, k:].any()
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("L, excluded", [
+        (1, ()), (2, ()), (4, ()), (1, (0, 5)), (2, (3, 12, 20)),
+        (3, (7, 8, 40, 41))])
+    def test_partition_into_maximal_independent_runs(self, L, excluded):
+        g = core.build_chimera(L, excluded=frozenset(excluded))
+        bounds = sa._blocks(g)
+        # consecutive runs covering 0..n-1 once
+        assert bounds[0] == 0 and bounds[-1] == g.n_spins
+        assert np.all(np.diff(bounds) > 0)
+        block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        ij = g.edge_positions
+        assert not np.any(block[ij[:, 0]] == block[ij[:, 1]])
+        # maximal: the position after each block has a neighbour in it
+        for start, nxt in zip(bounds[:-2], bounds[1:-1]):
+            assert np.any(ij[ij[:, 1] == nxt, 0] >= start)
+
+    def test_nominal_4x4_has_17_blocks(self):
+        # side 0 of cell 0, then side 1 of one cell with side 0 of the next,
+        # then side 1 of the last cell
+        bounds = sa._blocks(core.build_chimera(4))
+        assert np.diff(bounds).tolist() == [4] + [8] * 15 + [4]
+
+
+class TestNeighbourSums:
+    @pytest.mark.parametrize("control_error", [False, True])
+    def test_bits_of_the_sequential_dot_products(self, control_error):
+        H = core.Hamiltonian.uniform(core.build_chimera(3, excluded={9}))
+        H, _ = channel.sample_sector(H, 40, channel.stream(8, 0))
+        if control_error:
+            H = sa.inject_control_error(H, sa.ControlErrorSpec(),
+                                        channel.stream(8, 1))
+        assert sa._order_free(H) is not control_error
+        h, idx, val = sa._local_field_tables(H)
+        state = np.random.default_rng(8).integers(0, 2, (37, len(h))) * 2 - 1
+        spin_major = np.ascontiguousarray(state.T, dtype=float)
+        bounds = sa._blocks(H.graph)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            got = sa._neighbour_sums(spin_major[idx[a:b]], val[a:b],
+                                     sa._order_free(H))
+            want = [state[:, idx[i]] @ val[i] for i in range(a, b)]
+            assert np.array_equal(got, want)
+
+    def test_order_free_needs_small_integers(self):
+        g = core.build_chimera(1)
+        ints = core.Hamiltonian.from_vectors(g, np.full(8, 3.0), np.full(16, -2.0))
+        big = core.Hamiltonian.from_vectors(g, np.full(8, 2.0 ** 50), np.ones(16))
+        half = core.Hamiltonian.from_vectors(g, np.full(8, 0.5), np.ones(16))
+        assert sa._order_free(ints)
+        assert not sa._order_free(big)
+        assert not sa._order_free(half)
+
+
+@st.composite
+def chains(draw):
+    """An instance, schedule, replica count, seed and checkpoints for the
+    chain oracle: L <= 3 with random exclusions, alpha != 1 and control
+    error drawn, and checkpoints at both ends of the ramp and at updates
+    inside a block."""
+    L = draw(st.integers(1, 3))
+    excluded = draw(st.frozensets(st.integers(0, 8 * L * L - 1), max_size=6))
+    g = core.build_chimera(L, excluded=excluded)
+    n = g.n_spins
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    H = core.Hamiltonian.from_vectors(
+        g, rng.choice([-1.0, 1.0], n), rng.choice([-1.0, 1.0], g.n_edges),
+        draw(st.sampled_from([1.0, 0.7, 0.25])))
+    if draw(st.booleans()):
+        H = sa.inject_control_error(H, sa.ControlErrorSpec(), rng)
+    total = draw(st.sampled_from([1, 7, max(n - 1, 1), n, n + 1, 997, 1003]))
+    sch = sa.AnnealSchedule(t_start=6.0, t_end=0.5, total_updates=total)
+    cps = None
+    if draw(st.booleans()):
+        starts = set(sa._blocks(g).tolist())
+        inside = [u for u in range(total) if u % n not in starts]
+        picks = draw(st.lists(st.sampled_from(inside), max_size=3)) if inside else []
+        cps = draw(st.permutations([sch.t_start, sch.t_end]
+                                   + [sch.temperature(u) for u in picks]))
+        cps = np.array(cps)
+    return H, sch, draw(st.integers(1, 4)), seed, cps
+
+
+class TestChainOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(chains())
+    def test_block_kernel_reproduces_the_per_update_chain(self, case):
+        H, sch, runs, seed, cps = case
+        want = per_update_run_batch(H, sch, runs, np.random.default_rng(seed), cps)
+        got = sa._run_batch(H, sch, runs, np.random.default_rng(seed), cps)
+        assert np.array_equal(got[0], want[0])
+        if cps is not None:
+            assert np.array_equal(got[1], want[1])
+
+
 class TestAnneal:
     def test_deterministic(self):
         H = random_cell(3)
@@ -123,9 +237,18 @@ class TestSweep:
     def test_checkpoint_range_enforced(self):
         H = random_cell(6)
         sch = sa.AnnealSchedule(t_start=6.0, t_end=0.2, total_updates=100)
-        with pytest.raises(ValueError):
-            sa.sa_orientation_sweep(H, sch, np.array([7.0]), 5,
-                                    np.random.default_rng(0))
+        for cps in ([7.0], [0.1], [float("nan")]):
+            with pytest.raises(ValueError):
+                sa.sa_orientation_sweep(H, sch, np.array(cps), 5,
+                                        np.random.default_rng(0))
+
+    def test_runs_must_be_positive(self):
+        H = random_cell(6)
+        sch = sa.AnnealSchedule(t_start=6.0, t_end=0.2, total_updates=100)
+        for n_runs in (0, -3):
+            with pytest.raises(ValueError, match="n_runs"):
+                sa.sa_orientation_sweep(H, sch, np.array([1.0]), n_runs,
+                                        np.random.default_rng(0))
 
     def test_equilibrated_sweep_matches_boltzmann(self):
         """A slow ramp equilibrates: checkpoint orientations match the
