@@ -6,6 +6,10 @@ crossover probability p. Which elements it negated is one bool `flipped`
 vector of length N+M: fields first in spin order, then couplers in edge
 order. Decoding at the Nishimori temperature
 T = 2 / ln((1-p)/p) minimizes the bit error rate.
+
+Sector weights take their binomial coefficients from `math.comb` (exact
+integers) and their p terms from numpy's `log` and `log1p`; the random
+streams are numpy `Generator`s over `Philox`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from numpy.random import Generator, Philox, SeedSequence
 
 from .core import Hamiltonian
 
@@ -28,14 +32,14 @@ __all__ = [
 ]
 
 
-def stream(master_seed: int, *path: int) -> np.random.Generator:
+def stream(master_seed: int, *path: int) -> Generator:
     """Independent, reproducible Philox stream for (master seed, path...).
 
     Parallel workers derive disjoint streams from the same master seed by
     passing distinct paths, e.g. (sector, replicate).
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))
 
 
 def nishimori_temperature(p: float) -> float:
@@ -63,7 +67,7 @@ def apply_mask(H: Hamiltonian, flipped: np.ndarray) -> Hamiltonian:
 
 
 def corrupt(H_clean: Hamiltonian, p: float,
-            rng: np.random.Generator) -> tuple[Hamiltonian, np.ndarray]:
+            rng: Generator) -> tuple[Hamiltonian, np.ndarray]:
     """Flip each field and coupler sign independently with probability p.
 
     Returns the corrupted instance and its (N+M,) bool `flipped` vector.
@@ -77,7 +81,7 @@ def corrupt(H_clean: Hamiltonian, p: float,
 
 
 def sample_sector(H_clean: Hamiltonian, s: int,
-                  rng: np.random.Generator) -> tuple[Hamiltonian, np.ndarray]:
+                  rng: Generator) -> tuple[Hamiltonian, np.ndarray]:
     """Flip exactly s elements, uniform over all (N+M choose s) subsets.
 
     Returns the corrupted instance and its (N+M,) bool `flipped` vector.
@@ -95,12 +99,17 @@ def sample_sector(H_clean: Hamiltonian, s: int,
 def sector_weights(p, n_elements: int) -> np.ndarray:
     """P(exactly s of n elements corrupted) = C(n, s) p^s (1-p)^(n-s), s = 0..n.
 
-    Evaluated in the log domain: finite for any n, exact at p = 0 and p = 1.
-    An array of p gives one row of weights per p.
+    Evaluated in the log domain: ln C(n, s) from the exact integer, then
+    s ln p + (n-s) ln(1-p) with 0 ln 0 = 0, so the weights are finite for any
+    n and exact at p = 0 and p = 1. An array of p gives one row per p.
     """
     p = np.asarray(p, dtype=float)[..., None]
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
     s = np.arange(n_elements + 1)
-    log_comb = gammaln(n_elements + 1) - gammaln(s + 1) - gammaln(n_elements - s + 1)
-    return np.exp(log_comb + xlogy(s, p) + xlog1py(n_elements - s, -p))
+    log_comb = np.array([math.log(math.comb(n_elements, k))
+                         for k in range(n_elements + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(s > 0, s * np.log(p), 0.0)
+        log_q = np.where(s < n_elements, (n_elements - s) * np.log1p(-p), 0.0)
+    return np.exp(log_comb + log_p + log_q)

@@ -307,7 +307,8 @@ def cmd_surface(config, seed, out_dir):
     grid = _temperature_grid(config)
     _, t_nish = _channel_p(config)
     mode = _channel_mode(config)
-    t_decode = np.unique(np.concatenate([grid, t_nish]))
+    # np.unique without return_counts imports numpy.ma on its first call
+    t_decode = np.unique(np.concatenate([grid, t_nish]), return_counts=True)[0]
     surf = experiments.ber_surface(
         H, t_decode, t_nish,
         samples_per_sector=config.get("channel.samples_per_sector"),
@@ -328,7 +329,7 @@ def _transition_instances(config, seed):
     """Yield (label, Hamiltonian) pairs per the ensemble configuration."""
     if config.get("ensemble.classes", False):
         _, _, canonical = enumerate_cell_classes()
-        for word in np.unique(canonical):
+        for word in np.unique(canonical, return_counts=True)[0]:  # as above
             yield f"class-{int(word)}", cell_from_word(int(word))
         return
     H_clean = _clean_hamiltonian(config)
@@ -481,15 +482,19 @@ _COMMANDS = {
 }
 
 
+# Built at import, with the rest of the start-up: argparse translates its
+# messages through gettext, which imports locale on first use.
+_PARSER = argparse.ArgumentParser(
+    prog="isingdec",
+    description="Maximum-entropy vs maximum-likelihood Ising decoding runs")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, type=Path)
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--out", type=Path, default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="isingdec",
-        description="Maximum-entropy vs maximum-likelihood Ising decoding runs")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=Path, default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.time()
     try:
         config = load_config(args.config)

@@ -6,15 +6,17 @@ centered running average (default window 5), then linearly interpolating the
 zero crossings between consecutive smoothed points. Spins whose orientation
 at the lowest grid temperature is (numerically) zero are excluded: sampling
 noise around zero produces spurious crossings.
+
+The P_low model takes erfc from `math`; the logistic fit is a small
+Levenberg-Marquardt solver in numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import erfc
 
 from .core import Hamiltonian
 
@@ -32,6 +34,13 @@ __all__ = [
 
 # |orientation| at the lowest grid temperature below which an item is excluded
 EXCLUSION_EPS = 0.01
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+# fit_logistic stops when a step moves (t0, 1/w) by less than this fraction
+# of its norm, or after this many steps
+_LM_XTOL = 1e-12
+_LM_MAX_ITER = 1000
 
 
 def default_temperature_grid(n_points: int = 200, t_max: float = 7.0) -> np.ndarray:
@@ -150,27 +159,70 @@ def plow_model(p_agree, n_run: int):
         raise ValueError("p_agree must lie in [0, 1]")
     if n_run < 1:
         raise ValueError("n_run must be >= 1")
-    out = 0.5 * erfc(2.0 * (0.5 - p) * np.sqrt(n_run))
+    out = 0.5 * np.asarray(_erfc(2.0 * (0.5 - p) * np.sqrt(n_run)), dtype=float)
     return float(out) if np.isscalar(p_agree) else out
 
 
 def fit_logistic(t_trans: np.ndarray, p_low: np.ndarray) -> tuple[float, float]:
     """Fit P_low(T_trans) = 1 / (1 + exp(-(T - t0) / w)); returns (t0, w).
 
-    Deterministic initial guess: t0 at the point closest to P_low = 0.5,
-    w a quarter of the data span.
+    Least squares over the box t0 in [min T - 5, max T + 5], w in [1e-4, 50].
+    Deterministic initial guess: t0 at the point closest to P_low = 0.5, w a
+    quarter of the data span.
+
+    Levenberg-Marquardt (Nielsen's damping update; Madsen, Nielsen and
+    Tingleff, "Methods for non-linear least squares problems", 2004) on the
+    coefficients of the linear predictor z = a + b (T - t0), re-centred on the
+    current t0 at every step, so that a step ends at t0 - a/b and w = 1/b.
+    Steps along the valley where one point stays fitted are then straight
+    lines, which keeps near-step fits to tens of iterations. The end point is
+    clipped to the box; a parameter on the box edge is held there while the
+    gradient pushes it outward.
     """
     t = np.asarray(t_trans, dtype=float)
     p = np.asarray(p_low, dtype=float)
-
-    def model(x, t0, w):
-        return 1.0 / (1.0 + np.exp(-(x - t0) / w))
-
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        raise ValueError("fit_logistic needs finite data")
+    lo = np.array([t.min() - 5.0, 1.0 / 50.0])  # (t0, b = 1/w)
+    hi = np.array([t.max() + 5.0, 1.0 / 1e-4])
     t0_guess = float(t[np.argmin(np.abs(p - 0.5))])
     w_guess = max(0.25 * (t.max() - t.min()), 1e-3)
-    popt, _ = curve_fit(
-        model, t, p, p0=(t0_guess, w_guess),
-        bounds=((t.min() - 5.0, 1e-4), (t.max() + 5.0, 50.0)),
-        maxfev=20000,
-    )
-    return float(popt[0]), float(popt[1])
+    x = np.clip([t0_guess, 1.0 / w_guess], lo, hi)
+
+    def residual(x):
+        with np.errstate(over="ignore"):
+            f = 1.0 / (1.0 + np.exp(-(t - x[0]) * x[1]))
+        return f, f - p
+
+    f, r = residual(x)
+    cost = r @ r
+    mu, nu = 1e-3, 2.0
+    for _ in range(_LM_MAX_ITER):
+        slope = f * (1.0 - f)
+        jac = np.column_stack([slope, slope * (t - x[0])])  # d f / d(a, b)
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        uphill = np.array([-grad[0], grad[1]])  # signs of d cost / d(t0, b)
+        free = ~(((x <= lo) & (uphill > 0)) | ((x >= hi) & (uphill < 0)))
+        if not np.any(grad[free]):
+            break
+        scale = np.maximum(np.diag(hess), np.finfo(float).tiny)
+        step = np.zeros(2)
+        step[free] = np.linalg.solve(
+            hess[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
+        predicted = -(2.0 * grad @ step + step @ hess @ step)
+        b_new = min(max(x[1] + step[1], lo[1]), hi[1])
+        x_new = np.array([min(max(x[0] - step[0] / b_new, lo[0]), hi[0]), b_new])
+        if np.linalg.norm(x_new - x) <= _LM_XTOL * (np.linalg.norm(x) + _LM_XTOL):
+            break
+        f_new, r_new = residual(x_new)
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            rho = (cost - cost_new) / predicted if predicted > 0 else 0.0
+            x, f, r, cost = x_new, f_new, r_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return float(x[0]), float(1.0 / x[1])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +50,36 @@ class TestSectorWeights:
             expected = comb(n, s, exact=True) * p ** s * (1 - p) ** (n - s)
             assert channel.sector_weights(p, n)[s] == pytest.approx(
                 expected, rel=1e-12)
+
+
+def exact_sector_weights(p, n):
+    """C(n, s) p^s (1-p)^(n-s) in exact rationals, rounded once to float.
+
+    p = a/d exactly (d a power of two), so each weight is the integer
+    C(n, s) a^s (d-a)^(n-s) over d^n; int / int rounds correctly.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    a_pow, b_pow = [1], [1]
+    for _ in range(n):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * (d - a))
+    denominator = d ** n
+    return np.array([math.comb(n, s) * a_pow[s] * b_pow[n - s] / denominator
+                     for s in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [1, 24, 176, 480])
+def test_sector_weights_exact_oracle(n):
+    for p in np.linspace(0.0, 1.0, 52)[1:-1]:
+        exact = exact_sector_weights(p, n)
+        got = channel.sector_weights(p, n)
+        assert np.all(np.isfinite(got))
+        big = exact > 1e-300
+        assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-12, p
+    for p, s in ((0.0, 0), (1.0, n)):
+        expected = np.zeros(n + 1)
+        expected[s] = 1.0
+        assert np.array_equal(channel.sector_weights(p, n), expected)
 
 
 class TestCorruption:

@@ -352,14 +352,61 @@ class TestSaCompare:
         assert not (tmp_path / "o" / "deviation.csv").exists()
 
 
+def python_with_src(code: str) -> str:
+    """stdout of a fresh interpreter running code with the package on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# tiny configs of the commands a decoding run uses
+COMMAND_CONFIGS = {
+    "surface": "[graph]\nl = 1\nexclude = 3\n[grid]\nt_min = 0.5\nt_max = 2.0\n"
+               "points = 3\n[channel]\np = 0.1 0.2\n",
+    "transitions": "[graph]\nl = 1\n[grid]\nt_min = 0.2\nt_max = 3.0\npoints = 8\n"
+                   "[ensemble]\nclasses = true\n",
+    "plow-fit": "[graph]\nl = 2\nengine = bte\n[channel]\nflips = 30\n"
+                "[ensemble]\ninstances = 4\n[grid]\nt_min = 0.1\nt_max = 4.0\n"
+                "points = 12\n[plow]\nn_run = 100\nsampler_temperature = 1.5\n"
+                "[control]\nrealizations = 2\n",
+    "sa-compare": "[graph]\nl = 1\n[channel]\nflips = 4\n[sa]\nupdates = 200\n"
+                  "runs = 20\nt_start = 5.0\nt_end = 1.0\ncheckpoints = 1.0 3.0\n",
+}
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs about a second of every CLI start
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        code = "import sys, isingdec.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        # scipy.stats once cost about a second of every CLI start, and
+        # scipy.special plus scipy.optimize most of what was left
+        code = ("import json, sys, isingdec.cli\n"
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))))")
+        loaded = json.loads(python_with_src(code))
+        assert "scipy.stats" not in loaded
+        assert loaded == []
+
+    def test_commands_load_no_module_after_import(self, tmp_path):
+        # a module first imported inside cli.main is charged to the run
+        # instead of the start: numpy loads some submodules on first use
+        # (numpy.random, and numpy.ma from a bare np.unique), and argparse
+        # imports locale through gettext
+        for name, text in COMMAND_CONFIGS.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        code = f"""
+import json, sys
+import isingdec.cli as cli
+before = set(sys.modules)
+new = {{}}
+for name in {sorted(COMMAND_CONFIGS)!r}:
+    rc = cli.main([name, "--config", {str(tmp_path)!r} + f"/{{name}}.cfg",
+                   "--seed", "3", "--out", {str(tmp_path)!r} + f"/{{name}}"])
+    assert rc == 0, (name, rc)
+    new[name] = sorted(set(sys.modules) - before)
+print(json.dumps(new))
+"""
+        new = json.loads(python_with_src(code))
+        assert new == {name: [] for name in COMMAND_CONFIGS}
+        assert (tmp_path / "plow-fit" / "fit.json").is_file()

@@ -1,5 +1,6 @@
 """Static checks on the package source, standing in for a linter: every
-module-level import is used, and every name in `__all__` is defined."""
+module-level import is used, every name in `__all__` is defined, and nothing
+imports scipy."""
 
 import ast
 import pathlib
@@ -61,3 +62,20 @@ def test_all_names_are_defined(path):
     tree = parse(path)
     missing = [name for name in exported(tree) if name not in defined(tree)]
     assert not missing, f"{path.name}: __all__ names not defined: {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # scipy is a test dependency only: importing it, even inside a function,
+    # puts its start-up cost on a CLI run
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules
+                  if m.split(".")[0] == "scipy"]
+    assert not found, f"{path.name} imports scipy: {', '.join(found)}"

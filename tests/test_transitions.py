@@ -1,6 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.optimize import curve_fit
+from scipy.special import erfc, ndtr
 
 from isingdec import bte, core, exact, transitions as tr
 
@@ -131,6 +136,15 @@ class TestPlowModel:
         b = ndtr((ps - 0.5) * np.sqrt(1000) / np.sqrt(ps * (1 - ps)))
         assert np.max(np.abs(a - b)) < 0.1
 
+    @pytest.mark.parametrize("n_run", [1, 7, 1000, 10**6])
+    def test_matches_scipy_erfc(self, n_run):
+        ps = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                             np.random.default_rng(5).uniform(0.0, 1.0, 500)])
+        oracle = 0.5 * erfc(2.0 * (0.5 - ps) * np.sqrt(n_run))
+        assert np.max(np.abs(tr.plow_model(ps, n_run) - oracle)) <= 1e-15
+        assert isinstance(tr.plow_model(0.3, n_run), float)
+
+
 class TestLogisticFit:
     def test_recovers_parameters(self):
         rng = np.random.default_rng(3)
@@ -149,6 +163,86 @@ class TestLogisticFit:
         f0, fw = tr.fit_logistic(t, p)
         assert f0 == pytest.approx(2.0, abs=0.1)
         assert fw == pytest.approx(0.6, abs=0.1)
+
+
+# (t_trans, p_low) scatters: "near_step" is the plow.csv of `isingdec plow-fit`
+# on the control-error-plow benchmark config at seed 916 (a fitted width of
+# 0.0068); the two criterion11_* sets are the clean and control-error scatters
+# built by tests/test_acceptance.py::test_criterion_11_control_error_broadening
+SCATTERS = {name: np.array(points) for name, points in json.loads(
+    (Path(__file__).parent / "data" / "logistic_scatters.json").read_text()).items()}
+
+
+def logistic(x, t0, w):
+    return 1.0 / (1.0 + np.exp(-(x - t0) / w))
+
+
+def scipy_fit(t, p, **tolerances):
+    """The reference: curve_fit from the same initial guess, over the same box."""
+    t0_guess = float(t[np.argmin(np.abs(p - 0.5))])
+    w_guess = max(0.25 * (t.max() - t.min()), 1e-3)
+    popt, _ = curve_fit(logistic, t, p, p0=(t0_guess, w_guess),
+                        bounds=((t.min() - 5.0, 1e-4), (t.max() + 5.0, 50.0)),
+                        maxfev=20000, **tolerances)
+    return popt
+
+
+def sum_of_squares(t, p, t0, w):
+    with np.errstate(over="ignore"):
+        r = logistic(t, t0, w) - p
+    return float(r @ r)
+
+
+def battery():
+    """(name, t, p, well_conditioned) for the fit comparison."""
+    rng = np.random.default_rng(3)
+    t = np.sort(rng.uniform(0.0, 6.0, 200))
+    yield "clean", t, logistic(t, 2.5, 0.4), True
+    rng = np.random.default_rng(4)
+    t = np.sort(rng.uniform(0.0, 6.0, 400))
+    yield "noisy", t, np.clip(logistic(t, 2.0, 0.6) + rng.normal(0, 0.03, t.size), 0, 1), True
+    yield "near-step", *SCATTERS["near_step"].T, False
+    clean, err = SCATTERS["criterion11_clean"], SCATTERS["criterion11_control_error"]
+    yield "criterion11-clean", *clean.T, True
+    yield "criterion11-control-error", *err.T, True
+    rng = np.random.default_rng(0)  # criterion 11's paired bootstrap, first 50
+    for b in range(50):
+        idx = rng.integers(0, len(clean), len(clean))
+        yield f"bootstrap{b}-clean", *clean[idx].T, True
+        yield f"bootstrap{b}-control-error", *err[idx].T, True
+
+
+class TestLogisticFitAgainstCurveFit:
+    @pytest.mark.parametrize("case", list(battery()), ids=lambda c: c[0])
+    def test_no_worse_than_curve_fit(self, case):
+        _, t, p, well_conditioned = case
+        t0, w = tr.fit_logistic(t, p)
+        ref = scipy_fit(t, p)
+        assert sum_of_squares(t, p, t0, w) <= \
+            sum_of_squares(t, p, *ref) * (1 + 1e-9) + 1e-15
+        if well_conditioned:
+            # default curve_fit stops at ftol = 1e-8, up to 3e-6 short of the
+            # optimum on these scatters; run to its floor, it is the oracle
+            tight = scipy_fit(t, p, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            assert t0 == pytest.approx(tight[0], abs=1e-6)
+            assert w == pytest.approx(tight[1], abs=1e-6)
+
+    @pytest.mark.parametrize("p, edge", [
+        (0.5 + 0.001 * (np.linspace(0.0, 1.0, 11) - 0.3), (None, 50.0)),  # w = 250
+        (0.9 + 0.001 * (np.linspace(0.0, 1.0, 11) - 0.5), (-5.0, None)),  # t0 below
+    ], ids=["widest", "t0-below-data"])
+    def test_optimum_on_the_box_edge(self, p, edge):
+        t = np.linspace(0.0, 1.0, 11)
+        fit = tr.fit_logistic(t, p)
+        for value, bound in zip(fit, edge):
+            if bound is not None:
+                assert value == pytest.approx(bound, abs=1e-12)
+        assert sum_of_squares(t, p, *fit) <= \
+            sum_of_squares(t, p, *scipy_fit(t, p)) * (1 + 1e-9) + 1e-15
+
+    def test_rejects_non_finite_data(self):
+        with pytest.raises(ValueError):
+            tr.fit_logistic(np.array([0.0, 1.0, np.nan]), np.array([0.0, 0.5, 1.0]))
 
 
 class TestGrid:
