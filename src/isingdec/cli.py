@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bte, channel, exact, experiments, sa, transitions
+from . import bte, channel, exact, experiments, sa, transitions, workers
 from .core import (
     CapacityError,
     FormatError,
@@ -145,7 +145,11 @@ def _temperature_grid(config: dict) -> np.ndarray:
     t_min = config.get("grid.t_min", t_max / points)
     if t_min <= 0 or t_max < t_min:
         raise ConfigError("invalid temperature grid")
-    return np.linspace(t_min, t_max, points)
+    grid = np.linspace(t_min, t_max, points)
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ConfigError("grid.t_min and grid.t_max leave no room for "
+                          "grid.points distinct temperatures")
+    return grid
 
 
 def _channel_p(config: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +336,10 @@ def _transition_instances(config, seed):
         for word in np.unique(canonical, return_counts=True)[0]:  # as above
             yield f"class-{int(word)}", cell_from_word(int(word))
         return
-    H_clean = _clean_hamiltonian(config)
     n_inst = config.get("ensemble.instances", 1)
+    if n_inst < 1:
+        raise ConfigError("ensemble.instances must be >= 1")
+    H_clean = _clean_hamiltonian(config)
     flips = config.get("channel.flips")
     for k in range(n_inst):
         rng = channel.stream(seed, 10, k)
@@ -352,13 +358,14 @@ def cmd_transitions(config, seed, out_dir):
         raise ConfigError("transition grid needs at least 5 points")
     engine = _engine(config)
     correlation = config.get("ensemble.correlation", False)
+    labels, Hs = zip(*_transition_instances(config, seed))
+    if correlation:
+        curves = transitions.correlation_curves(
+            Hs, grid, engine, pairs=list(Hs[0].graph.edges))
+    else:
+        curves = transitions.orientation_curves(Hs, grid, engine)
     rows = []
-    for label, H in _transition_instances(config, seed):
-        if correlation:
-            curve = transitions.correlation_curve(
-                H, grid, engine, pairs=list(H.graph.edges))
-        else:
-            curve = transitions.orientation_curve(H, grid, engine)
+    for label, curve in zip(labels, curves):
         for rec in transitions.find_transitions(curve):
             rows.append([
                 label, str(rec.spin), rec.sigma_low,
@@ -379,20 +386,21 @@ def _plow_scatter(config, seed):
     n_run = config.get("plow.n_run", 1000)
     t_samp = _require(config, "plow.sampler_temperature")
     spec = _control_spec(config)
-    points = []
-    for k, (label, H) in enumerate(_transition_instances(config, seed)):
-        curve = transitions.orientation_curve(H, grid, engine)
-        recs = transitions.find_transitions(curve)
-        if spec is not None:
+    Hs = [H for _, H in _transition_instances(config, seed)]
+    curves = transitions.orientation_curves(Hs, grid, engine)
+    # the Hamiltonians sampled at t_samp: each instance, or its control-error
+    # realizations drawn from its own stream
+    sampled = Hs
+    if spec is not None:
+        sampled = []
+        for k, H in enumerate(Hs):
             rng = channel.stream(seed, 20, k)
-            mags = np.array([
-                engine.magnetization_curve(
-                    sa.inject_control_error(H, spec, rng),
-                    np.array([t_samp]))[0]
-                for _ in range(config["control.realizations"])
-            ])
-        else:
-            mags = engine.magnetization_curve(H, np.array([t_samp]))
+            sampled += [sa.inject_control_error(H, spec, rng)
+                        for _ in range(config["control.realizations"])]
+    at_samp = engine.magnetization_curves(sampled, np.array([t_samp]))[:, 0]
+    points = []
+    for curve, mags in zip(curves, np.split(at_samp, len(Hs))):
+        recs = transitions.find_transitions(curve)
         for i, rec in enumerate(recs):
             if rec.excluded or len(rec.transition_temps) != 1:
                 continue
@@ -437,13 +445,20 @@ def cmd_sa_compare(config, seed, out_dir):
         raise ConfigError("sa.checkpoints must list at least one temperature")
     if not np.all((checkpoints >= schedule.t_end) & (checkpoints <= schedule.t_start)):
         raise ConfigError("sa.checkpoints must lie within [sa.t_end, sa.t_start]")
+    if np.any(np.diff(np.sort(checkpoints)) == 0):
+        raise ConfigError("sa.checkpoints must not repeat a temperature")
     spec = _control_spec(config)
     if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))
-    sweep = sa.sa_orientation_sweep(H, schedule, checkpoints, n_runs,
-                                    channel.stream(seed, 30))
     engine = _engine(config)
-    ref = engine.magnetization_curve(H, sweep.temperatures)
+    # the reference depends only on H and the checkpoints, so it runs beside
+    # the anneal; the anneal itself stays whole, one generator feeds it
+    temps = sa.checkpoint_temperatures(H, schedule, checkpoints)
+    ref, sweep = workers.run_calls([
+        lambda: engine.magnetization_curve(H, temps),
+        lambda: sa.sa_orientation_sweep(H, schedule, checkpoints, n_runs,
+                                        channel.stream(seed, 30)),
+    ], workers.usable_cpus())
     band = 4.0 * np.sqrt(np.maximum(1.0 - ref ** 2, 0.0) / n_runs)
     rows = []
     onset = None

@@ -23,6 +23,7 @@ __all__ = [
     "FormatError",
     "ChimeraGraph",
     "Hamiltonian",
+    "common_graph",
     "build_chimera",
     "truncated_cell",
     "energy",
@@ -140,6 +141,17 @@ class Hamiltonian:
                 alpha: float = 1.0) -> "Hamiltonian":
         return Hamiltonian(graph, np.full(graph.n_spins, float(h)),
                            np.full(graph.n_edges, float(j)), alpha)
+
+
+def common_graph(Hs: list[Hamiltonian]) -> ChimeraGraph:
+    """The one graph of a non-empty batch of Hamiltonians; ValueError if the
+    batch is empty or spans several graphs."""
+    if not Hs:
+        raise ValueError("a batch needs at least one Hamiltonian")
+    graph = Hs[0].graph
+    if any(H.graph != graph for H in Hs):
+        raise ValueError("a batch's Hamiltonians must share one graph")
+    return graph
 
 
 def build_chimera(L: int, excluded: set[int] | frozenset[int] = frozenset(),

@@ -4,6 +4,11 @@ Configurations are encoded as n-bit integers with bit t = (s_t + 1)/2, where
 t indexes the active spins of the graph in ascending order. Every thermal
 average goes through `thermal_average`, which subtracts the ground energy
 first, so no temperature in [1e-3, 1e7] overflows or underflows.
+
+Curves over many Hamiltonians of one graph are one stacked computation.
+Every product in it is a stacked vector-matrix product, one per instance,
+which BLAS sums in the same order as the instance's product alone: a
+Hamiltonian's curve does not depend on the rest of its batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,14 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CapacityError, ChimeraGraph, Hamiltonian
+from .core import CapacityError, ChimeraGraph, Hamiltonian, common_graph
 
 __all__ = [
     "Spectrum",
     "enumerate_spectrum",
     "magnetization",
     "magnetization_curve",
+    "magnetization_curves",
     "pair_correlation_curve",
+    "pair_correlation_curves",
     "thermal_average",
     "mpm_decode",
     "map_decode",
@@ -32,6 +39,7 @@ __all__ = [
 ]
 
 MAX_SPINS = 25
+_BLOCK_ENTRIES = 1 << 22  # energies a stacked average holds at once (32 MiB)
 GROUND_TIE_RTOL = 1e-9
 _ZERO_TOL = 1e-12  # |<sigma>| below this decodes to 0 (exact symmetry + float noise)
 
@@ -70,12 +78,19 @@ def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
                    alpha: float = 1.0) -> np.ndarray:
     """Energies of every configuration for a batch of instances on one graph.
 
-    h_mat: (B, n) fields, j_mat: (B, m) couplers in canonical edge order.
-    Returns (B, 2^n).
+    h_mat: (B, n) fields, j_mat: (B, m) couplers in canonical edge order,
+    alpha a scale or a (B, 1) column of them. Returns (B, 2^n); each row is
+    the same floats as its instance's energies computed alone.
     """
     S = config_matrix(graph.n_spins)
     P = _pair_products(graph, graph.edge_positions)
-    return alpha * (-(h_mat @ S.T) - (j_mat @ P.T))
+    return alpha * (-_rowwise(h_mat, S.T) - _rowwise(j_mat, P.T))
+
+
+def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix as one vector-matrix product per row: a matrix-matrix
+    product would sum in another order, off by up to 7.7e-15."""
+    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
 
 
 def enumerate_spectrum(H: Hamiltonian) -> Spectrum:
@@ -88,21 +103,42 @@ def enumerate_spectrum(H: Hamiltonian) -> Spectrum:
 
 
 def thermal_average(energies: np.ndarray, temps: np.ndarray,
-                    observable: np.ndarray) -> np.ndarray:
+                    observable: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Boltzmann averages of observable columns over a temperature grid.
 
     energies: (..., 2^n) configuration energies; observable: (2^n, k) values
-    per configuration. Returns (..., n_temps, k). The ground energy is
-    subtracted first and the weights are built one temperature at a time.
+    per configuration. Returns (..., n_temps, k), written into `out` if
+    given. The ground energy is subtracted first and the weights are built
+    one temperature at a time.
     """
     temps = np.asarray(temps, dtype=float)
     if np.any(temps <= 0):
         raise ValueError("all temperatures must be positive")
     neg_shifted = energies.min(axis=-1, keepdims=True) - energies
-    out = np.empty(energies.shape[:-1] + (len(temps), observable.shape[1]))
+    if out is None:
+        out = np.empty(energies.shape[:-1] + (len(temps), observable.shape[1]))
+    w = np.empty_like(neg_shifted)
     for t, T in enumerate(temps):
-        w = np.exp(neg_shifted / T)
-        out[..., t, :] = (w @ observable) / w.sum(axis=-1, keepdims=True)
+        np.exp(np.divide(neg_shifted, T, out=w), out=w)
+        out[..., t, :] = _rowwise(w, observable) / w.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _stacked_average(graph: ChimeraGraph, Hs: list[Hamiltonian],
+                     temps: np.ndarray, observable: np.ndarray) -> np.ndarray:
+    """thermal_average of observable (2^n, k) for every H on graph:
+    (B, n_temps, k), in blocks of at most _BLOCK_ENTRIES energies, so a
+    25-spin graph takes one Hamiltonian at a time."""
+    h = np.array([H.h for H in Hs])
+    j = np.array([H.J for H in Hs])
+    alpha = np.array([[H.alpha] for H in Hs])
+    block = max(1, _BLOCK_ENTRIES >> graph.n_spins)
+    out = np.empty((len(Hs), len(temps), observable.shape[1]))
+    for b in range(0, len(Hs), block):
+        rows = slice(b, b + block)
+        energies = batch_energies(graph, h[rows], j[rows], alpha[rows])
+        thermal_average(energies, temps, observable, out=out[rows])
     return out
 
 
@@ -111,18 +147,31 @@ def magnetization(H: Hamiltonian, T: float) -> np.ndarray:
     return magnetization_curve(H, np.array([T], dtype=float))[0]
 
 
+def magnetization_curves(Hs: list[Hamiltonian], temps: np.ndarray) -> np.ndarray:
+    """(B, n_temps, n_spins) array of <sigma_i>(T) for Hamiltonians of one
+    graph, in input order."""
+    graph = common_graph(Hs)
+    return _stacked_average(graph, Hs, temps, config_matrix(graph.n_spins))
+
+
 def magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
     """(n_temps, n_spins) array of <sigma_i>(T) over a temperature grid."""
-    return thermal_average(enumerate_spectrum(H).energies, temps,
-                           config_matrix(H.graph.n_spins))
+    return magnetization_curves([H], temps)[0]
+
+
+def pair_correlation_curves(Hs: list[Hamiltonian], temps: np.ndarray,
+                            pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(B, n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary
+    pairs, for Hamiltonians of one graph, in input order."""
+    graph = common_graph(Hs)
+    idx = graph.positions(pairs).reshape(-1, 2)
+    return _stacked_average(graph, Hs, temps, _pair_products(graph, idx))
 
 
 def pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
                            pairs: list[tuple[int, int]]) -> np.ndarray:
     """(n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary pairs."""
-    idx = H.graph.positions(pairs).reshape(-1, 2)
-    return thermal_average(enumerate_spectrum(H).energies, temps,
-                           _pair_products(H.graph, idx))
+    return pair_correlation_curves([H], temps, pairs)[0]
 
 
 def _sign_with_zero(m: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:
@@ -167,13 +216,21 @@ def batch_mpm_decode_curve(energies: np.ndarray, n_spins: int,
 
 
 class ExactEngine:
-    """Orientation-curve engine backed by exhaustive enumeration."""
+    """Orientation-curve engine backed by exhaustive enumeration.
+
+    The batch methods take Hamiltonians of one graph and return one curve
+    per Hamiltonian, stacked in input order; magnetization_curve is their
+    one-element case."""
 
     name = "exact"
 
-    def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-        return magnetization_curve(H, temps)
+    def magnetization_curves(self, Hs: list[Hamiltonian],
+                             temps: np.ndarray) -> np.ndarray:
+        return magnetization_curves(Hs, temps)
 
-    def pair_correlation_curve(self, H: Hamiltonian, temps: np.ndarray,
-                               pairs: list[tuple[int, int]]) -> np.ndarray:
-        return pair_correlation_curve(H, temps, pairs)
+    def pair_correlation_curves(self, Hs: list[Hamiltonian], temps: np.ndarray,
+                                pairs: list[tuple[int, int]]) -> np.ndarray:
+        return pair_correlation_curves(Hs, temps, pairs)
+
+    def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
+        return self.magnetization_curves([H], temps)[0]

@@ -28,6 +28,7 @@ __all__ = [
     "ControlErrorSpec",
     "inject_control_error",
     "anneal",
+    "checkpoint_temperatures",
     "sa_orientation_sweep",
 ]
 
@@ -193,25 +194,40 @@ def anneal(H: Hamiltonian, schedule: AnnealSchedule,
     return state[0]
 
 
+def checkpoint_temperatures(H: Hamiltonian, schedule: AnnealSchedule,
+                            checkpoints: np.ndarray) -> np.ndarray:
+    """The ascending grid of physical temperatures alpha * checkpoint on
+    which sa_orientation_sweep reports, known before the anneal runs.
+
+    Raises ValueError for a checkpoint outside the schedule range or one
+    listed twice.
+    """
+    cps = np.sort(np.asarray(checkpoints, dtype=float))
+    if not np.all((cps >= schedule.t_end) & (cps <= schedule.t_start)):
+        raise ValueError("checkpoints must lie within the schedule range")
+    if np.any(cps[1:] == cps[:-1]):
+        raise ValueError("checkpoints must not repeat a temperature")
+    return H.alpha * cps
+
+
 def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
                          checkpoints: np.ndarray, n_runs: int,
                          rng: np.random.Generator) -> OrientationCurve:
     """Per-spin orientations across n_runs anneals at checkpoint temperatures.
 
     Checkpoints (in units of alpha, like the schedule) are visited as the
-    ramp cools through them; the returned curve is on the ascending grid of
-    physical temperatures alpha * checkpoint.
+    ramp cools through them; the returned curve is on the grid of
+    checkpoint_temperatures.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    cps = np.asarray(checkpoints, dtype=float)
-    if not np.all((cps >= schedule.t_end) & (cps <= schedule.t_start)):
-        raise ValueError("checkpoints must lie within the schedule range")
-    order = np.argsort(-cps)  # descending: the order the ramp reaches them
-    _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=cps[order])
+    temperatures = checkpoint_temperatures(H, schedule, checkpoints)
+    # descending: the order the ramp reaches them
+    descending = np.sort(np.asarray(checkpoints, dtype=float))[::-1]
+    _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=descending)
     means = snaps.mean(axis=1)  # (n_cp, n_spins), sweep order
     return OrientationCurve(
-        temperatures=H.alpha * cps[order][::-1],
+        temperatures=temperatures,
         values=means[::-1],
         items=tuple(H.graph.spins),
         engine="sa",

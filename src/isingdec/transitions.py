@@ -24,7 +24,8 @@ __all__ = [
     "OrientationCurve",
     "TransitionRecord",
     "orientation_curve",
-    "correlation_curve",
+    "orientation_curves",
+    "correlation_curves",
     "smooth_curve",
     "find_transitions",
     "plow_model",
@@ -78,24 +79,29 @@ class TransitionRecord:
     excluded: bool = False
 
 
+def orientation_curves(Hs: list[Hamiltonian], grid: np.ndarray,
+                       engine) -> list[OrientationCurve]:
+    """Per-spin <sigma_i>(T) over the grid for Hamiltonians of one graph,
+    from one batch call of the given engine, in input order."""
+    grid = np.asarray(grid, dtype=float)
+    values = engine.magnetization_curves(Hs, grid)
+    return [OrientationCurve(temperatures=grid, values=v, items=tuple(H.graph.spins),
+                             engine=engine.name) for H, v in zip(Hs, values)]
+
+
 def orientation_curve(H: Hamiltonian, grid: np.ndarray, engine) -> OrientationCurve:
     """Per-spin <sigma_i>(T) over the grid, computed by the given engine."""
-    grid = np.asarray(grid, dtype=float)
-    values = engine.magnetization_curve(H, grid)
-    return OrientationCurve(
-        temperatures=grid, values=values, items=tuple(H.graph.spins),
-        engine=engine.name,
-    )
+    return orientation_curves([H], grid, engine)[0]
 
 
-def correlation_curve(H: Hamiltonian, grid: np.ndarray, engine,
-                      pairs: list[tuple[int, int]]) -> OrientationCurve:
-    """<sigma_i sigma_j>(T) for the given pairs; records reuse find_transitions."""
+def correlation_curves(Hs: list[Hamiltonian], grid: np.ndarray, engine,
+                       pairs: list[tuple[int, int]]) -> list[OrientationCurve]:
+    """<sigma_i sigma_j>(T) for the given pairs, for Hamiltonians of one
+    graph, from one batch call; records reuse find_transitions."""
     grid = np.asarray(grid, dtype=float)
-    values = engine.pair_correlation_curve(H, grid, pairs)
-    return OrientationCurve(
-        temperatures=grid, values=values, items=tuple(pairs), engine=engine.name,
-    )
+    values = engine.pair_correlation_curves(Hs, grid, pairs)
+    return [OrientationCurve(temperatures=grid, values=v, items=tuple(pairs),
+                             engine=engine.name) for v in values]
 
 
 def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:

@@ -39,13 +39,11 @@ def class_transition_records():
     on the exact engine with no smoothing (window = 1)."""
     _, _, canonical = core.enumerate_cell_classes()
     grid = tr.default_temperature_grid(200, 7.0)
-    eng = exact.ExactEngine()
-    out = []
-    for word in np.unique(canonical):
-        H = core.cell_from_word(int(word))
-        curve = tr.orientation_curve(H, grid, eng)
-        out.append((int(word), tr.find_transitions(curve, smoothing_window=1)))
-    return out
+    words = [int(word) for word in np.unique(canonical)]
+    curves = tr.orientation_curves([core.cell_from_word(w) for w in words],
+                                   grid, exact.ExactEngine())
+    return [(w, tr.find_transitions(curve, smoothing_window=1))
+            for w, curve in zip(words, curves)]
 
 
 @pytest.fixture(scope="session")
@@ -253,14 +251,11 @@ def test_criterion_11_control_error_broadening(capfd):
     for k in range(20):
         H, _ = channel.sample_sector(H_clean, 200, channel.stream(77, 0, k))
         recs = tr.find_transitions(tr.orientation_curve(H, grid, eng))
-        m_clean = eng.magnetization_curve(H, np.array([t_sampler]))[0]
         err_rng = channel.stream(77, 1, k)
-        m_err = np.array([
-            eng.magnetization_curve(
-                sa.inject_control_error(H, spec, err_rng),
-                np.array([t_sampler]))[0]
-            for _ in range(n_real)
-        ])
+        sampled = [H] + [sa.inject_control_error(H, spec, err_rng)
+                         for _ in range(n_real)]
+        m = eng.magnetization_curves(sampled, np.array([t_sampler]))[:, 0]
+        m_clean, m_err = m[0], m[1:]
         for i, rec in enumerate(recs):
             if rec.excluded or len(rec.transition_temps) != 1:
                 continue

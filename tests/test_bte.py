@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import types
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from isingdec import bte, channel, core, exact
+from isingdec import bte, channel, core, exact, sa
 
 
 def random_instance(L, seed):
@@ -303,3 +304,104 @@ class TestEngine:
         temps = np.linspace(0.2, 4.0, 7)
         m = eng.magnetization_curve(H, temps)
         assert m.shape == (7, H.graph.n_spins)
+
+
+class TestBatch:
+    """Engine calls over many Hamiltonians of one graph: whole calls side by
+    side on threads, each curve bit for bit the one its call gives alone."""
+
+    @pytest.fixture
+    def hamiltonians(self):
+        H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
+                                     110, channel.stream(14, 0))
+        rng = channel.stream(14, 1)
+        return [sa.inject_control_error(H, sa.ControlErrorSpec(), rng)
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("temps", [[1.5], [0.06, 0.4, 1.5, 4.0]],
+                             ids=["one-T", "with-log-fallback"])
+    def test_batch_equals_serial_calls(self, hamiltonians, temps, arithmetics,
+                                       monkeypatch):
+        temps = np.array(temps)
+        serial = [bte.bte_magnetization_curve(H, temps) for H in hamiltonians]
+        assert (bte._LOG in arithmetics.ran) == (temps.min() < 0.1)
+        monkeypatch.setattr(bte, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)  # threads even for L=3
+        threads = []
+        curve = bte.bte_magnetization_curve
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(bte, "bte_magnetization_curve", spy)
+        eng = bte.BteEngine()
+        batch = eng.magnetization_curves(hamiltonians, temps)
+        assert len(set(threads)) > 1
+        assert np.array_equal(batch, serial)
+        assert np.array_equal(eng.magnetization_curves(hamiltonians[::-1], temps),
+                              serial[::-1])
+        assert np.array_equal(eng.magnetization_curve(hamiltonians[1], temps),
+                              serial[1])
+
+    def test_pair_correlation_batch_equals_serial_calls(self, hamiltonians,
+                                                        monkeypatch):
+        temps = np.array([0.7, 2.0])
+        pairs = list(hamiltonians[0].graph.edges)[::7]
+        serial = [bte.bte_pair_correlation_curve(H, temps, pairs)
+                  for H in hamiltonians]
+        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)
+        assert np.array_equal(
+            bte.BteEngine().pair_correlation_curves(hamiltonians, temps, pairs),
+            serial)
+
+    def test_worker_exception_reaches_the_caller(self, hamiltonians, monkeypatch):
+        err = core.CapacityError("from a worker")
+        curve = bte.bte_magnetization_curve
+
+        def failing(H, temps, order=None):
+            if H is hamiltonians[1]:
+                raise err
+            return curve(H, temps, order)
+
+        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)
+        monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
+        with pytest.raises(core.CapacityError) as info:
+            bte.bte_magnetization_curves(hamiltonians, np.array([1.5]))
+        assert info.value is err
+
+    def test_worker_count(self, monkeypatch):
+        order = bte.elimination_order(core.build_chimera(4))
+        peak = 1.25 * 8 * order.table_entries  # one temperature's tables, at peak
+        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+        assert bte._workers(order, 1, 21) == 2
+        assert bte._workers(order, 1, 1) == 1
+        assert bte._workers(order, 32, 21) == 1
+        monkeypatch.setattr(bte, "usable_cpus", lambda: 64)
+        # one-temperature calls: as many as BUDGET holds at their peak
+        n = bte._workers(order, 1, 100)
+        assert n * peak <= bte.BUDGET < (n + 1) * peak
+        # a 32-temperature chunk alone takes most of BUDGET: never two at once
+        assert bte._workers(order, 32, 100) == 1
+        assert bte._workers(order, 50, 100) == 1
+        assert bte._workers(bte.elimination_order(core.build_chimera(5)), 1, 100) == 1
+        # passes too small to gain from a second thread run one after another
+        order3 = bte.elimination_order(core.build_chimera(3))
+        assert bte._workers(order3, 1, 100) == 1
+        assert bte._workers(order3, 16, 100) > 1
+
+    def test_capacity_error_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("tables built past the budget")
+
+        monkeypatch.setattr(bte, "_forward", no_tables)
+        H = core.Hamiltonian.uniform(core.build_chimera(8))
+        with pytest.raises(core.CapacityError):
+            bte.BteEngine().magnetization_curves([H, H], np.array([1.0]))
+
+    def test_one_graph_per_batch(self):
+        with pytest.raises(ValueError, match="one graph"):
+            bte.bte_magnetization_curves(
+                [random_instance(1, 0), random_instance(2, 0)], np.array([1.0]))

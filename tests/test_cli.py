@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from isingdec import cli
+from isingdec import bte, cli, core, sa
 
 
 def run(argv):
@@ -177,6 +178,26 @@ flips = 20
                     str(tmp_path / "o")]) == 2
         assert "grid.points must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["transitions", "plow-fit"])
+    def test_repeated_grid_temperature_is_config_error(self, tmp_path, capsys,
+                                                       command):
+        cfg = write(tmp_path, "g.cfg",
+                    "[run]\nseed = 1\n[grid]\nt_min = 2.0\nt_max = 2.0\n"
+                    "points = 10\n[plow]\nsampler_temperature = 1.5\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert "no room for grid.points distinct temperatures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transitions", "plow-fit", "sa-compare"])
+    def test_no_instances_is_config_error(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "i.cfg",
+                    "[run]\nseed = 1\n[grid]\npoints = 10\n[channel]\nflips = 4\n"
+                    "[ensemble]\ninstances = 0\n[plow]\nsampler_temperature = 1.5\n"
+                    "[sa]\nupdates = 200\nruns = 5\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert "ensemble.instances must be >= 1" in capsys.readouterr().err
+
     def test_missing_hamiltonian_file_is_config_error(self, tmp_path, capsys):
         ham = tmp_path / "missing.txt"
         cfg = write(tmp_path, "m.cfg",
@@ -322,6 +343,25 @@ class TestControl:
         assert message in capsys.readouterr().err
 
 
+def test_capacity_error_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
+    # plow-fit's batches run their BTE calls on two threads; the calls on
+    # the helper thread fail
+    curve = bte.bte_magnetization_curve
+
+    def failing(H, temps, order=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise core.CapacityError("tables of a worker's call")
+        return curve(H, temps, order)
+
+    monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)  # threads even for L=2
+    monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
+    cfg = write(tmp_path, "p.cfg", COMMAND_CONFIGS["plow-fit"])
+    assert run(["plow-fit", "--config", str(cfg), "--seed", "3", "--out",
+                str(tmp_path / "o")]) == 3
+    assert "capacity error: tables of a worker's call" in capsys.readouterr().err
+
+
 class TestSaCompare:
     sa_keys = {"t_start": "6.0", "t_end": "0.5", "updates": "200", "runs": "5",
                "checkpoints": "1.5 4.0"}
@@ -336,11 +376,16 @@ class TestSaCompare:
         ("checkpoints", "0.4", "sa.checkpoints must lie within"),
         ("checkpoints", "nan", "sa.checkpoints must lie within"),
         ("checkpoints", "", "at least one temperature"),
+        ("checkpoints", "2.0 2.0 5.0", "sa.checkpoints must not repeat"),
     ], ids=["zero-runs", "negative-runs", "zero-updates", "zero-t-end",
             "nan-t-start", "checkpoint-above-t-start", "checkpoint-below-t-end",
-            "nan-checkpoint", "no-checkpoints"])
-    def test_bad_sa_value_is_config_error(self, tmp_path, capsys, key, value,
-                                          message):
+            "nan-checkpoint", "no-checkpoints", "repeated-checkpoint"])
+    def test_bad_sa_value_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                          key, value, message):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before the config was checked")
+
+        monkeypatch.setattr(sa, "_run_batch", no_anneal)
         keys = {**self.sa_keys, key: value}
         cfg = write(tmp_path, "s.cfg",
                     "[graph]\nl = 1\nengine = exact\n[channel]\nflips = 6\n[sa]\n"

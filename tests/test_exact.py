@@ -166,3 +166,83 @@ class TestBatch:
             assert np.all(exact.mpm_decode(zero_field, T) == 0)
         assert np.all(mpm_b[-1] == 0)
         assert np.all(mpm_d[-1] == 0)
+
+
+def loop_curve(H, temps, observable):
+    """One Hamiltonian's Boltzmann averages as a plain loop over temperatures,
+    with one-dimensional products: the reference the stacked curves must
+    reproduce bit for bit."""
+    S = exact.config_matrix(H.graph.n_spins)
+    P = exact._pair_products(H.graph, H.graph.edge_positions)
+    energies = H.alpha * (-(H.h @ S.T) - (H.J @ P.T))
+    neg_shifted = energies.min() - energies
+    out = np.empty((len(temps), observable.shape[1]))
+    for t, T in enumerate(temps):
+        w = np.exp(neg_shifted / T)
+        out[t] = (w @ observable) / w.sum()
+    return out
+
+
+def control_error_cells(n, seed):
+    rng = np.random.default_rng(seed)
+    g = core.build_chimera(1)
+    return [core.Hamiltonian.from_vectors(
+        g, rng.choice([-1.0, 1.0], 8) + 0.05 * rng.standard_normal(8),
+        rng.choice([-1.0, 1.0], 16) + 0.03 * rng.standard_normal(16),
+        alpha=float(rng.uniform(0.5, 2.0))) for _ in range(n)]
+
+
+class TestBatchCurves:
+    grid = np.linspace(7.0 / 200, 7.0, 200)
+
+    def test_all_classes_equal_the_loop(self):
+        _, _, canonical = core.enumerate_cell_classes()
+        Hs = [core.cell_from_word(int(w)) for w in np.unique(canonical)]
+        S = exact.config_matrix(8)
+        batch = exact.ExactEngine().magnetization_curves(Hs, self.grid)
+        assert batch.shape == (192, 200, 8)
+        assert np.array_equal(batch, [loop_curve(H, self.grid, S) for H in Hs])
+
+    def test_non_integer_instances_equal_the_loop(self):
+        # control-error values make every summation order matter; the
+        # batch is given in reverse too, so each row is its own instance's
+        Hs = control_error_cells(40, 1)
+        S = exact.config_matrix(8)
+        loop = np.array([loop_curve(H, self.grid, S) for H in Hs])
+        assert np.array_equal(exact.magnetization_curves(Hs, self.grid), loop)
+        assert np.array_equal(exact.magnetization_curves(Hs[::-1], self.grid),
+                              loop[::-1])
+        for H, row in zip(Hs[:3], loop):
+            assert np.array_equal(exact.magnetization_curve(H, self.grid), row)
+
+    def test_pair_correlations_equal_the_loop(self):
+        Hs = control_error_cells(5, 2) + [random_nominal(s) for s in range(3)]
+        pairs = [(0, 4), (7, 1), (2, 3), (5, 6)]
+        g = Hs[0].graph
+        idx = g.positions(pairs).reshape(-1, 2)
+        SS = exact._pair_products(g, idx)
+        batch = exact.ExactEngine().pair_correlation_curves(Hs, self.grid, pairs)
+        assert np.array_equal(batch, [loop_curve(H, self.grid, SS) for H in Hs])
+        assert np.array_equal(exact.pair_correlation_curve(Hs[6], self.grid, pairs),
+                              batch[6])
+
+    def test_blocks_hold_at_most_the_block_size(self, monkeypatch):
+        # with the block lowered to 2^10 energies, cells (2^8 each) go four
+        # at a time, and the rows do not depend on the blocking
+        monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 1 << 10)
+        sizes = []
+        energies = exact.batch_energies
+        monkeypatch.setattr(exact, "batch_energies", lambda g, h, j, a: (
+            sizes.append(len(h)) or energies(g, h, j, a)))
+        Hs = control_error_cells(10, 3)
+        batch = exact.magnetization_curves(Hs, self.grid[:5])
+        assert sizes == [4, 4, 2]
+        assert np.array_equal(batch, [loop_curve(H, self.grid[:5],
+                                                 exact.config_matrix(8)) for H in Hs])
+
+    def test_one_graph_per_batch(self):
+        cell, other = random_nominal(0), one_spin_hamiltonian()
+        with pytest.raises(ValueError, match="one graph"):
+            exact.magnetization_curves([cell, other], self.grid)
+        with pytest.raises(ValueError, match="at least one"):
+            exact.magnetization_curves([], self.grid)

@@ -242,6 +242,32 @@ class TestSweep:
                 sa.sa_orientation_sweep(H, sch, np.array(cps), 5,
                                         np.random.default_rng(0))
 
+    def test_checkpoint_temperatures_are_the_curve_grid(self):
+        g = core.build_chimera(1)
+        H = core.Hamiltonian.from_vectors(g, random_cell(6).h, random_cell(6).J,
+                                          alpha=0.37)
+        sch = sa.AnnealSchedule(t_start=6.0, t_end=0.2, total_updates=2000)
+        cps = np.array([0.5, 3.0, 1.5, 0.2])
+        temps = sa.checkpoint_temperatures(H, sch, cps)
+        curve = sa.sa_orientation_sweep(H, sch, cps, 5, np.random.default_rng(17))
+        assert np.array_equal(temps, curve.temperatures)
+        assert np.array_equal(temps, 0.37 * np.array([0.2, 0.5, 1.5, 3.0]))
+
+    def test_repeated_checkpoint_rejected_before_the_anneal(self, monkeypatch):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before the checkpoints were checked")
+
+        monkeypatch.setattr(sa, "_run_batch", no_anneal)
+        H = random_cell(6)
+        sch = sa.AnnealSchedule(t_start=6.0, t_end=0.2, total_updates=100)
+        for call in (sa.checkpoint_temperatures,
+                     lambda H, sch, cps: sa.sa_orientation_sweep(
+                         H, sch, cps, 5, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="repeat"):
+                call(H, sch, np.array([2.0, 5.0, 2.0]))
+            with pytest.raises(ValueError, match="schedule range"):
+                call(H, sch, np.array([7.0]))
+
     def test_runs_must_be_positive(self):
         H = random_cell(6)
         sch = sa.AnnealSchedule(t_start=6.0, t_end=0.2, total_updates=100)
