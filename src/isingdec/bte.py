@@ -40,9 +40,8 @@ loop runs over the long run outside it; a marginal sums one run at a time
 as a product with a vector of ones.
 
 A batch of Hamiltonians runs whole calls side by side on threads, as many as
-there are usable CPUs and as BUDGET holds the calls' tables at once, if each
-call is large enough to gain from it. A chunk is never split across threads,
-so each curve is the one its call gives alone.
+there are usable CPUs and as BUDGET holds the calls' tables at once. A chunk
+is never split across threads, so each curve is the one its call gives alone.
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ __all__ = [
 # pass (1.66 GiB). Messages, beliefs and temporaries add at most a quarter.
 # Passes that run at once on threads share it, the quarter included.
 BUDGET = 9 << 28
-# table entries per call below which calls of a batch run one after another:
-# smaller passes are bound by the interpreter, and two side by side took
-# longer than one after the other (1-temperature calls on L=3, 0.3M entries,
-# 0.19 s -> 0.23 s for 8 calls); from 5M entries (16 temperatures on L=3, or
-# one on L=4) two threads gained
-_THREADED_ENTRIES = 1 << 22
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
 _TINY = np.finfo(float).tiny
@@ -150,12 +143,9 @@ def _temp_chunk(order: EliminationOrder) -> int:
 def _workers(order: EliminationOrder, n_temps: int, n_calls: int) -> int:
     """Threads for n_calls whole calls of n_temps temperatures: one per usable
     CPU and per call, no more than BUDGET holds at each call's peak (its
-    largest chunk's tables plus a quarter), and at least one; one alone if a
-    call's tables hold fewer than _THREADED_ENTRIES entries. Raises
+    largest chunk's tables plus a quarter), and at least one. Raises
     CapacityError, before any table exists, if one temperature does not fit."""
     entries = max(1, min(n_temps, _temp_chunk(order))) * order.table_entries
-    if entries < _THREADED_ENTRIES:
-        return 1
     return max(1, min(usable_cpus(), n_calls, int(BUDGET // (1.25 * 8 * entries))))
 
 

@@ -137,7 +137,9 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _temperature_grid(config: dict) -> np.ndarray:
+def _temperature_grid(config: dict, distinct: bool = True) -> np.ndarray:
+    """The [grid] linspace; unless distinct is False, ConfigError if it
+    repeats a temperature."""
     points = _require(config, "grid.points")
     if points < 1:
         raise ConfigError("grid.points must be >= 1")
@@ -146,7 +148,7 @@ def _temperature_grid(config: dict) -> np.ndarray:
     if t_min <= 0 or t_max < t_min:
         raise ConfigError("invalid temperature grid")
     grid = np.linspace(t_min, t_max, points)
-    if np.any(grid[1:] <= grid[:-1]):
+    if distinct and np.any(grid[1:] <= grid[:-1]):
         raise ConfigError("grid.t_min and grid.t_max leave no room for "
                           "grid.points distinct temperatures")
     return grid
@@ -308,7 +310,7 @@ def cmd_ber(config, seed, out_dir):
 
 def cmd_surface(config, seed, out_dir):
     H = _clean_hamiltonian(config)
-    grid = _temperature_grid(config)
+    grid = _temperature_grid(config, distinct=False)  # merged below
     _, t_nish = _channel_p(config)
     mode = _channel_mode(config)
     # np.unique without return_counts imports numpy.ma on its first call
@@ -443,17 +445,16 @@ def cmd_sa_compare(config, seed, out_dir):
         "sa.checkpoints", list(np.linspace(schedule.t_end, schedule.t_start, 8))))
     if checkpoints.size == 0:
         raise ConfigError("sa.checkpoints must list at least one temperature")
-    if not np.all((checkpoints >= schedule.t_end) & (checkpoints <= schedule.t_start)):
-        raise ConfigError("sa.checkpoints must lie within [sa.t_end, sa.t_start]")
-    if np.any(np.diff(np.sort(checkpoints)) == 0):
-        raise ConfigError("sa.checkpoints must not repeat a temperature")
+    try:  # control error keeps alpha, so these are the sweep's temperatures
+        temps = sa.checkpoint_temperatures(H, schedule, checkpoints)
+    except ValueError as err:
+        raise ConfigError(f"sa.{err}") from err
     spec = _control_spec(config)
     if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))
     engine = _engine(config)
     # the reference depends only on H and the checkpoints, so it runs beside
     # the anneal; the anneal itself stays whole, one generator feeds it
-    temps = sa.checkpoint_temperatures(H, schedule, checkpoints)
     ref, sweep = workers.run_calls([
         lambda: engine.magnetization_curve(H, temps),
         lambda: sa.sa_orientation_sweep(H, schedule, checkpoints, n_runs,

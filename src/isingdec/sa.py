@@ -194,6 +194,18 @@ def anneal(H: Hamiltonian, schedule: AnnealSchedule,
     return state[0]
 
 
+def _ascending_checkpoints(schedule: AnnealSchedule,
+                           checkpoints: np.ndarray) -> np.ndarray:
+    """checkpoints sorted ascending; ValueError for one outside the schedule
+    range or one listed twice."""
+    cps = np.sort(np.asarray(checkpoints, dtype=float))
+    if not np.all((cps >= schedule.t_end) & (cps <= schedule.t_start)):
+        raise ValueError("checkpoints must lie within the schedule range")
+    if np.any(cps[1:] == cps[:-1]):
+        raise ValueError("checkpoints must not repeat a temperature")
+    return cps
+
+
 def checkpoint_temperatures(H: Hamiltonian, schedule: AnnealSchedule,
                             checkpoints: np.ndarray) -> np.ndarray:
     """The ascending grid of physical temperatures alpha * checkpoint on
@@ -202,12 +214,7 @@ def checkpoint_temperatures(H: Hamiltonian, schedule: AnnealSchedule,
     Raises ValueError for a checkpoint outside the schedule range or one
     listed twice.
     """
-    cps = np.sort(np.asarray(checkpoints, dtype=float))
-    if not np.all((cps >= schedule.t_end) & (cps <= schedule.t_start)):
-        raise ValueError("checkpoints must lie within the schedule range")
-    if np.any(cps[1:] == cps[:-1]):
-        raise ValueError("checkpoints must not repeat a temperature")
-    return H.alpha * cps
+    return H.alpha * _ascending_checkpoints(schedule, checkpoints)
 
 
 def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
@@ -221,13 +228,12 @@ def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    temperatures = checkpoint_temperatures(H, schedule, checkpoints)
+    cps = _ascending_checkpoints(schedule, checkpoints)
     # descending: the order the ramp reaches them
-    descending = np.sort(np.asarray(checkpoints, dtype=float))[::-1]
-    _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=descending)
+    _, snaps = _run_batch(H, schedule, n_runs, rng, checkpoints=cps[::-1])
     means = snaps.mean(axis=1)  # (n_cp, n_spins), sweep order
     return OrientationCurve(
-        temperatures=temperatures,
+        temperatures=H.alpha * cps,
         values=means[::-1],
         items=tuple(H.graph.spins),
         engine="sa",

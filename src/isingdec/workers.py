@@ -4,6 +4,9 @@ numpy releases the interpreter lock inside its kernels, so calls that spend
 their time there (a BTE elimination pass, a stacked average) overlap on as
 many CPUs as the process may use. A call is never split: each one computes
 exactly what it computes alone, so results do not depend on the worker count.
+
+The threads are plain `threading` ones: `concurrent.futures` imports
+`logging`, which would be charged to the first batch of every CLI run.
 """
 
 from __future__ import annotations
@@ -27,39 +30,39 @@ def run_calls(calls: list[Callable[[], object]], workers: int) -> list:
     """[call() for call in calls], on up to `workers` threads, the caller's
     among them; results come back in input order.
 
-    Each thread takes the next call not yet started until none is left. If a
-    call raises, no further call starts, the running ones finish, and the
-    exception of the earliest failed call is raised here, unchanged.
+    Worker w runs calls w, w + n, w + 2n, ... of n workers; with one, the
+    caller runs them all in order. If a call raises an Exception, no further
+    call starts, the running ones finish, and the exception of the earliest
+    failed call is raised here, unchanged. An interrupt of the caller goes
+    out as soon as the running calls have finished.
     """
+    n = max(1, min(workers, len(calls)))
     results: list = [None] * len(calls)
-    errors: list[tuple[int, BaseException]] = []
-    todo = iter(range(len(calls)))
-    lock = threading.Lock()
-    stop = threading.Event()
+    errors: list[Exception | None] = [None] * len(calls)
+    failed = threading.Event()
 
-    def work() -> None:
-        while True:
-            with lock:
-                k = None if stop.is_set() else next(todo, None)
-            if k is None:
+    def work(first: int) -> None:
+        for k in range(first, len(calls), n):
+            if failed.is_set():
                 return
             try:
                 results[k] = calls[k]()
-            except BaseException as err:  # re-raised by the caller below
-                with lock:
-                    errors.append((k, err))
-                stop.set()
+            except Exception as err:  # raised by the caller below
+                errors[k] = err
+                failed.set()
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(workers, len(calls)) - 1)]
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, n)]
     for t in helpers:
         t.start()
     try:
-        work()
+        work(0)
+    except BaseException:  # an interrupt: the helpers start no further call
+        failed.set()
+        raise
     finally:
-        stop.set()  # an interrupt of the caller's own call stops the helpers too
         for t in helpers:
             t.join()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+    for err in errors:
+        if err is not None:
+            raise err
     return results

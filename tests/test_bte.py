@@ -326,7 +326,6 @@ class TestBatch:
         serial = [bte.bte_magnetization_curve(H, temps) for H in hamiltonians]
         assert (bte._LOG in arithmetics.ran) == (temps.min() < 0.1)
         monkeypatch.setattr(bte, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)  # threads even for L=3
         threads = []
         curve = bte.bte_magnetization_curve
 
@@ -351,7 +350,6 @@ class TestBatch:
         serial = [bte.bte_pair_correlation_curve(H, temps, pairs)
                   for H in hamiltonians]
         monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)
         assert np.array_equal(
             bte.BteEngine().pair_correlation_curves(hamiltonians, temps, pairs),
             serial)
@@ -366,7 +364,6 @@ class TestBatch:
             return curve(H, temps, order)
 
         monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)
         monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
         with pytest.raises(core.CapacityError) as info:
             bte.bte_magnetization_curves(hamiltonians, np.array([1.5]))
@@ -387,10 +384,10 @@ class TestBatch:
         assert bte._workers(order, 32, 100) == 1
         assert bte._workers(order, 50, 100) == 1
         assert bte._workers(bte.elimination_order(core.build_chimera(5)), 1, 100) == 1
-        # passes too small to gain from a second thread run one after another
+        # small passes: one thread per usable CPU and per call
         order3 = bte.elimination_order(core.build_chimera(3))
-        assert bte._workers(order3, 1, 100) == 1
-        assert bte._workers(order3, 16, 100) > 1
+        assert bte._workers(order3, 1, 100) == 64
+        assert bte._workers(order3, 1, 3) == 3
 
     def test_capacity_error_before_any_table(self, monkeypatch):
         def no_tables(*args):

@@ -188,6 +188,15 @@ flips = 20
                     str(tmp_path / "o")]) == 2
         assert "no room for grid.points distinct temperatures" in capsys.readouterr().err
 
+    def test_surface_merges_repeated_grid_temperatures(self, tmp_path):
+        # surface decodes on the grid and the Nishimori temperatures merged,
+        # so a grid that repeats a temperature is not an error there
+        cfg = write(tmp_path, "s.cfg",
+                    "[graph]\nl = 1\nexclude = 3\n[grid]\nt_min = 1.0\n"
+                    "t_max = 1.0\npoints = 3\n[channel]\np = 0.1 0.2\n")
+        assert run(["surface", "--config", str(cfg), "--seed", "1", "--out",
+                    str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("command", ["transitions", "plow-fit", "sa-compare"])
     def test_no_instances_is_config_error(self, tmp_path, capsys, command):
         cfg = write(tmp_path, "i.cfg",
@@ -354,7 +363,6 @@ def test_capacity_error_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
         return curve(H, temps, order)
 
     monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(bte, "_THREADED_ENTRIES", 0)  # threads even for L=2
     monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
     cfg = write(tmp_path, "p.cfg", COMMAND_CONFIGS["plow-fit"])
     assert run(["plow-fit", "--config", str(cfg), "--seed", "3", "--out",

@@ -1,101 +1,45 @@
 import os
-import sys
 import threading
 import time
 
 import pytest
 
-from isingdec import workers
+from isingdec import core, workers
 
 
-def within(seconds, fn):
-    """fn() on a thread joined with a timeout: its result, or its exception
-    raised here; fails if it is still running."""
-    box = {}
-
-    def target():
-        try:
-            box["result"] = fn()
-        except BaseException as err:  # raised in the test's thread below
-            box["error"] = err
-
-    t = threading.Thread(target=target)
-    t.start()
-    t.join(seconds)
-    assert not t.is_alive(), f"still running after {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
+def test_results_come_back_in_input_order():
+    calls = [lambda k=k: time.sleep(0.01 * (k % 3)) or k for k in range(7)]
+    assert workers.run_calls(calls, 3) == list(range(7))
 
 
-class TestRunCalls:
-    def test_results_in_input_order(self):
-        # later calls finish first, so completion order is not input order
-        delays = [0.04, 0.03, 0.02, 0.01, 0.0]
-        calls = [lambda k=k, d=d: time.sleep(d) or k for k, d in enumerate(delays)]
-        assert within(30, lambda: workers.run_calls(calls, 3)) == list(range(5))
+def test_one_worker_runs_the_calls_inline_in_order():
+    seen = []
+    calls = [lambda k=k: seen.append((k, threading.current_thread())) or k
+             for k in range(4)]
+    assert workers.run_calls(calls, 1) == [0, 1, 2, 3]
+    assert seen == [(k, threading.current_thread()) for k in range(4)]
 
-    def test_one_worker_runs_inline_in_order(self):
-        ran = []
-        calls = [lambda k=k: ran.append((k, threading.current_thread())) or k
-                 for k in range(4)]
-        assert workers.run_calls(calls, 1) == [0, 1, 2, 3]
-        assert ran == [(k, threading.current_thread()) for k in range(4)]
 
-    def test_exception_reaches_the_caller_unchanged(self):
-        err = RuntimeError("boom")
-        started = []
+def test_interrupt_of_the_callers_call_goes_out_before_a_worker_error():
+    # two workers: the caller runs calls 0 and 2, the helper 1 and 3; the
+    # helper's call 1 fails while the caller's call 2 is interrupted
+    call_2_started, call_1_failing = threading.Event(), threading.Event()
+    ran = []
 
-        def fail():
-            started.append("fail")
-            raise err
+    def call_1():
+        call_2_started.wait(10)
+        call_1_failing.set()
+        raise core.CapacityError("from a worker")
 
-        def slow(k):
-            started.append(k)
-            time.sleep(0.05)
-            return k
+    def call_2():
+        call_2_started.set()
+        call_1_failing.wait(10)
+        raise KeyboardInterrupt
 
-        calls = [lambda: slow(0), fail] + [lambda k=k: slow(k) for k in range(2, 40)]
-        with pytest.raises(RuntimeError) as info:
-            within(30, lambda: workers.run_calls(calls, 2))
-        assert info.value is err
-        # no call starts after the failure: at most the one running beside it
-        assert len(started) <= 3
-
-    def test_earliest_failed_call_wins(self):
-        first, second = ValueError("first"), KeyError("second")
-
-        def raise_(e, delay):
-            time.sleep(delay)
-            raise e
-
-        calls = [lambda: raise_(first, 0.05), lambda: raise_(second, 0.0)]
-        with pytest.raises(ValueError) as info:
-            within(30, lambda: workers.run_calls(calls, 2))
-        assert info.value is first
-
-    def test_every_call_runs_once_under_contention(self):
-        # more workers than cores and a short switch interval: a call taken
-        # twice or lost would show in the counts
-        n = 3000
-        counts = [0] * n
-
-        def call(k):
-            counts[k] += 1
-            return k
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            result = within(60, lambda: workers.run_calls(
-                [lambda k=k: call(k) for k in range(n)], 16))
-        finally:
-            sys.setswitchinterval(old)
-        assert result == list(range(n))
-        assert counts == [1] * n
-
-    def test_no_calls(self):
-        assert workers.run_calls([], 4) == []
+    calls = [lambda: ran.append(0), call_1, call_2, lambda: ran.append(3)]
+    with pytest.raises(KeyboardInterrupt):
+        workers.run_calls(calls, 2)
+    assert ran == [0]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
