@@ -60,8 +60,9 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-# (section, key) -> value parser; one schema shared by all commands, each
-# command checks for the keys it needs and rejects irrelevant sections.
+# (section, key) -> value parser; one schema shared by all commands. A key
+# outside it is a config error in any command; a known key that a command
+# does not read, or a whole section of them, is ignored by that command.
 _SCHEMA = {
     ("run", "seed"): int,
     ("run", "out"): str,
@@ -74,10 +75,8 @@ _SCHEMA = {
     ("grid", "t_max"): float,
     ("grid", "points"): int,
     ("channel", "p"): _parse_floats,
-    ("channel", "samples_per_sector"): int,
     ("channel", "mode"): str,
     ("channel", "flips"): int,
-    ("channel", "bootstrap"): int,
     ("ensemble", "instances"): int,
     ("ensemble", "classes"): _parse_bool,
     ("ensemble", "correlation"): _parse_bool,
@@ -162,13 +161,20 @@ def _channel_p(config: dict) -> tuple[np.ndarray, np.ndarray]:
     return p_vals, np.array([channel.nishimori_temperature(p) for p in p_vals])
 
 
-def _channel_mode(config: dict) -> str:
+def _ber_surface(config: dict, t_decode: np.ndarray,
+                 t_nish: np.ndarray) -> experiments.BerSurface:
+    """The exact BER surface of the configured codeword instance; a file
+    holding any other instance is a config error."""
+    # the exact channel average is the only mode; the key stays valid for
+    # configs that name it
     mode = config.get("channel.mode", "exhaustive")
-    if mode not in ("exhaustive", "sampled"):
+    if mode != "exhaustive":
         raise ConfigError(f"unknown channel.mode {mode!r}")
-    if mode == "sampled" and _require(config, "channel.samples_per_sector") < 1:
-        raise ConfigError("channel.samples_per_sector must be >= 1")
-    return mode
+    H = _clean_hamiltonian(config)
+    try:
+        return experiments.ber_surface(H, t_decode, t_nish)
+    except ValueError as err:  # not a codeword instance
+        raise ConfigError(f"{config['graph.hamiltonian']}: {err}") from err
 
 
 def _engine(config: dict):
@@ -283,42 +289,26 @@ def cmd_canonicalize(config, seed, out_dir):
 
 def cmd_ber(config, seed, out_dir):
     """BER ratio curve r_mpm(T_Nish)/r_map at matched decoding temperature."""
-    H = _clean_hamiltonian(config)
     p_vals, t_nish = _channel_p(config)
-    mode = _channel_mode(config)
-    rng = channel.stream(seed, 0)
-    surf = experiments.ber_surface(
-        H, np.sort(t_nish), t_nish,
-        samples_per_sector=config.get("channel.samples_per_sector"),
-        rng=rng, mode=mode)
-    n_boot = config.get("channel.bootstrap", 0)
-    if n_boot and mode == "sampled":
-        std = experiments.bootstrap_std(surf.map_rates, p_vals, n_boot,
-                                        channel.stream(seed, 1))
-    else:
-        std = np.zeros(len(p_vals))
+    surf = _ber_surface(config, np.sort(t_nish), t_nish)
     rows = []
     for k, (p, t) in enumerate(zip(p_vals, t_nish)):
         d = int(np.argmin(np.abs(surf.t_decode - t)))
+        # std stays a column: the exact average has no sampling error
         rows.append([_fmt(float(p)), _fmt(float(t)),
                      _fmt(float(surf.r_map[k])), _fmt(float(surf.r_mpm[d, k])),
-                     _fmt(float(surf.ratio[d, k])), _fmt(float(std[k]))])
+                     _fmt(float(surf.ratio[d, k])), _fmt(0.0)])
     _write_csv(out_dir / "ber.csv",
                ["p", "t_nish", "r_map", "r_mpm", "ratio", "std"], rows)
     return ["ber.csv"]
 
 
 def cmd_surface(config, seed, out_dir):
-    H = _clean_hamiltonian(config)
     grid = _temperature_grid(config, distinct=False)  # merged below
     _, t_nish = _channel_p(config)
-    mode = _channel_mode(config)
     # np.unique without return_counts imports numpy.ma on its first call
     t_decode = np.unique(np.concatenate([grid, t_nish]), return_counts=True)[0]
-    surf = experiments.ber_surface(
-        H, t_decode, t_nish,
-        samples_per_sector=config.get("channel.samples_per_sector"),
-        rng=channel.stream(seed, 0), mode=mode)
+    surf = _ber_surface(config, t_decode, t_nish)
     rows = []
     for d, td in enumerate(surf.t_decode):
         for k, tn in enumerate(surf.t_nish):
@@ -390,16 +380,16 @@ def _plow_scatter(config, seed):
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
     curves = transitions.orientation_curves(Hs, grid, engine)
-    # the Hamiltonians sampled at t_samp: each instance, or its control-error
-    # realizations drawn from its own stream
-    sampled = Hs
+    # the Hamiltonians the sampler draws from at t_samp: each instance, or its
+    # control-error realizations drawn from its own stream
+    sampler_Hs = Hs
     if spec is not None:
-        sampled = []
+        sampler_Hs = []
         for k, H in enumerate(Hs):
             rng = channel.stream(seed, 20, k)
-            sampled += [sa.inject_control_error(H, spec, rng)
-                        for _ in range(config["control.realizations"])]
-    at_samp = engine.magnetization_curves(sampled, np.array([t_samp]))[:, 0]
+            sampler_Hs += [sa.inject_control_error(H, spec, rng)
+                           for _ in range(config["control.realizations"])]
+    at_samp = engine.magnetization_curves(sampler_Hs, np.array([t_samp]))[:, 0]
     points = []
     for curve, mags in zip(curves, np.split(at_samp, len(Hs))):
         recs = transitions.find_transitions(curve)

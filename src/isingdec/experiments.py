@@ -6,136 +6,31 @@ the channel crossover probability,
 
     r_tot(p) = sum_s C(N+M, s) p^s (1-p)^(N+M-s) * rbar_s,
 
-where rbar_s is the mean decode error over sector-s Hamiltonians. Sectors
-small enough are enumerated exhaustively; the rest are Monte-Carlo sampled.
-All decoding is against the all-+1 truth word (general truth words reduce to
-it by a gauge transform).
+where rbar_s is the mean decode error over sector-s Hamiltonians. Every
+sector mean is exact: it averages over every corruption pattern of one cell.
+Decoding is scored against the all-+1 truth word; a codeword instance
+(h_i = sigma_i, J_ij = sigma_i sigma_j) is a gauge transform of the all-+1
+instance and has the same bit error rate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, exact
-from .core import ChimeraGraph, Hamiltonian, cell_orbits
+from .core import Hamiltonian, cell_orbits
 
 __all__ = [
-    "MapDecoder",
-    "MpmDecoder",
-    "SectorRates",
-    "sector_rates",
+    "exact_sector_means",
     "ber_curve",
     "BerSurface",
     "ber_surface",
     "NishimoriReport",
     "nishimori_check",
-    "bootstrap_std",
 ]
-
-
-def _batch_energies(graph: ChimeraGraph, elements: np.ndarray, alpha: float):
-    """Configuration energies (B, 2^n) of flat (B, N+M) element vectors."""
-    n = len(graph.spins)
-    return exact.batch_energies(graph, elements[:, :n], elements[:, n:], alpha)
-
-
-class MapDecoder:
-    """Zero-temperature (ground-state-consensus) decoder for a fixed graph.
-
-    Called on (B, N+M) element matrices (fields first, then couplers in edge
-    order); returns signs (B, n_spins).
-    """
-
-    def __init__(self, graph: ChimeraGraph, alpha: float = 1.0):
-        self.graph = graph
-        self.alpha = alpha
-
-    def __call__(self, elements: np.ndarray) -> np.ndarray:
-        energies = _batch_energies(self.graph, elements, self.alpha)
-        return exact.batch_map_decode(energies, len(self.graph.spins), self.alpha)
-
-
-class MpmDecoder:
-    """Finite-temperature sign-of-magnetization decoder over a T grid.
-
-    Called on (B, N+M) element matrices; returns signs (B, n_temps, n_spins).
-    """
-
-    def __init__(self, graph: ChimeraGraph, temperatures: np.ndarray,
-                 alpha: float = 1.0):
-        self.graph = graph
-        self.alpha = alpha
-        self.temperatures = np.asarray(temperatures, dtype=float)
-
-    def __call__(self, elements: np.ndarray) -> np.ndarray:
-        energies = _batch_energies(self.graph, elements, self.alpha)
-        return exact.batch_mpm_decode_curve(
-            energies, len(self.graph.spins), self.temperatures)
-
-
-@dataclass(frozen=True)
-class SectorRates:
-    """Per-sector decode error rates of one clean instance.
-
-    sample_rates[s] holds the per-Hamiltonian error rates in sector s, shape
-    (B_s,) for a single-decode decoder or (B_s, n_temps) for a grid decoder;
-    means stacks the sector averages. exhaustive[s] marks fully enumerated
-    sectors.
-    """
-
-    n_elements: int
-    counts: np.ndarray
-    means: np.ndarray
-    sample_rates: tuple
-    exhaustive: np.ndarray
-    temperatures: np.ndarray | None = None
-
-
-def _sector_masks(n_elements: int, s: int, samples_per_sector: int,
-                  rng: np.random.Generator):
-    """Boolean flip masks (B, n_elements) for sector s; exhaustive if cheap."""
-    total = math.comb(n_elements, s)
-    if total <= samples_per_sector:
-        masks = np.zeros((total, n_elements), dtype=bool)
-        for b, pos in enumerate(itertools.combinations(range(n_elements), s)):
-            masks[b, list(pos)] = True
-        return masks, True
-    masks = np.zeros((samples_per_sector, n_elements), dtype=bool)
-    for b in range(samples_per_sector):
-        masks[b, rng.choice(n_elements, size=s, replace=False)] = True
-    return masks, False
-
-
-def sector_rates(H_clean: Hamiltonian, decoder, samples_per_sector: int,
-                 rng: np.random.Generator) -> SectorRates:
-    """Mean decode error per corruption sector of a clean instance.
-
-    The decoder is called once per sector on the (B, N+M) element-value
-    matrix of that sector's corrupted instances.
-    """
-    if samples_per_sector < 1:
-        raise ValueError("samples_per_sector must be >= 1")
-    clean = np.concatenate([H_clean.h, H_clean.J])
-    n_el = len(clean)
-    counts, means, samples, exhaustive = [], [], [], []
-    for s in range(n_el + 1):
-        masks, full = _sector_masks(n_el, s, samples_per_sector, rng)
-        elements = clean * np.where(masks, -1.0, 1.0)
-        # mean per-spin error vs the all-+1 truth; an undecided spin counts 1/2
-        r = ((1.0 - decoder(elements)) / 2.0).mean(axis=-1)
-        counts.append(len(masks))
-        means.append(r.mean(axis=0))
-        samples.append(r)
-        exhaustive.append(full)
-    return SectorRates(
-        n_elements=n_el, counts=np.array(counts), means=np.array(means),
-        sample_rates=tuple(samples), exhaustive=np.array(exhaustive),
-        temperatures=getattr(decoder, "temperatures", None),
-    )
 
 
 def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
@@ -152,12 +47,19 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     grouping does not change a bit of the result. Single-cell graphs only
     (with or without excluded spins).
 
+    H_clean must be a codeword instance, h_i = sigma_i and J_ij = sigma_i
+    sigma_j: it is the all-+1 instance gauge-transformed by sigma, so its
+    sector means are those of the all-+1 instance on its graph; any other
+    instance raises ValueError.
+
     Returns (map_means (S+1,), mpm_means (S+1, n_t_decode)) with S = N+M.
     """
     graph = H_clean.graph
-    if np.any(H_clean.h != 1.0) or np.any(H_clean.J != 1.0):
-        raise ValueError(
-            "exact sector means require the all-+1 nominal instance")
+    h = H_clean.h
+    ij = graph.edge_positions
+    if np.any(np.abs(h) != 1.0) or np.any(H_clean.J != h[ij[:, 0]] * h[ij[:, 1]]):
+        raise ValueError("exact sector means need a codeword instance "
+                         "(h_i = +-1, J_ij = h_i h_j)")
     if graph.L != 1:
         raise exact.CapacityError(
             f"exact sector means need a single cell, not L={graph.L}")
@@ -202,12 +104,13 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     return map_means, mpm_means
 
 
-def ber_curve(rates: SectorRates, p_grid: np.ndarray) -> np.ndarray:
+def ber_curve(means: np.ndarray, p_grid: np.ndarray) -> np.ndarray:
     """Evaluate the sector polynomial r_tot(p) on a p grid.
 
-    Returns (n_p,) for single-decode rates or (n_p, n_temps) for grid rates.
+    means: sector means (S+1,) or (S+1, n_temps). Returns (n_p,) or
+    (n_p, n_temps).
     """
-    return channel.sector_weights(p_grid, rates.n_elements) @ rates.means
+    return channel.sector_weights(p_grid, len(means) - 1) @ means
 
 
 @dataclass(frozen=True)
@@ -216,51 +119,30 @@ class BerSurface:
 
     t_decode: np.ndarray
     t_nish: np.ndarray
-    r_mpm: np.ndarray   # (n_t_decode, n_t_nish)
-    r_map: np.ndarray   # (n_t_nish,)
-    ratio: np.ndarray   # r_mpm / r_map
-    mpm_rates: SectorRates
-    map_rates: SectorRates
+    r_mpm: np.ndarray      # (n_t_decode, n_t_nish)
+    r_map: np.ndarray      # (n_t_nish,)
+    ratio: np.ndarray      # r_mpm / r_map
+    map_means: np.ndarray  # (S+1,) MAP sector means
+    mpm_means: np.ndarray  # (S+1, n_t_decode) MPM sector means
 
 
 def ber_surface(H_clean: Hamiltonian, t_decode: np.ndarray,
-                t_nish: np.ndarray, samples_per_sector: int | None = None,
-                rng: np.random.Generator | None = None,
-                mode: str = "exhaustive") -> BerSurface:
-    """BER surface of one instance over decode and Nishimori temperatures.
+                t_nish: np.ndarray) -> BerSurface:
+    """BER surface of one cell over decode and Nishimori temperatures.
 
-    mode="exhaustive" reduces the full corruption average of a single cell to
-    one decode per cell-symmetry orbit of gauge-fixed coupler words (exact to
-    rounding); mode="sampled" Monte-Carlo samples each sector with
-    samples_per_sector draws. Sector rates are computed once per decoder;
-    every (T_decode, T_Nish) entry is then polynomial evaluation at p(T_Nish).
+    The sector means are computed once, exactly (`exact_sector_means`);
+    every (T_decode, T_Nish) entry is then polynomial evaluation at
+    p(T_Nish).
     """
     t_decode = np.asarray(t_decode, dtype=float)
     t_nish = np.asarray(t_nish, dtype=float)
-    if mode == "exhaustive":
-        map_means, mpm_means = exact_sector_means(H_clean, t_decode)
-        n_el = len(H_clean.graph.spins) + len(H_clean.graph.edges)
-        counts = np.array([math.comb(n_el, s) for s in range(n_el + 1)])
-        full = np.ones(n_el + 1, dtype=bool)
-        mpm = SectorRates(n_el, counts, mpm_means, (), full, t_decode)
-        map_ = SectorRates(n_el, counts, map_means, (), full)
-    elif mode == "sampled":
-        if samples_per_sector is None or rng is None:
-            raise ValueError("sampled mode needs samples_per_sector and rng")
-        mpm = sector_rates(
-            H_clean, MpmDecoder(H_clean.graph, t_decode, H_clean.alpha),
-            samples_per_sector, rng)
-        map_ = sector_rates(
-            H_clean, MapDecoder(H_clean.graph, H_clean.alpha),
-            samples_per_sector, rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    map_means, mpm_means = exact_sector_means(H_clean, t_decode)
     p_vals = np.array([channel.crossover_probability(t) for t in t_nish])
-    r_mpm = ber_curve(mpm, p_vals).T            # (n_t_decode, n_t_nish)
-    r_map = ber_curve(map_, p_vals)
+    r_mpm = ber_curve(mpm_means, p_vals).T      # (n_t_decode, n_t_nish)
+    r_map = ber_curve(map_means, p_vals)
     return BerSurface(
         t_decode=t_decode, t_nish=t_nish, r_mpm=r_mpm, r_map=r_map,
-        ratio=r_mpm / r_map, mpm_rates=mpm, map_rates=map_,
+        ratio=r_mpm / r_map, map_means=map_means, mpm_means=mpm_means,
     )
 
 
@@ -295,28 +177,3 @@ def nishimori_check(surface: BerSurface, tol: float = 1e-12) -> NishimoriReport:
             bad = np.flatnonzero(surface.r_mpm[idx, k] > col + tol)
             violations.append((float(t), tuple(surface.t_decode[bad])))
     return NishimoriReport(violations=tuple(violations), max_excess=max_excess)
-
-
-def bootstrap_std(rates: SectorRates, p_grid: np.ndarray, n_boot: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap standard deviation of r_tot(p).
-
-    Resamples Hamiltonians within each sector with replacement n_boot times
-    and recomputes the sector polynomial. Requires the retained per-sector
-    sample lists.
-    """
-    if n_boot < 2:
-        raise ValueError("n_boot must be >= 2")
-    if any(len(s) == 0 for s in rates.sample_rates):
-        raise ValueError("empty sector sample list")
-    p_grid = np.asarray(p_grid, dtype=float)
-    weights = channel.sector_weights(p_grid, rates.n_elements)
-    boots = np.empty((n_boot,) + ((len(p_grid),) if rates.means.ndim == 1
-                                  else (len(p_grid),) + rates.means.shape[1:]))
-    for b in range(n_boot):
-        means = np.array([
-            s[rng.integers(0, len(s), size=len(s))].mean(axis=0)
-            for s in rates.sample_rates
-        ])
-        boots[b] = weights @ means
-    return boots.std(axis=0)

@@ -1,11 +1,11 @@
 """Spin-sign and correlation-sign transition analysis.
 
-A spin-sign transition is a temperature where sgn<sigma_i>(T) changes. On a
-sampled orientation curve, transitions are located by smoothing with a
-centered running average (default window 5), then linearly interpolating the
-zero crossings between consecutive smoothed points. Spins whose orientation
-at the lowest grid temperature is (numerically) zero are excluded: sampling
-noise around zero produces spurious crossings.
+A spin-sign transition is a temperature where sgn<sigma_i>(T) changes. On an
+orientation curve over a temperature grid, transitions are located by
+smoothing with a centered running average (default window 5), then linearly
+interpolating the zero crossings between consecutive smoothed points. Spins
+whose orientation at the lowest grid temperature is (numerically) zero are
+excluded: sampling noise around zero produces spurious crossings.
 
 The P_low model takes erfc from `math`; the logistic fit is a small
 Levenberg-Marquardt solver in numpy.

@@ -38,6 +38,22 @@ def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
     return total
 
 
+def map_decoder(graph, alpha=1.0):
+    """direct_rtot decoder: MAP signs (B, n) of (B, N+M) element rows, from
+    the package's batch energy and MAP kernels."""
+    n = graph.n_spins
+    return lambda el: exact.batch_map_decode(
+        exact.batch_energies(graph, el[:, :n], el[:, n:], alpha), n, alpha)
+
+
+def mpm_decoder(graph, T, alpha=1.0):
+    """direct_rtot decoder: MPM signs (B, n) at temperature T of (B, N+M)
+    element rows, from the package's batch energy and MPM kernels."""
+    n = graph.n_spins
+    return lambda el: exact.batch_mpm_decode_curve(
+        exact.batch_energies(graph, el[:, :n], el[:, n:], alpha), n, [T])[:, 0]
+
+
 def brute_cell_classes(graph):
     """Canonical (orbit-minimum) word of every coupler word of a single-cell
     graph, minimised over every element of its cell group in turn.

@@ -12,7 +12,7 @@ import pytest
 
 from isingdec import bte, channel, core, exact, experiments as ex, sa
 from isingdec import transitions as tr
-from oracles import direct_rtot
+from oracles import direct_rtot, map_decoder
 
 
 def report(capfd, number, ok, detail):
@@ -56,7 +56,7 @@ def cell_surface():
     t_nish = np.array([channel.nishimori_temperature(p) for p in p_vals])
     base = np.linspace(0.05, 7.0, 180)
     t_decode = np.unique(np.concatenate([base, t_nish]))
-    surface = ex.ber_surface(H, t_decode, t_nish, mode="exhaustive")
+    surface = ex.ber_surface(H, t_decode, t_nish)
     return p_vals, surface
 
 
@@ -109,17 +109,15 @@ def test_criterion_03_bte_vs_exhaustive(capfd):
 
 def test_criterion_04_sector_grouping_identity(capfd):
     H = core.Hamiltonian.uniform(core.truncated_cell())
-    dec = ex.MapDecoder(H.graph)
     p_grid = np.linspace(0.01, 0.49, 50)
-    direct = direct_rtot(H, dec, p_grid)
-    rates = ex.sector_rates(H, dec, 2 ** 15, np.random.default_rng(0))
-    grouped = ex.ber_curve(rates, p_grid)
+    direct = direct_rtot(H, map_decoder(H.graph), p_grid)
+    map_means, _ = ex.exact_sector_means(H, np.array([1.0]))
+    grouped = ex.ber_curve(map_means, p_grid)
     worst = float(np.max(np.abs(direct - grouped)))
     ok = worst < 1e-12
     report(capfd, 4, ok,
            f"max |direct - sector polynomial| = {worst:.3e} at 50 p values "
            "(tol 1e-12)")
-    assert np.all(rates.exhaustive), "truncated cell must enumerate fully"
     assert worst < 1e-12
 
 
@@ -137,12 +135,9 @@ def test_criterion_06_map_usefulness_threshold(capfd, cell_surface):
     from scipy.optimize import brentq
 
     _, surface = cell_surface
-    map_rates = surface.map_rates
-    n = map_rates.n_elements
 
     def excess(p):
-        w = channel.sector_weights(p, n)
-        return float(w @ map_rates.means) - p
+        return float(ex.ber_curve(surface.map_means, p)) - p
 
     crossing = brentq(excess, 0.05, 0.49, xtol=1e-10)
     ok = abs(crossing - 0.327) <= 0.005

@@ -113,10 +113,12 @@ p = 0.1 0.2
     @pytest.mark.parametrize("command", ["ber", "surface"])
     @pytest.mark.parametrize("channel, message", [
         ("mode = bogus", "unknown channel.mode 'bogus'"),
-        ("mode = sampled", "missing required key channel.samples_per_sector"),
-        ("mode = sampled\nsamples_per_sector = 0", "samples_per_sector must be >= 1"),
+        ("mode = sampled", "unknown channel.mode 'sampled'"),
+        ("samples_per_sector = 5", "unknown key [channel] samples_per_sector"),
+        ("bootstrap = 5", "unknown key [channel] bootstrap"),
         ("p = 0.7", "channel.p values must lie in"),
-    ], ids=["unknown-mode", "sampled-without-samples", "zero-samples", "bad-p"])
+    ], ids=["unknown-mode", "sampled-without-samples", "removed-samples-key",
+            "removed-bootstrap-key", "bad-p"])
     def test_bad_channel_is_config_error(self, tmp_path, capsys, command,
                                          channel, message):
         if not channel.startswith("p ="):
@@ -127,6 +129,58 @@ p = 0.1 0.2
         assert run([command, "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestCodewordFile:
+    """surface and ber take any codeword Hamiltonian file (h_i = sigma_i,
+    J_ij = sigma_i sigma_j), a gauge transform of the all-+1 instance."""
+
+    def surface_csv(self, tmp_path, name, graph_section):
+        cfg = write(tmp_path, f"{name}.cfg",
+                    f"[graph]\n{graph_section}[grid]\nt_min = 0.5\n"
+                    "t_max = 3.0\npoints = 6\n[channel]\np = 0.05 0.2\n")
+        assert run(["surface", "--config", str(cfg), "--seed", "1", "--out",
+                    str(tmp_path / name)]) == 0
+        return (tmp_path / name / "surface.csv").read_bytes()
+
+    def test_gauged_cell_equals_uniform_cell(self, tmp_path):
+        gauged = core.gauge_transform(
+            core.Hamiltonian.uniform(core.build_chimera(1)), {0, 5})
+        ham = write(tmp_path, "h.txt", core.format_hamiltonian(gauged))
+        assert (self.surface_csv(tmp_path, "gauged", f"hamiltonian = {ham}\n")
+                == self.surface_csv(tmp_path, "uniform", "l = 1\n"))
+
+    @pytest.mark.parametrize("command", ["ber", "surface"])
+    def test_one_flipped_coupler_is_config_error(self, tmp_path, capsys,
+                                                 command):
+        gauged = core.gauge_transform(
+            core.Hamiltonian.uniform(core.build_chimera(1)), {0, 5})
+        J = gauged.J.copy()
+        J[3] *= -1
+        H = core.Hamiltonian(gauged.graph, gauged.h, J)
+        ham = write(tmp_path, "h.txt", core.format_hamiltonian(H))
+        cfg = write(tmp_path, "c.cfg", f"[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 5\n[channel]\np = 0.1\n")
+        assert run([command, "--config", str(cfg), "--seed", "1", "--out",
+                    str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "codeword" in err
+
+    @pytest.mark.parametrize("command", ["ber", "surface"])
+    def test_multi_cell_graph_is_capacity_error(self, tmp_path, command):
+        cfg = write(tmp_path, "c.cfg", "[graph]\nl = 2\n[grid]\npoints = 5\n"
+                    "[channel]\np = 0.1\n")
+        assert run([command, "--config", str(cfg), "--seed", "1", "--out",
+                    str(tmp_path / "o")]) == 3
+
+
+PRESETS = sorted((Path(cli.__file__).parent / "presets").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=[p.stem for p in PRESETS])
+def test_preset_validates(preset, capsys):
+    assert run(["validate", "--config", str(preset)]) == 0
+    assert "config ok" in capsys.readouterr().out
 
 
 class TestTransitions:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingdec import channel, core, exact, experiments
+from isingdec import channel, core, exact
 
 
 def random_nominal(seed):
@@ -113,28 +113,6 @@ class TestDecoders:
             assert np.array_equal(mapd[decided], mpmd[decided])
 
 
-class TestBitErrorRate:
-    """The per-spin error rule that experiments.sector_rates applies against
-    the all-+1 truth word: an undecided spin counts 1/2."""
-
-    @staticmethod
-    def sector_means(decoded):
-        H = core.Hamiltonian.uniform(core.build_chimera(1))
-        return experiments.sector_rates(
-            H, lambda elements: np.broadcast_to(decoded, (len(elements), 8)),
-            1, np.random.default_rng(0)).means
-
-    def test_trivials(self):
-        truth = np.ones(8)
-        assert np.all(self.sector_means(truth) == 0.0)
-        assert np.all(self.sector_means(-truth) == 1.0)
-
-    def test_single_undecided(self):
-        decoded = np.ones(8)
-        decoded[3] = 0
-        assert self.sector_means(decoded) == pytest.approx(1 / 16)
-
-
 class TestBatch:
     def test_batch_energies_match_single(self):
         H = random_nominal(20)
@@ -156,8 +134,6 @@ class TestBatch:
         map_b = exact.batch_map_decode(energies, 8, 1.0)
         temps = np.array([0.4, 1.3])
         mpm_b = exact.batch_mpm_decode_curve(energies, 8, temps)
-        mpm_d = experiments.MpmDecoder(g, temps)(np.hstack([h_mat, j_mat]))
-        assert np.array_equal(mpm_d, mpm_b)
         for k, H in enumerate(hams):
             assert np.array_equal(map_b[k], exact.map_decode(H))
             for t, T in enumerate(temps):
@@ -165,7 +141,6 @@ class TestBatch:
         for T in temps:
             assert np.all(exact.mpm_decode(zero_field, T) == 0)
         assert np.all(mpm_b[-1] == 0)
-        assert np.all(mpm_d[-1] == 0)
 
 
 def loop_curve(H, temps, observable):

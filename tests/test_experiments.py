@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import comb
 
 from isingdec import channel, core, experiments as ex
-from oracles import all_words_sector_means, direct_rtot
+from oracles import (all_words_sector_means, direct_rtot, map_decoder,
+                     mpm_decoder)
 
 
 @pytest.fixture(scope="module")
@@ -17,79 +17,58 @@ def cell_clean():
 
 
 class TestSectorRates:
+    """Sector means of exact_sector_means, scored per spin against the all-+1
+    truth word: an undecided spin counts 1/2."""
+
     def test_zero_sector_is_errorless(self, truncated_clean):
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 100,
-                                np.random.default_rng(0))
-        assert rates.means[0] == 0.0
+        map_means, mpm_means = ex.exact_sector_means(
+            truncated_clean, np.array([0.5, 1.0, 2.0]))
+        assert map_means[0] == 0.0
+        assert np.all(mpm_means[0] == 0.0)
 
     def test_full_sector_is_half(self, truncated_clean):
         """Flipping every field and coupler maps the problem onto its
         gauge-equivalent mirror on the bipartite graph: the ground pair is
         the two staggered states, consensus vanishes and the error rate is
         exactly 1/2."""
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 100,
-                                np.random.default_rng(0))
-        assert rates.means[-1] == pytest.approx(0.5, abs=1e-15)
-
-    def test_counts_and_exhaustive_flags(self, truncated_clean):
-        n = rates_n = truncated_clean.graph.n_spins + len(
-            truncated_clean.graph.edges)
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 50,
-                                np.random.default_rng(1))
-        assert rates.n_elements == n == 15
-        for s in (0, 1, 2, n):
-            total = comb(n, s, exact=True)
-            expected = min(total, 50)
-            assert rates.counts[s] == expected
-            assert rates.exhaustive[s] == (total <= 50)
+        map_means, _ = ex.exact_sector_means(truncated_clean, np.array([1.0]))
+        assert map_means[-1] == pytest.approx(0.5, abs=1e-15)
 
     def test_grid_decoder_shape(self, truncated_clean):
-        temps = np.array([0.5, 1.0, 2.0])
-        dec = ex.MpmDecoder(truncated_clean.graph, temps)
-        rates = ex.sector_rates(truncated_clean, dec, 20,
-                                np.random.default_rng(2))
-        assert rates.means.shape == (16, 3)
+        map_means, mpm_means = ex.exact_sector_means(
+            truncated_clean, np.array([0.5, 1.0, 2.0]))
+        assert map_means.shape == (16,)
+        assert mpm_means.shape == (16, 3)
 
 
 class TestBerCurve:
     def test_constant_rates(self):
-        rates = ex.SectorRates(
-            n_elements=10, counts=np.ones(11, dtype=int),
-            means=np.full(11, 0.3),
-            sample_rates=tuple(np.array([0.3]) for _ in range(11)),
-            exhaustive=np.ones(11, dtype=bool))
-        out = ex.ber_curve(rates, np.array([0.05, 0.2, 0.4]))
+        out = ex.ber_curve(np.full(11, 0.3), np.array([0.05, 0.2, 0.4]))
         assert np.allclose(out, 0.3, atol=1e-12)
 
     def test_linear_rates_give_expectation(self):
         # r_s = s / n makes r_tot(p) = E[s]/n = p exactly
         n = 12
-        means = np.arange(n + 1) / n
-        rates = ex.SectorRates(
-            n_elements=n, counts=np.ones(n + 1, dtype=int), means=means,
-            sample_rates=tuple(np.array([m]) for m in means),
-            exhaustive=np.ones(n + 1, dtype=bool))
         ps = np.array([0.1, 0.25, 0.4])
-        assert np.allclose(ex.ber_curve(rates, ps), ps, atol=1e-12)
+        assert np.allclose(ex.ber_curve(np.arange(n + 1) / n, ps), ps,
+                           atol=1e-12)
 
 
 class TestExactSectorMeans:
-    def test_matches_exhaustive_enumeration(self, truncated_clean):
+    def test_matches_exhaustive_enumeration(self):
+        """The sector polynomial of the exact means against direct_rtot,
+        which decodes every corruption pattern, for MAP and for MPM at each
+        decode temperature, on a 2 x 4 cell (the truncated cell is 3 x 3)."""
+        H = core.Hamiltonian.uniform(core.build_chimera(1, excluded={2, 3}))
         temps = np.array([0.8, 1.5])
-        map_means, mpm_means = ex.exact_sector_means(truncated_clean, temps)
-        dec_map = ex.MapDecoder(truncated_clean.graph)
-        dec_mpm = ex.MpmDecoder(truncated_clean.graph, temps)
-        big = 2 ** 15  # covers every corruption pattern exhaustively
-        raw_map = ex.sector_rates(truncated_clean, dec_map, big,
-                                  np.random.default_rng(0))
-        raw_mpm = ex.sector_rates(truncated_clean, dec_mpm, big,
-                                  np.random.default_rng(0))
-        assert np.all(raw_map.exhaustive)
-        assert np.allclose(map_means, raw_map.means, atol=1e-13)
-        assert np.allclose(mpm_means, raw_mpm.means, atol=1e-13)
+        ps = np.linspace(0.02, 0.45, 9)
+        map_means, mpm_means = ex.exact_sector_means(H, temps)
+        direct = direct_rtot(H, map_decoder(H.graph), ps)
+        assert np.max(np.abs(direct - ex.ber_curve(map_means, ps))) < 1e-12
+        for t, T in enumerate(temps):
+            direct = direct_rtot(H, mpm_decoder(H.graph, T), ps)
+            grouped = ex.ber_curve(mpm_means[:, t], ps)
+            assert np.max(np.abs(direct - grouped)) < 1e-12
 
     @pytest.mark.parametrize("excluded, temps", [
         ((), [0.02, 0.05, 0.1, 0.3, 0.8, 1.5, 3.0, 7.0]),
@@ -103,6 +82,35 @@ class TestExactSectorMeans:
         assert np.array_equal(map_means, map_all)
         assert np.array_equal(mpm_means, mpm_all)
 
+    @pytest.mark.parametrize("excluded, flip", [
+        ((), {0, 5}),
+        ((), {1, 2, 6}),
+        ((3,), {0, 4, 5, 6, 7}),
+    ])
+    def test_codeword_instance_equals_all_plus_one(self, excluded, flip):
+        """A codeword instance is a gauge transform of the all-+1 one, so its
+        bit error rate is the same, bit for bit."""
+        H = core.Hamiltonian.uniform(core.build_chimera(1, excluded=set(excluded)))
+        temps = np.array([0.3, 1.5])
+        means = ex.exact_sector_means(H, temps)
+        gauged = ex.exact_sector_means(core.gauge_transform(H, flip), temps)
+        for a, b in zip(means, gauged):
+            assert np.array_equal(a, b)
+
+    def test_codeword_instance_matches_direct_enumeration(self, truncated_clean):
+        """Every corruption pattern of a codeword instance, decoded and scored
+        against its own codeword, gives the exact means' polynomial."""
+        graph = truncated_clean.graph
+        H = core.gauge_transform(truncated_clean, {graph.spins[0], graph.spins[3]})
+        codeword = H.h  # h_i = sigma_i
+        ps = np.linspace(0.02, 0.45, 9)
+        map_means, mpm_means = ex.exact_sector_means(H, np.array([0.8]))
+        decoders = [(map_decoder(graph), map_means),
+                    (mpm_decoder(graph, 0.8), mpm_means[:, 0])]
+        for decode, means in decoders:
+            direct = direct_rtot(H, lambda el: decode(el) * codeword, ps)
+            assert np.max(np.abs(direct - ex.ber_curve(means, ps))) < 1e-12
+
     def test_capacity_error_beyond_one_cell(self):
         H = core.Hamiltonian.uniform(core.build_chimera(2))
         with pytest.raises(core.CapacityError):
@@ -110,8 +118,18 @@ class TestExactSectorMeans:
 
     def test_requires_nominal_instance(self, truncated_clean):
         H, _ = channel.corrupt(truncated_clean, 0.2, channel.stream(0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="codeword"):
             ex.exact_sector_means(H, np.array([1.0]))
+
+    def test_requires_codeword_instance(self, cell_clean):
+        gauged = core.gauge_transform(cell_clean, {0, 5})
+        one_flipped = gauged.J.copy()
+        one_flipped[3] *= -1
+        scaled = gauged.h * 1.05
+        for h, J in ((gauged.h, one_flipped), (scaled, gauged.J)):
+            H = core.Hamiltonian(cell_clean.graph, h, J)
+            with pytest.raises(ValueError, match="codeword"):
+                ex.exact_sector_means(H, np.array([1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +147,8 @@ class TestSurfaceAndNishimori:
         assert surface.r_mpm.shape == (6, 3)
         assert surface.r_map.shape == (3,)
         assert np.allclose(surface.ratio, surface.r_mpm / surface.r_map)
+        assert surface.map_means.shape == (16,)
+        assert surface.mpm_means.shape == (16, 6)
 
     def test_matched_temperature_is_optimal(self, surface):
         rep = ex.nishimori_check(surface)
@@ -142,7 +162,7 @@ class TestSurfaceAndNishimori:
         bad = ex.BerSurface(
             t_decode=surface.t_decode, t_nish=surface.t_nish, r_mpm=r,
             r_map=surface.r_map, ratio=r / surface.r_map,
-            mpm_rates=surface.mpm_rates, map_rates=surface.map_rates)
+            map_means=surface.map_means, mpm_means=surface.mpm_means)
         rep = ex.nishimori_check(bad)
         assert not rep.ok
         assert rep.max_excess == pytest.approx(1e-6, rel=1e-6)
@@ -151,46 +171,15 @@ class TestSurfaceAndNishimori:
         off = ex.BerSurface(
             t_decode=surface.t_decode + 0.01, t_nish=surface.t_nish,
             r_mpm=surface.r_mpm, r_map=surface.r_map, ratio=surface.ratio,
-            mpm_rates=surface.mpm_rates, map_rates=surface.map_rates)
+            map_means=surface.map_means, mpm_means=surface.mpm_means)
         with pytest.raises(ValueError):
             ex.nishimori_check(off)
 
 
-class TestBootstrap:
-    def test_degenerate_sectors_have_zero_std(self, truncated_clean):
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 1,
-                                np.random.default_rng(3))
-        std = ex.bootstrap_std(rates, np.array([0.1, 0.3]), 50,
-                               np.random.default_rng(4))
-        assert np.allclose(std, 0.0, atol=1e-15)
-
-    def test_deterministic(self, truncated_clean):
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 10,
-                                np.random.default_rng(5))
-        a = ex.bootstrap_std(rates, np.array([0.2]), 30,
-                             np.random.default_rng(6))
-        b = ex.bootstrap_std(rates, np.array([0.2]), 30,
-                             np.random.default_rng(6))
-        assert np.array_equal(a, b)
-        assert np.all(a >= 0)
-
-    def test_needs_multiple_resamples(self, truncated_clean):
-        dec = ex.MapDecoder(truncated_clean.graph)
-        rates = ex.sector_rates(truncated_clean, dec, 5,
-                                np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            ex.bootstrap_std(rates, np.array([0.2]), 1,
-                             np.random.default_rng(8))
-
-
 class TestDirectRtot:
     def test_matches_sector_polynomial(self, truncated_clean):
-        dec = ex.MapDecoder(truncated_clean.graph)
         ps = np.linspace(0.02, 0.45, 9)
-        direct = direct_rtot(truncated_clean, dec, ps)
-        rates = ex.sector_rates(truncated_clean, dec, 2 ** 15,
-                                np.random.default_rng(0))
-        poly = ex.ber_curve(rates, ps)
+        direct = direct_rtot(truncated_clean, map_decoder(truncated_clean.graph), ps)
+        map_means, _ = ex.exact_sector_means(truncated_clean, np.array([1.0]))
+        poly = ex.ber_curve(map_means, ps)
         assert np.max(np.abs(direct - poly)) < 1e-12
