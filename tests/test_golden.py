@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from isingdec import channel, core, sa
+from isingdec import bte, channel, core, sa
 
 
 def sha(*parts) -> str:
@@ -118,6 +118,39 @@ def case_sweep_l4_checkpoint_in_block():
     return sha(curve.temperatures, curve.values)
 
 
+def bte_instance():
+    # the corrupted L=3 instance of tests/test_bte.py's memory test; on the
+    # grid below, T = 0.085 trips the linear pass's guard and runs in logs
+    H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
+                                 110, channel.stream(14, 0))
+    return H, np.linspace(0.085, 4.0, 8)
+
+
+def case_bte_magnetization():
+    H, temps = bte_instance()
+    return sha(bte.bte_magnetization_curve(H, temps))
+
+
+def case_bte_log_partition():
+    H, temps = bte_instance()
+    return sha(bte.bte_log_partition_curve(H, temps))
+
+
+def case_bte_pair_correlation():
+    H, temps = bte_instance()
+    return sha(bte.bte_pair_correlation_curve(H, temps, list(H.graph.edges)[::5]))
+
+
+def case_bte_sample():
+    # T = 0.05 draws from the log arithmetic's tables, T = 1.5 from the
+    # linear one's; the second instance has excluded spins and alpha != 1
+    H, _ = bte_instance()
+    excluded = corrupted(3, 109, excluded=frozenset({3, 12, 20}), alpha=0.7)
+    rng = channel.stream(109, 3)
+    return sha(*(bte.bte_sample(G, T, 64, rng)
+                 for G in (H, excluded) for T in (1.5, 0.05)))
+
+
 PINS = {
     case_corrupt:
         "b536526c083dc50233e7279f1d1437fb21bf53578d6a7b5a16b693a6a0ba7321",
@@ -135,6 +168,14 @@ PINS = {
         "1e6a09f28fa02ada5048172d65e4563889be7c424d1c2cfef9ae387dede7f4bb",
     case_sweep_l4_checkpoint_in_block:
         "87af7948eea500adc8feba0815107791a96e11fe4758c94193abf5506b2e148d",
+    case_bte_magnetization:
+        "7c1d6e85a851adba079099ffec09e1f633a598ca059d0d6b381430d4ea6b1ded",
+    case_bte_log_partition:
+        "68cd308894e4ef92c21a94d7c695d3c5938efb3b2f00650681ef8f59700f3fae",
+    case_bte_pair_correlation:
+        "d11957a3648733e3ec927e832723f40f8fb8d56ef877edc2c9c899a7d5089322",
+    case_bte_sample:
+        "58cf593b0c375b3363b8f5e1718d507c885f045325670ee139d0313690efe511",
 }
 
 
