@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -136,16 +137,25 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _temperature(config: dict, key: str, default: float | None = None) -> float:
+    """config[key] (default if absent and not None): ConfigError unless it
+    is a positive finite number."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    if not 0 < value < math.inf:  # false for NaN too
+        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+    return value
+
+
 def _temperature_grid(config: dict, distinct: bool = True) -> np.ndarray:
     """The [grid] linspace; unless distinct is False, ConfigError if it
     repeats a temperature."""
     points = _require(config, "grid.points")
     if points < 1:
         raise ConfigError("grid.points must be >= 1")
-    t_max = config.get("grid.t_max", 7.0)
-    t_min = config.get("grid.t_min", t_max / points)
-    if t_min <= 0 or t_max < t_min:
-        raise ConfigError("invalid temperature grid")
+    t_max = _temperature(config, "grid.t_max", 7.0)
+    t_min = _temperature(config, "grid.t_min", t_max / points)
+    if t_max < t_min:
+        raise ConfigError("invalid temperature grid: grid.t_max < grid.t_min")
     grid = np.linspace(t_min, t_max, points)
     if distinct and np.any(grid[1:] <= grid[:-1]):
         raise ConfigError("grid.t_min and grid.t_max leave no room for "
@@ -376,7 +386,7 @@ def _plow_scatter(config, seed):
     grid = _temperature_grid(config)
     engine = _engine(config)
     n_run = config.get("plow.n_run", 1000)
-    t_samp = _require(config, "plow.sampler_temperature")
+    t_samp = _temperature(config, "plow.sampler_temperature")
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
     curves = transitions.orientation_curves(Hs, grid, engine)

@@ -113,7 +113,7 @@ def thermal_average(energies: np.ndarray, temps: np.ndarray,
     one temperature at a time.
     """
     temps = np.asarray(temps, dtype=float)
-    if np.any(temps <= 0):
+    if not np.all(temps > 0):
         raise ValueError("all temperatures must be positive")
     neg_shifted = energies.min(axis=-1, keepdims=True) - energies
     if out is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 import types
@@ -25,11 +26,11 @@ def arithmetics(monkeypatch):
     passes = types.SimpleNamespace(tried=[], ran=[])
     forward = bte._forward
 
-    def spy(H, temps, order, arith):
+    def spy(H, temps, order, arith, arena):
         attempt = [arith, temps.copy(), None]
         passes.tried.append(attempt)
         try:
-            result = forward(H, temps, order, arith)
+            result = forward(H, temps, order, arith, arena)
         except bte._Underflow as e:
             attempt[2] = e.flags
             raise
@@ -195,6 +196,100 @@ class TestOracle:
         assert [arith for arith, _, _ in arithmetics.tried] == [bte._LINEAR, bte._LOG]
 
 
+def live_peak(plan, skip=()):
+    """Largest sum of the entries of the tables alive at one step of the
+    planned pass, leaving out the tables whose kind (key[0]) is in skip."""
+    slots = [v for k, v in plan.slots.items() if k[0] not in skip]
+    steps = np.zeros(max(last for *_, last in slots) + 2, dtype=np.int64)
+    for _, entries, first, last in slots:
+        steps[first] += entries
+        steps[last + 1] -= entries
+    return int(np.cumsum(steps).max())
+
+
+PLAN_GRAPHS = {f"L{L}": core.build_chimera(L) for L in range(1, 5)}
+PLAN_GRAPHS["L2-excluded"] = core.build_chimera(2, excluded=frozenset({3, 12, 20}))
+# two more excluded graphs: a cell without spins 3 and 7, and one side of a
+# cell alone (four roots)
+SMALL_GRAPHS = {"truncated-cell": core.truncated_cell(),
+                "one-side": core.build_chimera(1, excluded={4, 5, 6, 7})}
+
+
+class TestPlan:
+    """The arena layout of a pass (EliminationOrder.plan) against the tables
+    the pass writes."""
+
+    @pytest.mark.parametrize("name", list(PLAN_GRAPHS) + list(SMALL_GRAPHS))
+    def test_live_tables_never_share_entries(self, name):
+        plan = bte.elimination_order({**PLAN_GRAPHS, **SMALL_GRAPHS}[name]).plan
+        offset, entries, first, last = np.array(list(plan.slots.values())).T
+        assert np.all(offset % bte._ALIGN == 0) and np.all(entries % bte._ALIGN == 0)
+        assert offset.min() == 0 and (offset + entries).max() == plan.entries
+        live = (first[:, None] <= last[None, :]) & (first[None, :] <= last[:, None])
+        shared = ((offset[:, None] < (offset + entries)[None, :])
+                  & (offset[None, :] < (offset + entries)[:, None]))
+        np.fill_diagonal(live, False)
+        assert not np.any(live & shared)
+
+    @pytest.mark.parametrize("name", PLAN_GRAPHS)
+    def test_arena_is_the_largest_live_total(self, name):
+        # entries count the alignment to 64 bytes; the log pass writes every
+        # planned table, the linear pass all but the sum-out scratch
+        order = bte.elimination_order(PLAN_GRAPHS[name])
+        arena = order.plan.entries
+        ratios = {"log": arena / live_peak(order.plan),
+                  "linear": arena / live_peak(order.plan, skip=("scratch",))}
+        assert order.table_entries <= arena
+        assert max(ratios.values()) <= 1.05, ratios
+
+    def test_tables_start_on_64_byte_boundaries(self):
+        plan = bte.elimination_order(PLAN_GRAPHS["L2-excluded"]).plan
+        arena = bte._Arena(plan, 3)
+        for key, (_, entries, _, _) in plan.slots.items():
+            table = arena.table(key, (3, entries))
+            assert table.__array_interface__["data"][0] % 64 == 0
+
+    @pytest.mark.parametrize("arith", [bte._LINEAR, bte._LOG], ids=["linear", "log"])
+    def test_pass_asks_for_the_planned_tables_in_plan_order(self, arith):
+        # the plan lists the tables in the order its walk writes them; a
+        # pass reading every spin and edge asks for them in that order
+        H = corrupted_two_cells(frozenset({2, 13}))
+        order = bte.elimination_order(H.graph)
+        asked = []
+
+        class Spy(bte._Arena):
+            def table(self, key, shape):
+                asked.append(key)
+                return super().table(key, shape)
+
+        groups = [(s,) for s in H.graph.spins] + list(H.graph.edges)
+        bte._moments(H, np.array([0.7, 2.0]), order, arith, Spy(order.plan, 2), groups)
+        first = list(dict.fromkeys(asked))
+        assert first == [key for key in order.plan.slots if key in set(first)]
+        unasked = {key[0] for key in order.plan.slots} - {key[0] for key in first}
+        assert unasked == set()
+
+    @pytest.mark.parametrize("kind",
+                             ["factor", "acc", "msg", "scratch", "down", "read"])
+    @pytest.mark.parametrize("change", ["missing", "smaller"])
+    def test_table_outside_the_plan_raises(self, kind, change):
+        H = random_instance(2, 12)
+        order = bte.elimination_order(H.graph)
+        slots = dict(order.plan.slots)
+        key = next(k for k in slots if k[0] == kind)
+        if change == "missing":
+            del slots[key]
+        else:
+            offset, entries, first, last = slots[key]
+            slots[key] = (offset, 1, first, last)  # smaller than any it holds
+        bent = dataclasses.replace(order)  # a new object, planned below
+        vars(bent)["plan"] = bte._Plan(slots, order.plan.entries)
+        with pytest.raises(LookupError, match="outside the memory plan"):
+            bte.bte_magnetization_curve(H, np.array([1.0]), bent)
+        assert np.array_equal(bte.bte_magnetization_curve(H, np.array([1.0]), order),
+                              bte.bte_magnetization_curve(H, np.array([1.0])))
+
+
 class TestGuard:
     def test_subnormal_entry_flags_its_temperature(self):
         # the guard is the smallest normal float: one subnormal entry trips
@@ -203,7 +298,7 @@ class TestGuard:
         lam[1, 0, 1, 0] = 1e-310
         lam[2, 1, 0, 1] = 2 * np.finfo(float).tiny
         with pytest.raises(bte._Underflow) as e:
-            bte._sum_out_linear(lam)
+            bte._sum_out_linear(lam, np.empty((3, 2, 2)), np.empty((3, 2, 2)))
         assert e.value.flags.tolist() == [False, True, False]
 
 
@@ -264,13 +359,14 @@ class TestEngine:
     def test_chunk_fits_budget(self, L):
         order = bte.elimination_order(core.build_chimera(L))
         chunk = bte._temp_chunk(order)
-        assert chunk * 8 * order.table_entries <= bte.BUDGET
+        assert chunk * 8 * order.plan.entries <= bte.BUDGET
         assert chunk == (32 if L <= 4 else 1)
 
     def test_table_entries_count_the_forward_tables(self):
         H = random_instance(2, 12)
         order = bte.elimination_order(H.graph)
-        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order, bte._LINEAR)
+        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order, bte._LINEAR,
+                                  bte._Arena(order.plan, 2))
         assert sum(b.cond.size for b in buckets.values()) == 2 * order.table_entries
 
     @pytest.mark.parametrize("curve, t_min", [
@@ -283,8 +379,9 @@ class TestEngine:
                      id="bte_magnetization_curve-log-fallback"),
     ])
     def test_peak_memory_within_counted_tables(self, curve, t_min, arithmetics):
-        # BUDGET is charged 8 * n_T * table_entries bytes per pass; what a
-        # pass really holds at its peak may exceed that by at most 25%
+        # what a pass holds at its peak may exceed the cond tables'
+        # 8 * n_T * table_entries bytes by at most 25%, and the arena that
+        # BUDGET is charged for by at most small per-temperature vectors
         H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
                                      110, channel.stream(14, 0))
         order = bte.elimination_order(H.graph)
@@ -296,7 +393,29 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * len(temps) * order.table_entries
+        # the arena is the call's one large buffer
+        assert peak <= 8 * len(temps) * order.plan.entries + (1 << 20)
         assert (bte._LOG in arithmetics.ran) == (t_min < 0.1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_temperature_must_be_positive(self, bad):
+        H = random_instance(1, 0)
+        with pytest.raises(ValueError, match="positive"):
+            bte.bte_magnetization_curve(H, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive"):
+            bte.bte_log_partition_curve(H, np.array([bad]))
+        with pytest.raises(ValueError, match="positive"):
+            bte.bte_sample(H, bad, 5, np.random.default_rng(0))
+
+    def test_empty_grid_gives_empty_curves(self):
+        H = random_instance(2, 0)
+        none = np.array([])
+        n = H.graph.n_spins
+        assert bte.bte_magnetization_curve(H, none).shape == (0, n)
+        assert bte.bte_log_partition_curve(H, none).shape == (0,)
+        pairs = list(H.graph.edges)[:3]
+        assert bte.bte_pair_correlation_curve(H, none, pairs).shape == (0, 3)
+        assert bte.BteEngine().magnetization_curves([H, H], none).shape == (2, 0, n)
 
     def test_curve_shape(self):
         eng = bte.BteEngine()
@@ -371,7 +490,7 @@ class TestBatch:
 
     def test_worker_count(self, monkeypatch):
         order = bte.elimination_order(core.build_chimera(4))
-        peak = 1.25 * 8 * order.table_entries  # one temperature's tables, at peak
+        peak = 8 * order.plan.entries  # one temperature's arena
         monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
         assert bte._workers(order, 1, 21) == 2
         assert bte._workers(order, 1, 1) == 1

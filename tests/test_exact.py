@@ -84,6 +84,20 @@ class TestMagnetization:
         with pytest.raises(ValueError):
             exact.magnetization(random_nominal(15), 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_temperature_must_be_positive(self, bad):
+        H = random_nominal(15)
+        with pytest.raises(ValueError, match="positive"):
+            exact.magnetization_curve(H, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive"):
+            exact.ExactEngine().magnetization_curves([H, H], np.array([bad]))
+
+    def test_empty_grid_gives_empty_curves(self):
+        H = random_nominal(15)
+        none = np.array([])
+        assert exact.magnetization_curve(H, none).shape == (0, 8)
+        assert exact.pair_correlation_curve(H, none, [(0, 4), (1, 5)]).shape == (0, 2)
+
 
 class TestDecoders:
     def test_mpm_ferromagnet(self):
