@@ -182,3 +182,37 @@ PINS = {
 @pytest.mark.parametrize("case", PINS, ids=lambda f: f.__name__[5:])
 def test_golden(case):
     assert case() == PINS[case]
+
+
+# the graphs of tests/test_bte.py's TestPlan
+PLAN_GRAPHS = {
+    **{f"L{L}": lambda L=L: core.build_chimera(L) for L in range(1, 5)},
+    "L2-excluded": lambda: core.build_chimera(2, excluded=frozenset({3, 12, 20})),
+    "truncated-cell": core.truncated_cell,
+    "one-side": lambda: core.build_chimera(1, excluded={4, 5, 6, 7}),
+}
+
+# sha256 of each graph's memory plan: every slot (key, offset, entries,
+# first and last step), sorted, and the arena's entries per temperature
+PLAN_PINS = {
+    "L1":
+        "51487d62e3a3c0140aba6413401857c977efd97eae62fc3905270fd1387425f3",
+    "L2":
+        "936328c4ad0d8c9814366a4ef5512966c716fc881f572c5945c32b54babde5bd",
+    "L3":
+        "042da3173241539f8be21dabf8469f9bbec77c237908f0965b93203ac44e96e9",
+    "L4":
+        "b50cd2a5ff37e37ecaed21cf6ca6457e40efd1e3b5a585415be03ad30d0cb3ef",
+    "L2-excluded":
+        "56d7e4ea4a34b05536c06d40f29cfe596c0c60e8c5e28a074bcf345ed135b8bf",
+    "truncated-cell":
+        "7106847d5fa8c999256091c881da07b8fbb49ffadd461a34395b8dfab8080638",
+    "one-side":
+        "a3fff6a4541fd51c4b7095bb5d0a4299ded162c03ea3ca7f1aeff42533101088",
+}
+
+
+@pytest.mark.parametrize("name", PLAN_PINS)
+def test_plan(name):
+    plan = bte.elimination_order(PLAN_GRAPHS[name]()).plan
+    assert sha(repr(sorted(plan.slots.items())), repr(plan.entries)) == PLAN_PINS[name]
