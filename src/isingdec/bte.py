@@ -38,18 +38,19 @@ whose innermost run is short loops over it in Python, so that numpy's inner
 loop runs over the long run outside it; a marginal sums one run at a time
 as a product with a vector of ones.
 
-Memory. The elimination order alone fixes the shape and lifetime of every
-table a pass writes: factors, combined and bucket tables (lam_v becomes
-cond_v and then the belief in place), messages, sum-out scratch, and the
-marginals sent down with their intermediates. Each order's plan
-(`EliminationOrder.plan`) gives every table an offset such that tables
-alive at the same time never share an entry. A call makes one buffer, the
-arena, of the plan's entries per temperature times its largest chunk; every
-pass of the call (each chunk, an abandoned linear attempt, the re-runs)
-writes its tables as views of it, at offset times the pass's temperature
-count, and a table the plan does not hold raises LookupError. The arena is
-dropped when the call returns; its size, known before any table is written,
-is the call's peak.
+Schedule and memory. The elimination order alone fixes every scope, run and
+sum of a pass, so each order walks its scopes once, into the steps of a
+forward and a backward pass (`EliminationOrder.schedule`). Each step names
+the tables it creates and the tables it reads; a table written in place
+keeps its key (lam_v becomes cond_v, then the belief). The passes run the
+steps, and the memory plan (`EliminationOrder.plan`) reads from them each
+table's lifetime, to give every table an offset such that tables alive at
+the same time never share an entry. A call makes one buffer, the arena, of the plan's
+entries per temperature times its largest chunk; every pass of the call
+(each chunk, an abandoned linear attempt, the re-runs) writes its tables as
+views of it, at offset times the pass's temperature count, and a table the
+plan does not hold raises LookupError. The arena is dropped when the call
+returns; its size, known before any table is written, is the call's peak.
 
 A batch of Hamiltonians runs whole calls side by side on threads, as many as
 there are usable CPUs and as BUDGET holds the calls' arenas at once. A chunk
@@ -100,32 +101,19 @@ _ALIGN = 8
 class EliminationOrder:
     """A complete variable order of a graph, the width it induces, the
     entries of all bucket tables one elimination pass keeps per temperature,
-    and (made on first use) the memory plan of a pass."""
+    the steps of a pass in this order (schedule) and, made on first use, its
+    memory plan."""
 
     order: tuple[int, ...]
     induced_width: int
     table_entries: int
     graph: ChimeraGraph = field(repr=False)
+    schedule: _Schedule = field(repr=False, compare=False)
 
     @functools.cached_property
     def plan(self) -> _Plan:
         """The arena layout of one forward and backward pass in this order."""
-        return _pack(*_lifetimes(self.graph, self.order))
-
-
-def _elimination_cost(graph: ChimeraGraph,
-                      order: tuple[int, ...]) -> tuple[int, int]:
-    """(induced width, table entries per temperature) of eliminating in order."""
-    adj = {s: set(nbrs) for s, nbrs in graph.neighbors().items()}
-    width = entries = 0
-    for v in order:
-        nbrs = adj.pop(v)
-        width = max(width, len(nbrs))
-        entries += 1 << (len(nbrs) + 1)
-        for a in nbrs:
-            adj[a].discard(v)
-            adj[a] |= nbrs - {a}
-    return width, entries
+        return _pack(*_lifetimes(self.schedule))
 
 
 @functools.lru_cache(maxsize=8)
@@ -137,7 +125,7 @@ def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
     frontier to the side-1 cut plus one cell, so the induced width stays at
     4L on an unexcluded L x L Chimera with K=4 (well under the 4L+4 bound of
     the per-cell order). The order of a graph is made once per process (for
-    the last few graphs), so its plan is too.
+    the last few graphs), so its schedule and plan are too.
     """
     order: list[int] = []
     L, K = graph.L, graph.K
@@ -150,9 +138,179 @@ def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
                     if s in active:
                         order.append(s)
     ot = tuple(order)
-    width, entries = _elimination_cost(graph, ot)
-    return EliminationOrder(order=ot, induced_width=width, table_entries=entries,
-                            graph=graph)
+    schedule = _schedule(graph, ot)
+    scopes = [step.scope for step in schedule.forward if isinstance(step, _SumOut)]
+    return EliminationOrder(order=ot, induced_width=max(map(len, scopes)) - 1,
+                            table_entries=sum(1 << len(s) for s in scopes),
+                            graph=graph, schedule=schedule)
+
+
+# ---------------------------------------------------------------------------
+# schedule
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One step of a pass: the tables it creates, as (key, entries per
+    temperature) in the order it takes them from the arena, and the keys of
+    the earlier tables it reads or writes in place."""
+
+    creates: tuple[tuple[tuple, int], ...]
+    reads: tuple[tuple, ...]
+
+
+@dataclass(frozen=True)
+class _Enter(_Step):
+    """A bucket's factor tables, created from the factors of _factors at
+    these indices, then the same-scope products dst = dst op src in place."""
+
+    factors: tuple[int, ...]
+    merges: tuple[tuple[tuple, tuple], ...]
+
+
+@dataclass(frozen=True)
+class _Broadcast(_Step):
+    """out = a op b for reads (a, b) and out one of them or the table created,
+    each seen through its view: the runs of out's scope, size 1 where the
+    table lacks them. short is (in a, in b, size) of a short innermost run."""
+
+    out: tuple
+    views: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    short: tuple[bool, bool, int] | None
+
+
+@dataclass(frozen=True)
+class _SumOut(_Step):
+    """Spin scope[0] summed out of the bucket table (lam, left as cond) into
+    the message over scope[1:], with a scratch table of its size."""
+
+    scope: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Belief(_Step):
+    """A bucket's cond table times the marginal of its parent's belief on the
+    separator, in place: reads (cond, down), or (cond,) at a root."""
+
+
+@dataclass(frozen=True)
+class _Sum(_Step):
+    """One run of a marginal sent down: the read table, seen as (pre, size,
+    post) per temperature, summed over its middle axis into the created."""
+
+    run: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class _Read(_Step):
+    """Group reads from a bucket's belief: sums maps the spins of each factor
+    of the bucket to the sums that keep them, sum k into the k-th created."""
+
+    sums: dict[frozenset[int], tuple[tuple[int, int, int], ...]]
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """The steps of one forward and one backward pass, in the order they run."""
+
+    forward: tuple[_Step, ...]
+    backward: tuple[_Step, ...]
+
+
+def _runs(scope: tuple[int, ...], *parts: tuple[int, ...]) -> tuple:
+    """Adjacent axes of scope merged into runs: (membership per part, size),
+    where consecutive axes with the same membership in every part merge."""
+    keys = zip(*([v in p for v in scope] for p in map(set, parts)))
+    return tuple((key, 1 << len(list(axes))) for key, axes in itertools.groupby(keys))
+
+
+def _sum_steps(scope: tuple[int, ...],
+               keep: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The sums that keep only `keep` of a table over scope: one per run of
+    adjacent dropped axes, innermost first, each over the middle axis of the
+    table seen as (pre, size, post) per temperature."""
+    runs = _runs(scope, keep)
+    shape = [size for _, size in runs]
+    steps = []
+    for axis in range(len(runs) - 1, -1, -1):
+        (kept,), size = runs[axis]
+        if not kept:
+            steps.append((math.prod(shape[:axis]), size, math.prod(shape[axis + 1:])))
+            del shape[axis]
+    return tuple(steps)
+
+
+def _schedule(graph: ChimeraGraph, order: tuple[int, ...]) -> _Schedule:
+    """The steps of one forward and backward pass in `order`.
+
+    Bucket v takes the field and coupler factors whose earliest spin is v and
+    its children's messages. Tables with the same scope merge in place
+    first; then the distinct scopes merge smallest first, so the small
+    factors become one small table before the one broadcast that writes the
+    bucket table. A marginal that drops no axis is the belief itself. Each
+    bucket's group reads get one set of scratch tables, sized for the
+    largest of its spin and edge groups.
+    """
+    pos = {v: t for t, v in enumerate(order)}
+    factors: dict[int, list] = {v: [((v,), i)] for i, v in enumerate(graph.spins)}
+    for e, (i, j) in enumerate(graph.edges):
+        a, b = (i, j) if pos[i] < pos[j] else (j, i)
+        factors[a].append(((a, b), graph.n_spins + e))
+    pending: dict[int, list] = {v: [] for v in order}  # (scope, message key)
+    children: dict[int, list[int]] = {v: [] for v in order}
+    buckets: dict[int, tuple] = {}  # (scope, cond key)
+    forward: list[_Step] = []
+    for v in order:
+        keys = [("factor", s) for s, _ in factors[v]]
+        merged: dict[tuple[int, ...], tuple] = {}
+        merges = []
+        for s, key in [(key[1], key) for key in keys] + pending.pop(v):
+            if s in merged:
+                merges.append((merged[s], key))
+            else:
+                merged[s] = key
+        forward.append(_Enter(tuple((key, 1 << len(key[1])) for key in keys),
+                              tuple(itertools.chain(*merges)),
+                              tuple(f for _, f in factors[v]), tuple(merges)))
+        ordered = sorted(merged.items(), key=lambda it: len(it[0]))
+        acc_scope, acc = ordered[0]
+        for s, key in ordered[1:]:
+            scope = tuple(sorted(set(acc_scope) | set(s), key=pos.__getitem__))
+            runs = _runs(scope, acc_scope, s)
+            out = acc if scope == acc_scope else key if scope == s else ("acc", scope)
+            (in_a, in_b), size = runs[-1]
+            forward.append(_Broadcast(
+                ((out, 1 << len(scope)),) if out not in (acc, key) else (),
+                (acc, key), out,
+                (tuple(n if k[0] else 1 for k, n in runs),
+                 tuple(n if k[1] else 1 for k, n in runs),
+                 tuple(n for _, n in runs)),
+                None if len(runs) == 1 or size > _SHORT else (in_a, in_b, size)))
+            acc_scope, acc = scope, out
+        sep = 1 << (len(acc_scope) - 1)
+        forward.append(_SumOut(((("msg", v), sep), (("scratch", v), sep)), (acc,),
+                               acc_scope))
+        buckets[v] = acc_scope, acc
+        if len(acc_scope) > 1:
+            pending[acc_scope[1]].append((acc_scope[1:], ("msg", v)))
+            children[acc_scope[1]].append(v)
+    backward: list[_Step] = []
+    down: dict[int, tuple] = {}  # key of the marginal sent to each child
+    for v in reversed(order):
+        scope, cond = buckets[v]
+        backward.append(_Belief((), (cond, down.pop(v)) if len(scope) > 1 else (cond,)))
+        for c in children[v]:
+            down[c] = cond
+            for k, run in enumerate(_sum_steps(scope, buckets[c][0][1:])):
+                key = ("down", c, k)
+                backward.append(_Sum(((key, run[0] * run[2]),), (down[c],), run))
+                down[c] = key
+        sums = {frozenset(s): _sum_steps(scope, s) for s, _ in factors[v]}
+        sizes = itertools.zip_longest(*([pre * post for pre, _, post in r]
+                                        for r in sums.values()), fillvalue=0)
+        backward.append(_Read(tuple((("read", v, k), max(at_k))
+                                    for k, at_k in enumerate(sizes)), (cond,), sums))
+    return _Schedule(tuple(forward), tuple(backward))
 
 
 # ---------------------------------------------------------------------------
@@ -176,94 +334,17 @@ class _Plan:
     entries: int
 
 
-class _Walk:
-    """The tables a pass writes, in the order it writes them: key ->
-    [entries rounded up to _ALIGN, first step, last step]."""
-
-    def __init__(self):
-        self.tables: dict[tuple, list[int]] = {}
-        self.step = 0
-
-    def new(self, key: tuple, entries: int) -> tuple:
-        self.tables[key] = [-(-entries // _ALIGN) * _ALIGN, self.step, self.step]
-        return key
-
-    def use(self, *keys: tuple) -> None:
-        for key in keys:
-            self.tables[key][2] = self.step
-
-
-def _lifetimes(graph: ChimeraGraph,
-               order: tuple[int, ...]) -> tuple[dict[tuple, list[int]], int]:
-    """Every table of one forward and backward pass in `order`, keyed as the
-    pass asks the arena for it, with its size and lifetime; and the last
-    step of the forward pass.
-
-    The walk repeats the scope bookkeeping of _forward, _combine and
-    _moments without table values. A table written in place of another
-    (a combined table, a belief) keeps its key; a marginal that drops no
-    axis is the belief itself. Each bucket's group reads get one set of
-    scratch tables, sized for the largest of its spin and edge groups.
-    """
-    pos = {v: t for t, v in enumerate(order)}
-    walk = _Walk()
-    pending: dict[int, list] = {v: [] for v in order}  # (scope, key)
-    children: dict[int, list[int]] = {v: [] for v in order}
-    factors: dict[int, list[tuple[int, ...]]] = {v: [(v,)] for v in order}
-    for i, j in graph.edges:
-        a, b = (i, j) if pos[i] < pos[j] else (j, i)
-        factors[a].append((a, b))
-    scopes: dict[int, tuple[int, ...]] = {}
-    conds: dict[int, tuple] = {}
-    for v in order:
-        walk.step += 1
-        items = [(s, walk.new(("factor", s), 1 << len(s))) for s in factors[v]]
-        merged: dict[tuple[int, ...], tuple] = {}
-        for s, key in items + pending.pop(v):
-            if s in merged:
-                walk.use(merged[s], key)
-            else:
-                merged[s] = key
-        ordered = sorted(merged.items(), key=lambda it: len(it[0]))
-        acc_scope, acc = ordered[0]
-        for s, key in ordered[1:]:
-            walk.step += 1
-            scope = tuple(sorted(set(acc_scope) | set(s), key=pos.__getitem__))
-            walk.use(acc, key)
-            if scope == s:
-                acc = key
-            elif scope != acc_scope:
-                acc = walk.new(("acc", scope), 1 << len(scope))
-            acc_scope = scope
-        walk.step += 1
-        sep = 1 << (len(acc_scope) - 1)
-        msg = walk.new(("msg", v), sep)
-        walk.new(("scratch", v), sep)
-        walk.use(acc)
-        scopes[v], conds[v] = acc_scope, acc
-        if len(acc_scope) > 1:
-            pending[acc_scope[1]].append((acc_scope[1:], msg))
-            children[acc_scope[1]].append(v)
-    forward_end = walk.step
-    down: dict[int, tuple] = {}
-    for v in reversed(order):
-        walk.step += 1
-        walk.use(conds[v])
-        if len(scopes[v]) > 1:
-            walk.use(down.pop(v))
-        for c in children[v]:
-            down[c] = conds[v]
-            for k, (pre, _, post) in enumerate(_sum_steps(scopes[v], scopes[c][1:])):
-                walk.step += 1
-                walk.use(down[c])
-                down[c] = walk.new(("down", c, k), pre * post)
-        reads = [[pre * post for pre, _, post in _sum_steps(scopes[v], g)]
-                 for g in factors[v]]
-        walk.step += 1
-        walk.use(conds[v])
-        for k in range(max(map(len, reads))):
-            walk.new(("read", v, k), max(r[k] for r in reads if len(r) > k))
-    return walk.tables, forward_end
+def _lifetimes(schedule: _Schedule) -> tuple[dict[tuple, list[int]], int]:
+    """Every table of the schedule's pass: key -> [entries rounded up to
+    _ALIGN, first step, last step], in the order the pass creates them; and
+    the last step of the forward pass. Steps count from 1."""
+    tables: dict[tuple, list[int]] = {}
+    for t, step in enumerate(schedule.forward + schedule.backward, 1):
+        for key, entries in step.creates:
+            tables[key] = [-(-entries // _ALIGN) * _ALIGN, t, t]
+        for key in step.reads:
+            tables[key][2] = t
+    return tables, len(schedule.forward)
 
 
 def _pack(tables: dict[tuple, list[int]], forward_end: int) -> _Plan:
@@ -354,117 +435,12 @@ def _workers(order: EliminationOrder, n_temps: int, n_calls: int) -> int:
     return max(1, min(usable_cpus(), n_calls, BUDGET // arena))
 
 
-@dataclass
-class _Bucket:
-    """One eliminated spin. scope is (spin, separator...) in elimination
-    order, so scope[1] is the parent; cond = P(spin | separator) has axes
-    (temperature, *scope)."""
-
-    scope: tuple[int, ...]
-    cond: np.ndarray
-    children: list[int]
-
-
 class _Underflow(Exception):
     """A linear pass left the normal float range at the flagged temperatures."""
 
     def __init__(self, flags: np.ndarray):
         super().__init__(f"{int(flags.sum())} temperature(s) need log arithmetic")
         self.flags = flags
-
-
-# _runs and _sum_steps are cached: every pass of a graph asks for the same
-# few hundred scopes, and each answer costs more than the numpy call it shapes
-@functools.lru_cache(maxsize=1 << 14)
-def _runs(scope: tuple[int, ...], *parts: tuple[int, ...]) -> tuple:
-    """Adjacent axes of scope merged into runs: (membership per part, size),
-    where consecutive axes with the same membership in every part merge."""
-    keys = zip(*([v in p for v in scope] for p in map(set, parts)))
-    return tuple((key, 1 << len(list(axes))) for key, axes in itertools.groupby(keys))
-
-
-def _broadcast(op: np.ufunc, a: np.ndarray, sa: tuple[int, ...], b: np.ndarray,
-               sb: tuple[int, ...], scope: tuple[int, ...],
-               out: np.ndarray) -> np.ndarray:
-    """op(a, b) over `scope`, each broadcast from its own scope (all sorted
-    by elimination position), into `out` (which may be a or b)."""
-    n = a.shape[0]
-    runs = _runs(scope, sa, sb)
-
-    def view(t, k):
-        return t.reshape((n,) + tuple(size if key[k] else 1 for key, size in runs))
-
-    av, bv = view(a, 0), view(b, 1)
-    ov = out.reshape((n,) + tuple(size for _, size in runs))
-    (in_a, in_b), size = runs[-1]
-    if len(runs) == 1 or size > _SHORT:
-        op(av, bv, out=ov)
-    else:  # one op per innermost index: the inner loop runs over the next run
-        for i in range(size):
-            op(av[..., i if in_a else 0], bv[..., i if in_b else 0], out=ov[..., i])
-    return out
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _sum_steps(scope: tuple[int, ...],
-               keep: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """The sums _marginal makes to keep only `keep` of a table over scope:
-    one per run of adjacent dropped axes, innermost first, each over the
-    middle axis of the table seen as (pre, size, post) per temperature."""
-    runs = _runs(scope, keep)
-    shape = [size for _, size in runs]
-    steps = []
-    for axis in range(len(runs) - 1, -1, -1):
-        (kept,), size = runs[axis]
-        if not kept:
-            steps.append((math.prod(shape[:axis]), size, math.prod(shape[axis + 1:])))
-            del shape[axis]
-    return tuple(steps)
-
-
-def _marginal(table: np.ndarray, scope: tuple[int, ...], keep: tuple[int, ...],
-              arena: _Arena, key: tuple) -> np.ndarray:
-    """Sum of `table` over the scope axes not in keep, one run of adjacent
-    dropped axes at a time, each as a product with ones into the arena's
-    table key + (step,); the table itself if nothing is dropped."""
-    n = table.shape[0]
-    t = table
-    for k, (pre, size, post) in enumerate(_sum_steps(scope, keep)):
-        out = arena.table(key + (k,), (n, pre * post))
-        ones = np.ones(size)
-        if post == 1:
-            np.matmul(t.reshape(n * pre, size), ones, out=out.reshape(n * pre))
-        else:
-            np.matmul(ones, t.reshape(n * pre, size, post),
-                      out=out.reshape(n * pre, post))
-        t = out
-    return t.reshape((n,) + (2,) * len(keep))
-
-
-def _combine(items, pos, op: np.ufunc,
-             arena: _Arena) -> tuple[tuple[int, ...], np.ndarray]:
-    """op-product of (scope, table) items over their union scope, sorted by
-    elimination position. The tables are the bucket's own and are reused.
-
-    Tables with the same scope merge in place first; then the distinct
-    scopes merge smallest first, so the small factors become one small table
-    before the one broadcast that writes the bucket table.
-    """
-    merged: dict[tuple[int, ...], np.ndarray] = {}
-    for s, table in items:
-        if s in merged:
-            op(merged[s], table, out=merged[s])
-        else:
-            merged[s] = table
-    ordered = sorted(merged.items(), key=lambda it: it[1].size)
-    acc_scope, acc = ordered[0]
-    for s, table in ordered[1:]:
-        scope = tuple(sorted(set(acc_scope) | set(s), key=pos.__getitem__))
-        out = acc if scope == acc_scope else table if scope == s else arena.table(
-            ("acc", scope), (acc.shape[0],) + (2,) * len(scope))
-        acc = _broadcast(op, acc, acc_scope, table, s, scope, out)
-        acc_scope = scope
-    return acc_scope, acc
 
 
 def _sum_out_linear(lam: np.ndarray, msg: np.ndarray,
@@ -523,57 +499,73 @@ _LINEAR = _Arithmetic(np.multiply, _sum_out_linear, np.exp)
 _LOG = _Arithmetic(np.add, _sum_out_log, None)
 
 
-def _factors(H: Hamiltonian, pos: dict[int, int]):
-    """Log field and coupler factors per bucket (the earliest spin of their
-    scope), as (scope, energy table) with each table shifted to a largest
-    entry of 0, to be divided by T; and the sum of the shifts."""
-    at: dict[int, list] = {v: [] for v in pos}
+
+
+def _factors(H: Hamiltonian) -> tuple[list[np.ndarray], float]:
+    """Log field tables in spin order, then log coupler tables in edge order,
+    each flat and shifted to a largest entry of 0, to be divided by T; and
+    the sum of the shifts."""
     fields = H.alpha * H.h[:, None] * _SPIN_VALUES
-    for s, base in zip(H.graph.spins, fields):
-        at[s].append(((s,), base - base.max()))
-    couplers = (H.alpha * H.J)[:, None, None] * _PAIR_VALUES
-    for (i, j), base in zip(H.graph.edges, couplers):
-        a, b = (i, j) if pos[i] < pos[j] else (j, i)
-        at[a].append(((a, b), base - base.max()))
+    couplers = ((H.alpha * H.J)[:, None, None] * _PAIR_VALUES).reshape(-1, 4)
+    bases = [*(fields - fields.max(axis=1, keepdims=True)),
+             *(couplers - couplers.max(axis=1, keepdims=True))]
     shift = np.abs(H.alpha * H.h).sum() + np.abs(H.alpha * H.J).sum()
-    return at, shift
+    return bases, shift
 
 
 def _forward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
              arith: _Arithmetic,
-             arena: _Arena) -> tuple[dict[int, _Bucket], np.ndarray]:
-    """Eliminate all variables in one arithmetic, every table in `arena`;
-    returns the buckets and ln Z per T. The linear arithmetic raises
-    _Underflow where its guard fires."""
+             arena: _Arena) -> tuple[dict[tuple, np.ndarray], np.ndarray]:
+    """Run the forward steps of order.schedule in one arithmetic, every table
+    in `arena`; returns the pass's tables, (n_temps, entries) by key, and
+    ln Z per T. The linear arithmetic raises _Underflow where its guard
+    fires."""
     n = len(temps)
-    pos = {v: t for t, v in enumerate(order.order)}
-    pending: dict[int, list] = {v: [] for v in order.order}  # messages
-    children: dict[int, list[int]] = {v: [] for v in order.order}
-    factors, shift = _factors(H, pos)
+    bases, shift = _factors(H)
     inv_t = 1.0 / temps
     lnz = shift * inv_t
-    buckets: dict[int, _Bucket] = {}
-    for v in order.order:
-        items = []
-        for s, base in factors[v]:
-            table = arena.table(("factor", s), (n,) + base.shape)
-            np.multiply(inv_t.reshape((n,) + (1,) * base.ndim), base, out=table)
-            if arith.enter is not None:
-                arith.enter(table, out=table)
-            items.append((s, table))
-        scope, cond = _combine(items + pending.pop(v), pos, arith.op, arena)
-        sep = (n,) + (2,) * (len(scope) - 1)
-        msg, log_scale = arith.sum_out(cond, arena.table(("msg", v), sep),
-                                       arena.table(("scratch", v), sep))
-        lnz += log_scale
-        buckets[v] = _Bucket(scope, cond, children.pop(v))
-        if len(scope) > 1:
-            pending[scope[1]].append((scope[1:], msg))
-            children[scope[1]].append(v)
-    return buckets, lnz
+    tables: dict[tuple, np.ndarray] = {}
+    for step in order.schedule.forward:
+        tables.update((key, arena.table(key, (n, e))) for key, e in step.creates)
+        if isinstance(step, _Enter):
+            for (key, _), f in zip(step.creates, step.factors):
+                np.multiply(inv_t[:, None], bases[f], out=tables[key])
+                if arith.enter is not None:
+                    arith.enter(tables[key], out=tables[key])
+            for dst, src in step.merges:
+                arith.op(tables[dst], tables[src], out=tables[dst])
+        elif isinstance(step, _Broadcast):
+            a, b, out = (tables[key].reshape((n,) + view)
+                         for key, view in zip(step.reads + (step.out,), step.views))
+            if step.short is None:
+                arith.op(a, b, out=out)
+            else:  # one op per innermost index: the inner loop runs over the next run
+                in_a, in_b, size = step.short
+                for i in range(size):
+                    arith.op(a[..., i if in_a else 0], b[..., i if in_b else 0],
+                             out=out[..., i])
+        else:
+            msg, scratch = (tables[key] for key, _ in step.creates)
+            lnz += arith.sum_out(tables[step.reads[0]].reshape(n, 2, -1), msg,
+                                 scratch)[1]
+    return tables, lnz
 
 
 _SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
+
+
+def _sum_run(table: np.ndarray, out: np.ndarray, pre: int, size: int,
+             post: int) -> np.ndarray:
+    """out = table, seen as (pre, size, post) per temperature, summed over
+    its middle axis as a product with ones."""
+    n = out.shape[0]
+    ones = np.ones(size)
+    if post == 1:
+        np.matmul(table.reshape(n * pre, size), ones, out=out.reshape(n * pre))
+    else:
+        np.matmul(ones, table.reshape(n * pre, size, post),
+                  out=out.reshape(n * pre, post))
+    return out
 
 
 def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
@@ -582,29 +574,34 @@ def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
     """<product of sigma over g>(T) for each group g of one spin or of an
     edge's two spins: (n_temps, len(groups)).
 
-    A group is read from the belief of the bucket of its earliest spin,
-    whose scope holds the whole group. Each belief is built in place of the
-    bucket's cond table.
+    The backward steps turn each bucket's cond table into its belief in
+    place. A group is read from the belief of the bucket of its earliest
+    spin, whose scope holds the whole group.
     """
-    pos = {v: t for t, v in enumerate(order.order)}
-    at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    n = len(temps)
+    columns: dict[frozenset[int], list[int]] = {}
     for k, g in enumerate(groups):
-        at.setdefault(min(g, key=pos.__getitem__), []).append((k, g))
-    buckets, _ = _forward(H, temps, order, arith, arena)
-    out = np.empty((len(temps), len(groups)))
-    down: dict[int, np.ndarray] = {}  # P(separator) per pending child
-    for v in reversed(order.order):
-        b = buckets.pop(v)
-        belief = b.cond  # P(v | separator) * P(separator) = P(scope)
-        if len(b.scope) > 1:
-            belief *= down.pop(v)[:, None]
-        for c in b.children:
-            down[c] = _marginal(belief, b.scope, buckets[c].scope[1:], arena,
-                                ("down", c))
-        for k, g in at.get(v, ()):
-            p = _marginal(belief, b.scope, g, arena, ("read", v))
-            p = p.reshape(len(temps), -1)
-            out[:, k] = (p @ _SIGNS[len(g)]) / p.sum(axis=1)
+        columns.setdefault(frozenset(g), []).append(k)
+    tables, _ = _forward(H, temps, order, arith, arena)
+    out = np.empty((n, len(groups)))
+    for step in order.schedule.backward:
+        tables.update((key, arena.table(key, (n, e))) for key, e in step.creates)
+        if isinstance(step, _Belief):
+            if len(step.reads) > 1:
+                belief, down = (tables[key] for key in step.reads)
+                belief = belief.reshape(n, 2, -1)  # P(v | separator)
+                belief *= down[:, None]  # times P(separator)
+        elif isinstance(step, _Sum):
+            _sum_run(tables[step.reads[0]], tables[step.creates[0][0]], *step.run)
+        else:
+            scratch = [tables[key].reshape(-1) for key, _ in step.creates]
+            for g, sums in step.sums.items():
+                for k in columns.get(g, ()):
+                    p = tables[step.reads[0]]
+                    for t, (pre, size, post) in zip(scratch, sums):
+                        p = _sum_run(p, t[:n * pre * post].reshape(n, pre * post),
+                                     pre, size, post)
+                    out[:, k] = (p @ _SIGNS[len(g)]) / p.sum(axis=1)
     return out
 
 
@@ -711,14 +708,15 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
         raise ValueError("n must be >= 1")
     order = order or elimination_order(H.graph)
     _temp_chunk(order)
-    buckets, _ = _split(functools.partial(_forward, H), np.array([float(T)]), order,
-                        _Arena(order.plan, 1))
+    tables, _ = _split(functools.partial(_forward, H), np.array([float(T)]), order,
+                       _Arena(order.plan, 1))
     bits: dict[int, np.ndarray] = {}
-    for v in reversed(order.order):
-        b = buckets[v]
-        # P(v | separator) per sample, (2, n); (2,) at a root
-        p = b.cond[0][(slice(None),) + tuple(bits[s] for s in b.scope[1:])]
-        bits[v] = (rng.random(n) < p[1]).astype(np.int64)
+    for step in reversed(order.schedule.forward):
+        if isinstance(step, _SumOut):
+            cond = tables[step.reads[0]][0].reshape((2,) * len(step.scope))
+            # P(v | separator) per sample, (2, n); (2,) at a root
+            p = cond[(slice(None),) + tuple(bits[s] for s in step.scope[1:])]
+            bits[step.scope[0]] = (rng.random(n) < p[1]).astype(np.int64)
     return 2 * np.stack([bits[s] for s in H.graph.spins], axis=1) - 1
 
 

@@ -343,13 +343,18 @@ def _transition_instances(config, seed):
         raise ConfigError("ensemble.instances must be >= 1")
     H_clean = _clean_hamiltonian(config)
     flips = config.get("channel.flips")
+    p = config.get("channel.p", [0.1])
+    total = H_clean.graph.n_spins + H_clean.graph.n_edges
+    if flips is not None and not 0 <= flips <= total:
+        raise ConfigError(f"channel.flips must lie in [0, {total}], got {flips}")
+    if flips is None and not (p and 0 <= p[0] <= 1):  # false for NaN too
+        raise ConfigError(f"channel.p must start with a value in [0, 1], got {p}")
     for k in range(n_inst):
         rng = channel.stream(seed, 10, k)
         if flips is not None:
             H, _ = channel.sample_sector(H_clean, flips, rng)
         else:
-            p = config.get("channel.p", [0.1])[0]
-            H, _ = channel.corrupt(H_clean, p, rng)
+            H, _ = channel.corrupt(H_clean, p[0], rng)
         yield f"instance-{k}", H
 
 
@@ -386,6 +391,8 @@ def _plow_scatter(config, seed):
     grid = _temperature_grid(config)
     engine = _engine(config)
     n_run = config.get("plow.n_run", 1000)
+    if n_run < 1:
+        raise ConfigError("plow.n_run must be >= 1")
     t_samp = _temperature(config, "plow.sampler_temperature")
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]

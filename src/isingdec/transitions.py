@@ -214,8 +214,15 @@ def fit_logistic(t_trans: np.ndarray, p_low: np.ndarray) -> tuple[float, float]:
             break
         scale = np.maximum(np.diag(hess), np.finfo(float).tiny)
         step = np.zeros(2)
-        step[free] = np.linalg.solve(
-            hess[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
+        try:
+            step[free] = np.linalg.solve(
+                hess[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
+        except np.linalg.LinAlgError:
+            # mu has shrunk below the rounding of a rank-deficient normal
+            # matrix (a near-step scatter): damp more, as for a rejected step
+            mu *= nu
+            nu *= 2.0
+            continue
         predicted = -(2.0 * grad @ step + step @ hess @ step)
         b_new = min(max(x[1] + step[1], lo[1]), hi[1])
         x_new = np.array([min(max(x[0] - step[0] / b_new, lo[0]), hi[0]), b_new])

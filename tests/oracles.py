@@ -38,6 +38,26 @@ def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
     return total
 
 
+def elimination_cost(graph, order):
+    """(induced width, table entries per temperature) of eliminating the
+    spins of graph in order, by clique fill on an adjacency matrix built from
+    the edge list: a spin's table spans it and its d remaining neighbours,
+    2^(d + 1) entries, and those neighbours then form a clique."""
+    index = {s: k for k, s in enumerate(graph.spins)}
+    adj = np.zeros((len(index), len(index)), dtype=bool)
+    for i, j in graph.edges:
+        adj[index[i], index[j]] = adj[index[j], index[i]] = True
+    width = entries = 0
+    for s in order:
+        nbrs = np.flatnonzero(adj[index[s]])
+        width = max(width, len(nbrs))
+        entries += 2 ** (len(nbrs) + 1)
+        adj[np.ix_(nbrs, nbrs)] = True
+        adj[nbrs, nbrs] = False
+        adj[index[s], :] = adj[:, index[s]] = False
+    return width, entries
+
+
 def map_decoder(graph, alpha=1.0):
     """direct_rtot decoder: MAP signs (B, n) of (B, N+M) element rows, from
     the package's batch energy and MAP kernels."""

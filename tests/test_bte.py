@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from isingdec import bte, channel, core, exact, sa
+from oracles import elimination_cost
 
 
 def random_instance(L, seed):
@@ -55,6 +56,20 @@ class TestEliminationOrder:
     def test_truncated_cell(self):
         order = bte.elimination_order(core.truncated_cell())
         assert order.induced_width <= 4
+
+    @pytest.mark.parametrize("graph", [
+        *(core.build_chimera(L) for L in range(1, 6)),
+        core.build_chimera(2, excluded=frozenset({3, 12, 20})),
+        core.build_chimera(2, excluded=frozenset(range(16, 32)) | {2, 13}),
+        core.truncated_cell(),
+        core.build_chimera(1, excluded={4, 5, 6, 7}),
+    ], ids=[*(f"L{L}" for L in range(1, 6)), "L2-excluded", "two-cells-partial",
+            "truncated-cell", "one-side"])
+    def test_width_and_entries_are_the_clique_fill(self, graph):
+        # both come from the scopes of the schedule's sum-out steps
+        order = bte.elimination_order(graph)
+        assert (order.induced_width, order.table_entries) == \
+            elimination_cost(graph, order.order)
 
 
 class TestAgainstExact:
@@ -365,9 +380,11 @@ class TestEngine:
     def test_table_entries_count_the_forward_tables(self):
         H = random_instance(2, 12)
         order = bte.elimination_order(H.graph)
-        buckets, _ = bte._forward(H, np.array([1.0, 2.0]), order, bte._LINEAR,
-                                  bte._Arena(order.plan, 2))
-        assert sum(b.cond.size for b in buckets.values()) == 2 * order.table_entries
+        tables, _ = bte._forward(H, np.array([1.0, 2.0]), order, bte._LINEAR,
+                                 bte._Arena(order.plan, 2))
+        conds = [tables[step.reads[0]] for step in order.schedule.forward
+                 if isinstance(step, bte._SumOut)]
+        assert sum(c.size for c in conds) == 2 * order.table_entries
 
     @pytest.mark.parametrize("curve, t_min", [
         pytest.param(bte.bte_magnetization_curve, 0.2, id="bte_magnetization_curve"),

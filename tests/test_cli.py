@@ -287,6 +287,32 @@ flips = 20
                     str(tmp_path / "o")]) == 2
         assert "ensemble.instances must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, message", [
+        pytest.param(command, section, message, id=f"{name}-{command}")
+        for name, section, message in [
+            ("p-above-one", "[channel]\np = 1.5",
+             "channel.p must start with a value in [0, 1], got [1.5]"),
+            ("no-p", "[channel]\np = ",
+             "channel.p must start with a value in [0, 1], got []"),
+            ("flips-above-elements", "[channel]\nflips = 25",
+             "channel.flips must lie in [0, 24], got 25"),
+            ("negative-flips", "[channel]\nflips = -1",
+             "channel.flips must lie in [0, 24], got -1"),
+        ]
+        for command in ("transitions", "plow-fit", "sa-compare")
+    ] + [pytest.param("plow-fit", "[channel]\nflips = 4\n[plow]\nn_run = 0",
+                      "plow.n_run must be >= 1", id="zero-n-run-plow-fit")])
+    def test_bad_instance_value_is_config_error(self, tmp_path, capsys, command,
+                                                section, message):
+        # each of these once left the command as an internal error (exit 4)
+        cfg = write(tmp_path, "c.cfg",
+                    "[run]\nseed = 1\n[grid]\npoints = 10\n[plow]\n"
+                    "sampler_temperature = 1.5\n[sa]\nupdates = 200\nruns = 5\n"
+                    f"{section}\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_hamiltonian_file_is_config_error(self, tmp_path, capsys):
         ham = tmp_path / "missing.txt"
         cfg = write(tmp_path, "m.cfg",

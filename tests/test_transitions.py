@@ -173,6 +173,22 @@ SCATTERS = {name: np.array(points) for name, points in json.loads(
     (Path(__file__).parent / "data" / "logistic_scatters.json").read_text()).items()}
 
 
+# the scatter of `isingdec plow-fit` on the control-error-plow benchmark config
+# at seed 2404 (cli._plow_scatter): 20 points with P_low >= 0.99993 and one at
+# (2.0765, 0.0024). The Levenberg-Marquardt damping shrinks until the damped
+# normal matrix is singular in floating point, 53 steps in.
+SINGULAR_STEP = np.array([
+    [3.579408866651894, 1.0], [4.051214817501377, 1.0], [4.062886893165927, 1.0],
+    [2.076497634233753, 0.0024014699277668163], [4.546314060294087, 1.0],
+    [4.05812694874802, 1.0], [3.7357506182303695, 1.0],
+    [2.688111252080902, 0.9999343721945702], [3.926348432851093, 0.9999997394229123],
+    [3.5522277867973164, 1.0], [3.1678707650282627, 1.0], [4.821338005932721, 1.0],
+    [4.82165342282234, 1.0], [2.2398057641657814, 0.9999999999999999],
+    [3.857269469311574, 1.0], [4.191604422034441, 1.0], [3.289922515132772, 1.0],
+    [4.6554567400683915, 1.0], [4.057094428223144, 1.0], [3.6997185866099924, 1.0],
+    [4.754027153863669, 1.0]])
+
+
 def logistic(x, t0, w):
     return 1.0 / (1.0 + np.exp(-(x - t0) / w))
 
@@ -202,6 +218,7 @@ def battery():
     t = np.sort(rng.uniform(0.0, 6.0, 400))
     yield "noisy", t, np.clip(logistic(t, 2.0, 0.6) + rng.normal(0, 0.03, t.size), 0, 1), True
     yield "near-step", *SCATTERS["near_step"].T, False
+    yield "singular-step", *SINGULAR_STEP.T, False
     clean, err = SCATTERS["criterion11_clean"], SCATTERS["criterion11_control_error"]
     yield "criterion11-clean", *clean.T, True
     yield "criterion11-control-error", *err.T, True
