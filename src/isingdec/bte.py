@@ -500,8 +500,6 @@ _LINEAR = _Arithmetic(np.multiply, _sum_out_linear, np.exp)
 _LOG = _Arithmetic(np.add, _sum_out_log, None)
 
 
-
-
 def _factors(H: Hamiltonian) -> tuple[list[np.ndarray], float]:
     """Log field tables in spin order, then log coupler tables in edge order,
     each flat and shifted to a largest entry of 0, to be divided by T; and
