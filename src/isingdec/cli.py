@@ -342,6 +342,9 @@ def _transition_instances(config, seed):
     if n_inst < 1:
         raise ConfigError("ensemble.instances must be >= 1")
     H_clean = _clean_hamiltonian(config)
+    if not H_clean.is_nominal():  # only a file can hold one
+        raise ConfigError(f"{config['graph.hamiltonian']}: the channel needs "
+                          "a nominal instance, h and J in {-1, +1}")
     flips = config.get("channel.flips")
     p = config.get("channel.p", [0.1])
     total = H_clean.graph.n_spins + H_clean.graph.n_edges

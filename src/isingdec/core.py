@@ -256,7 +256,7 @@ def _cell_group(graph: ChimeraGraph) -> tuple[tuple[tuple[int, ...], ...], np.nd
     active = np.array(graph.spins)
     keep = np.isin(P[:, active], active).all(axis=1)
     perms, P = tuple(p for p, k in zip(every, keep) if k), P[keep]
-    E = np.array(graph.edges)
+    E = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
     index = np.zeros((8, 8), dtype=np.int64)
     index[E[:, 0], E[:, 1]] = index[E[:, 1], E[:, 0]] = np.arange(graph.n_edges)
     # row g maps old edge index -> new edge index; its inverse is the gather
@@ -265,55 +265,57 @@ def _cell_group(graph: ChimeraGraph) -> tuple[tuple[tuple[int, ...], ...], np.nd
     return perms, G
 
 
-def _generators(perms: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Indices of a generating set of the group `perms`, picked greedily: an
-    element joins when the group generated so far does not hold it."""
-    identity = tuple(range(len(perms[0])))
-    gens: list[int] = []
-    group = {identity}
-    for g, p in enumerate(perms):
-        if p in group:
-            continue
-        gens.append(g)
-        group, frontier = {identity}, [identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for k in gens:
-                    y = tuple(x[i] for i in perms[k])
-                    if y not in group:
-                        group.add(y)
-                        new.append(y)
-            frontier = new
-    return gens
-
-
 def cell_orbits(graph: ChimeraGraph) -> np.ndarray:
     """Canonical (orbit-minimum) word of every coupler word of a single cell.
 
     Words pack the graph's coupler signs as `_pack_word` does (a negative
     coupler is a 1 bit, edge 0 the most significant), so the result has
     2^n_edges entries. The group is every cell automorphism that maps the
-    active spins onto themselves; minima are closed under a small generating
-    set of it rather than taken over every element.
+    active spins onto themselves. On the couplers it is generated by the
+    adjacent transpositions of each side's active spins and, where the sides
+    hold equally many, the swap pairing them in order: every kept element is
+    a swap times a side-preserving one, and permuting excluded spins moves no
+    edge. Each generator's image of a word is looked up a byte at a time,
+    and minima are closed under the generators with pointer jumping.
     """
-    perms, G = _cell_group(graph)
+    if graph.L != 1:
+        raise ValueError("cell symmetries need a single unit cell")
     m = graph.n_edges
-    shifts = np.arange(m - 1, -1, -1)
-    words = np.arange(1 << m, dtype=np.int64)
-    images = []
-    for g in _generators(perms):
-        image = np.zeros_like(words)
-        for new, old in enumerate(G[g]):
-            image |= ((words >> shifts[old]) & 1) << shifts[new]
-        images.append(image)
-    canonical = words
+    E = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    index = np.zeros((8, 8), dtype=np.intp)
+    index[E[:, 0], E[:, 1]] = index[E[:, 1], E[:, 0]] = np.arange(m)
+    sides = [[s for s in graph.spins if s // 4 == u] for u in (0, 1)]
+    perms = []
+    for side in sides:
+        for a, b in zip(side, side[1:]):
+            perm = np.arange(8)
+            perm[[a, b]] = b, a
+            perms.append(perm)
+    if len(sides[0]) == len(sides[1]):
+        perm = np.arange(8)
+        perm[sides[0]], perm[sides[1]] = sides[1], sides[0]
+        perms.append(perm)
+    # image of word w = hi[w >> 8] | lo[w & 255], as an outer OR over the
+    # (high byte, low byte) grid of all 2^m words; bit k holds edge m-1-k
+    n_lo = min(m, 8)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = []
+    for perm in perms:
+        weights = np.zeros(16, dtype=np.intp)
+        weights[:m] = (1 << (m - 1 - index[perm[E[:, 0]], perm[E[:, 1]]]))[::-1]
+        tables.append(((bits @ weights[8:])[:1 << (m - n_lo), None],
+                       (bits @ weights[:8])[None, :1 << n_lo]))
+    # canonical[w] is a word of w's orbit no larger than w, so every step
+    # only lowers entries, and an unchanged sum means an unchanged array
+    canonical = np.arange(1 << m, dtype=np.int32)
+    total = None
     while True:
-        previous = canonical
-        for image in images:
-            canonical = np.minimum(canonical, canonical[image])
-        if np.array_equal(canonical, previous):
-            return canonical
+        for hi, lo in tables:
+            np.minimum(canonical, canonical.take((hi | lo).ravel()), out=canonical)
+        canonical = canonical.take(canonical)
+        previous, total = total, int(canonical.sum(dtype=np.int64))
+        if total == previous:
+            return canonical.astype(np.int64)
 
 
 _WORD_WEIGHTS = (1 << np.arange(15, -1, -1)).astype(np.int64)

@@ -1,10 +1,12 @@
 """Independent oracles the tests check the package against."""
 
+import itertools
+
 import numpy as np
 from scipy.special import comb
 
 from isingdec import exact
-from isingdec.core import CapacityError, Hamiltonian, _cell_group
+from isingdec.core import CapacityError, Hamiltonian
 from isingdec.sa import AnnealSchedule, _local_field_tables
 
 
@@ -75,21 +77,33 @@ def mpm_decoder(graph, T, alpha=1.0):
 
 
 def brute_cell_classes(graph):
-    """Canonical (orbit-minimum) word of every coupler word of a single-cell
-    graph, minimised over every element of its cell group in turn.
+    """(canonical word of every coupler word, group order) of a single-cell
+    graph, the word minimised over every element of its cell group in turn.
 
-    Words pack the coupler signs with edge 0 as the most significant bit.
+    The group is enumerated here: every permutation within side 0 {0..3} and
+    within side 1 {4..7}, with and without the side swap, kept when it maps
+    the active spins onto themselves. Words pack the coupler signs with edge
+    0 as the most significant bit.
     """
-    perms, G = _cell_group(graph)
+    active = set(graph.spins)
+    index = {edge: k for k, edge in enumerate(graph.edges)}
     m = graph.n_edges
     weights = 1 << np.arange(m - 1, -1, -1)
     words = np.arange(1 << m, dtype=np.int64)
-    bits = ((words[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.int8)
+    bits = (words[:, None] >> np.arange(m - 1, -1, -1)) & 1
     canonical = words.copy()
-    for g in range(len(perms)):
-        np.minimum(canonical, bits[:, G[g]].astype(np.int64) @ weights,
-                   out=canonical)
-    return canonical
+    order = 0
+    for left in itertools.permutations(range(4)):
+        for right in itertools.permutations(range(4, 8)):
+            for perm in (left + right, right + left):
+                if {perm[s] for s in active} != active:
+                    continue
+                order += 1
+                # edge k moves to edge new[k], taking its bit along
+                new = [index[tuple(sorted((perm[i], perm[j])))]
+                       for i, j in graph.edges]
+                np.minimum(canonical, bits @ weights[new], out=canonical)
+    return canonical, order
 
 
 def all_words_sector_means(H_clean, t_decode, chunk=4096):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,6 +170,23 @@ class TestCodewordFile:
         assert "config error" in err and "codeword" in err
 
     @pytest.mark.parametrize("command", ["ber", "surface"])
+    def test_cell_without_couplers_has_r_equal_p(self, tmp_path, command):
+        # isolated spins: every flipped field is one wrong bit, decoded or not
+        cfg = write(tmp_path, "c.cfg", "[graph]\nl = 1\nexclude = 4 5 6 7\n"
+                    "[grid]\npoints = 4\n[channel]\np = 0.05 0.2\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--seed", "1", "--out",
+                    str(out)]) == 0
+        with open(out / f"{command}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == (2 if command == "ber" else 12)
+        for row in rows:
+            # p back from its Nishimori temperature, T = 2 / ln((1 - p) / p)
+            p = 1.0 / (1.0 + math.exp(2.0 / float(row["t_nish"])))
+            assert float(row["r_map"]) == pytest.approx(p, abs=1e-12)
+            assert float(row["r_mpm"]) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["ber", "surface"])
     def test_multi_cell_graph_is_capacity_error(self, tmp_path, command):
         cfg = write(tmp_path, "c.cfg", "[graph]\nl = 2\n[grid]\npoints = 5\n"
                     "[channel]\np = 0.1\n")
@@ -312,6 +331,25 @@ flips = 20
         assert run([command, "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transitions", "plow-fit", "sa-compare"])
+    @pytest.mark.parametrize("channel", ["flips = 3", "p = 0.1"],
+                             ids=["flips", "p"])
+    def test_non_nominal_file_is_config_error(self, tmp_path, capsys, command,
+                                              channel):
+        # sample_sector and corrupt raised ValueError here (exit 4)
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("h 0 1.0", "h 0 0.5")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "c.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n[plow]\nsampler_temperature = 1.5\n"
+                    f"[sa]\nupdates = 200\nruns = 5\n[channel]\n{channel}\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "h.txt: the channel needs a nominal instance" in err
 
     def test_missing_hamiltonian_file_is_config_error(self, tmp_path, capsys):
         ham = tmp_path / "missing.txt"

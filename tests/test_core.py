@@ -178,6 +178,8 @@ CELL_GRAPHS = {
     "full": core.build_chimera(1),
     "truncated": core.truncated_cell(),
     "excluded-3": core.build_chimera(1, excluded={3}),
+    "no-couplers": core.build_chimera(1, excluded={4, 5, 6, 7}),
+    "one-edge": core.build_chimera(1, excluded={1, 2, 3, 5, 6, 7}),
 }
 
 
@@ -188,19 +190,29 @@ def oracle_classes():
 
 class TestCellOrbits:
     @pytest.mark.parametrize("name, order", [
-        ("full", 1152), ("truncated", 72), ("excluded-3", 144)])
+        ("full", 1152), ("truncated", 72), ("excluded-3", 144),
+        ("no-couplers", 576), ("one-edge", 72)])
     def test_matches_every_group_element(self, oracle_classes, name, order):
         graph = CELL_GRAPHS[name]
         canonical = core.cell_orbits(graph)
-        assert len(core._cell_group(graph)[0]) == order
-        assert np.array_equal(canonical, oracle_classes[name])
+        oracle, oracle_order = oracle_classes[name]
+        assert oracle_order == len(core._cell_group(graph)[0]) == order
+        assert canonical.dtype == np.int64
+        assert np.array_equal(canonical, oracle)
         _, sizes = np.unique(canonical, return_counts=True)
         assert np.all(order % sizes == 0)
         assert sizes.sum() == 2 ** graph.n_edges
 
+    def test_no_couplers_is_one_empty_word(self):
+        assert core.cell_orbits(CELL_GRAPHS["no-couplers"]).tolist() == [0]
+
+    def test_multi_cell_graph_raises(self):
+        with pytest.raises(ValueError, match="single unit cell"):
+            core.cell_orbits(core.build_chimera(2))
+
     def test_enumerate_cell_classes_matches_oracle(self, oracle_classes):
         count, hist, canonical = core.enumerate_cell_classes()
-        oracle = oracle_classes["full"]
+        oracle = oracle_classes["full"][0]
         assert np.array_equal(canonical, oracle)
         _, sizes = np.unique(oracle, return_counts=True)
         assert count == len(sizes) == 192
