@@ -31,12 +31,13 @@ the same tables, cond_v as probabilities, which the other outputs read:
   earliest spin is v;
 - sampling draws each spin from cond_v at its already-drawn separator.
 
-Tables carry a leading temperature axis, so a whole grid chunk is processed
+Tables carry a leading temperature axis, so a piece of a grid is processed
 at once, and one axis per scope spin in elimination order. Broadcasts and
 marginals see adjacent axes that play the same part as one run. A broadcast
 whose innermost run is short loops over it in Python, so that numpy's inner
 loop runs over the long run outside it; a marginal sums one run at a time
-as a product with a vector of ones.
+as a product with a vector of ones, each product over one temperature's
+rows: BLAS rounds a row differently with the rows a product holds.
 
 Schedule and memory. The elimination order alone fixes every scope, run and
 sum of a pass, so each order walks its scopes once, into the steps of a
@@ -45,16 +46,22 @@ the tables it creates and the tables it reads; a table written in place
 keeps its key (lam_v becomes cond_v, then the belief). The passes run the
 steps, and the memory plan (`EliminationOrder.plan`) reads from them each
 table's lifetime, to give every table an offset such that tables alive at
-the same time never share an entry. A call makes one buffer, the arena, of the plan's
-entries per temperature times its largest chunk; every pass of the call
-(each chunk, an abandoned linear attempt, the re-runs) writes its tables as
-views of it, at offset times the pass's temperature count, and a table the
-plan does not hold raises LookupError. The arena is dropped when the call
-returns; its size, known before any table is written, is the call's peak.
+the same time never share an entry. A thread makes one buffer, the arena,
+of the plan's entries per temperature times its largest piece; every pass
+it runs (each piece, an abandoned linear attempt, the re-runs) writes its
+tables as views of it, at offset times the pass's temperature count, and a
+table the plan does not hold raises LookupError. Its size, known before any
+table is written, is the thread's peak.
 
-A batch of Hamiltonians runs whole calls side by side on threads, as many as
-there are usable CPUs and as BUDGET holds the calls' arenas at once. A chunk
-is never split across threads, so each curve is the one its call gives alone.
+Every product and sum of a pass keeps each temperature apart, so a
+temperature's values are those of its one-temperature call, whatever piece
+it is in, whichever thread runs it, and however many threads there are. So
+the engine cuts its work into jobs, one per Hamiltonian and temperature
+piece (`_jobs`): a thread per CPU that no other batch holds, and the fewest
+pieces that give every thread one and let the threads' arenas fit BUDGET at
+once. Each thread keeps the arena of its first job for the others; the
+arenas go when the batch returns. The bte_*_curve functions run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -62,13 +69,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import CapacityError, ChimeraGraph, Hamiltonian, common_graph
-from .workers import run_calls, usable_cpus
+from .workers import free_cpus, run_calls
 
 __all__ = [
     "EliminationOrder",
@@ -82,9 +90,9 @@ __all__ = [
     "BteEngine",
 ]
 
-# bytes of arena one call may hold (8 * n_T * plan entries): a 32-temperature
-# chunk on L=4 (2.16 GiB) fits, L=5 gets one temperature per pass (1.65 GiB).
-# Calls that run at once on threads share it.
+# bytes of arena (8 * n_T * plan entries) that the threads of a batch may hold
+# at once: on L=4 (69 MiB per temperature) one piece of up to 33 temperatures,
+# or two of up to 16; L=5 gets one temperature per pass (1.65 GiB), one thread.
 BUDGET = 9 << 28
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
@@ -411,29 +419,27 @@ class _Arena:
         return self.buffer[slot[0] * n:(slot[0] + entries) * n].reshape(shape)
 
 
-def _temp_chunk(order: EliminationOrder) -> int:
-    """Temperatures per elimination pass whose arena fits in BUDGET."""
+def _jobs(order: EliminationOrder, n_temps: int, n_calls: int,
+          cpus: int) -> tuple[int, int]:
+    """(threads, piece) for n_calls curves of n_temps temperatures on up to
+    `cpus` CPUs. Each curve is cut into pieces of `piece` temperatures (its
+    last one shorter): the fewest pieces that give every thread one and let
+    the threads' arenas, of one piece each, fit BUDGET at once. Raises
+    CapacityError, before any table exists, if one temperature does not
+    fit."""
     # every cond table is live when the forward pass ends, so the plan holds
     # at least table_entries: a graph whose tables alone exceed BUDGET is
     # refused before it is planned
     entries = order.table_entries
     if 8 * entries <= BUDGET:
         entries = order.plan.entries
-    chunk = min(32, BUDGET // (8 * entries))
-    if chunk < 1:
+    fit = BUDGET // (8 * entries)  # temperatures of arena that BUDGET holds
+    if fit < 1:
         raise CapacityError(f"induced width {order.induced_width}: one temperature "
                             f"needs at least {8 * entries} bytes of tables")
-    return chunk
-
-
-def _workers(order: EliminationOrder, n_temps: int, n_calls: int) -> int:
-    """Threads for n_calls whole calls of n_temps temperatures: one per usable
-    CPU and per call, no more than BUDGET holds of the calls' arenas (the
-    plan times the largest chunk), and at least one. Raises CapacityError,
-    before any table exists, if one temperature does not fit."""
-    temps = max(1, min(n_temps, _temp_chunk(order)))
-    arena = 8 * order.plan.entries * temps
-    return max(1, min(usable_cpus(), n_calls, BUDGET // arena))
+    threads = max(1, min(cpus, fit, n_calls * n_temps))
+    cuts = max(-(-threads // n_calls), -(-n_temps // (fit // threads)))
+    return threads, max(1, -(-n_temps // cuts))
 
 
 class _Underflow(Exception):
@@ -556,11 +562,16 @@ _SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
 def _sum_run(table: np.ndarray, out: np.ndarray, pre: int, size: int,
              post: int) -> np.ndarray:
     """out = table, seen as (pre, size, post) per temperature, summed over
-    its middle axis as a product with ones."""
+    its middle axis as a product with ones. BLAS rounds a row of a
+    matrix-vector product differently with the rows the product holds, so
+    each product holds one temperature's rows, or one (size, post) matrix
+    in the stacked case: a temperature's sums never depend on the others."""
     n = out.shape[0]
     ones = np.ones(size)
     if post == 1:
-        np.matmul(table.reshape(n * pre, size), ones, out=out.reshape(n * pre))
+        rows, sums = table.reshape(n, pre, size), out.reshape(n, pre)
+        for i in range(n):
+            np.matmul(rows[i], ones, out=sums[i])
     else:
         np.matmul(ones, table.reshape(n * pre, size, post),
                   out=out.reshape(n * pre, post))
@@ -600,7 +611,9 @@ def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
                     for t, (pre, size, post) in zip(scratch, sums):
                         p = _sum_run(p, t[:n * pre * post].reshape(n, pre * post),
                                      pre, size, post)
-                    out[:, k] = (p @ _SIGNS[len(g)]) / p.sum(axis=1)
+                    # stacked one row each, as _sum_run's products are
+                    out[:, k] = (np.matmul(p[:, None], _SIGNS[len(g)])[:, 0]
+                                 / p.sum(axis=1))
     return out
 
 
@@ -624,20 +637,28 @@ def _split(run, temps: np.ndarray, order: EliminationOrder, arena: _Arena):
     return out
 
 
+# the arena a batch lends the thread that runs its jobs, reused by every job
+# the thread runs
+_lent = threading.local()
+
+
 def _chunked(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder | None,
              run, shape: tuple[int, ...]) -> np.ndarray:
-    """_split(run, block, order, arena) per temperature chunk, as one
-    (n_temps, *shape) array; every pass takes its tables from one arena
-    sized for the largest chunk."""
+    """_split(run, piece, order, arena) per temperature piece of one thread,
+    as one (n_temps, *shape) array. Every pass takes its tables from one
+    arena: the one a batch lent this thread, or one made for the largest
+    piece."""
     temps = np.asarray(temps, dtype=float)
     if not np.all(temps > 0):
         raise ValueError("all temperatures must be positive")
     order = order or elimination_order(H.graph)
-    chunk = _temp_chunk(order)
-    arena = _Arena(order.plan, min(len(temps), chunk))
+    _, piece = _jobs(order, len(temps), 1, 1)
+    arena = getattr(_lent, "arena", None)
+    if arena is None or arena.plan is not order.plan:
+        arena = _Arena(order.plan, min(len(temps), piece))
     out = np.empty((len(temps),) + shape)
-    for i in range(0, len(temps), chunk):
-        out[i:i + chunk] = _split(run, temps[i:i + chunk], order, arena)
+    for i in range(0, len(temps), piece):
+        out[i:i + piece] = _split(run, temps[i:i + piece], order, arena)
     return out
 
 
@@ -676,11 +697,26 @@ def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
 
 def _batch(curve, Hs: list[Hamiltonian], temps: np.ndarray, *args) -> np.ndarray:
     """curve(H, temps, *args, order) for every H of one graph, stacked in
-    input order; whole calls run on _workers threads."""
+    input order. The jobs are curve(H, piece, *args, order) for each H and
+    each temperature piece of _jobs, on its threads; each thread takes one
+    arena at its first job and keeps it for the others."""
     temps = np.asarray(temps, dtype=float)
     order = elimination_order(common_graph(Hs))
-    calls = [functools.partial(curve, H, temps, *args, order=order) for H in Hs]
-    return np.stack(run_calls(calls, _workers(order, len(temps), len(Hs))))
+    threads, piece = _jobs(order, len(temps), len(Hs), free_cpus())
+
+    def job(H: Hamiltonian, i: int) -> np.ndarray:
+        if getattr(_lent, "arena", None) is None:
+            _lent.arena = _Arena(order.plan, min(piece, len(temps)))
+        return curve(H, temps[i:i + piece], *args, order=order)
+
+    cuts = range(0, len(temps), piece) or range(1)  # an empty grid: one empty piece
+    try:
+        parts = run_calls([functools.partial(job, H, i) for H in Hs for i in cuts],
+                          threads)
+    finally:
+        _lent.arena = None  # the helpers' arenas go with their threads
+    m = len(cuts)
+    return np.stack([np.concatenate(parts[k:k + m]) for k in range(0, len(parts), m)])
 
 
 def bte_magnetization_curves(Hs: list[Hamiltonian], temps: np.ndarray) -> np.ndarray:
@@ -706,7 +742,7 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
     if n < 1:
         raise ValueError("n must be >= 1")
     order = order or elimination_order(H.graph)
-    _temp_chunk(order)
+    _jobs(order, 1, 1, 1)
     tables, _ = _split(functools.partial(_forward, H), np.array([float(T)]), order,
                        _Arena(order.plan, 1))
     bits: dict[int, np.ndarray] = {}
@@ -731,7 +767,7 @@ class BteEngine:
     def supports(self, H: Hamiltonian) -> bool:
         """True when one temperature's elimination tables fit in BUDGET."""
         try:
-            _temp_chunk(elimination_order(H.graph))
+            _jobs(elimination_order(H.graph), 1, 1, 1)
         except CapacityError:
             return False
         return True

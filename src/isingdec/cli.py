@@ -199,7 +199,13 @@ def _engine(config: dict):
 def _graph(config: dict):
     L = config.get("graph.l", 1)
     excluded = frozenset(config.get("graph.exclude", ()))
-    return build_chimera(L, excluded=excluded)
+    try:
+        graph = build_chimera(L, excluded=excluded)
+    except ValueError as err:
+        raise ConfigError(f"[graph] {err}") from err
+    if not graph.spins:
+        raise ConfigError("[graph] exclude leaves no spin")
+    return graph
 
 
 def _control_spec(config: dict) -> sa.ControlErrorSpec | None:
@@ -271,6 +277,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def cmd_validate(config, seed, out_dir):
+    _graph(config)
     print("config ok")
     return []
 

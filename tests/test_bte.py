@@ -1,4 +1,8 @@
 import dataclasses
+import itertools
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import types
@@ -7,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from isingdec import bte, channel, core, exact, sa
+from isingdec import bte, channel, core, exact, sa, workers
 from oracles import elimination_cost
 
 
@@ -372,8 +376,10 @@ class TestEngine:
 
     @pytest.mark.parametrize("L", range(1, 6))
     def test_chunk_fits_budget(self, L):
+        # a 32-temperature curve on one thread: one pass up to L=4
         order = bte.elimination_order(core.build_chimera(L))
-        chunk = bte._temp_chunk(order)
+        threads, chunk = bte._jobs(order, 32, 1, 1)
+        assert threads == 1
         assert chunk * 8 * order.plan.entries <= bte.BUDGET
         assert chunk == (32 if L <= 4 else 1)
 
@@ -443,8 +449,9 @@ class TestEngine:
 
 
 class TestBatch:
-    """Engine calls over many Hamiltonians of one graph: whole calls side by
-    side on threads, each curve bit for bit the one its call gives alone."""
+    """Engine calls over many Hamiltonians of one graph: temperature pieces
+    side by side on threads, each curve bit for bit the one its call gives
+    alone."""
 
     @pytest.fixture
     def hamiltonians(self):
@@ -461,7 +468,7 @@ class TestBatch:
         temps = np.array(temps)
         serial = [bte.bte_magnetization_curve(H, temps) for H in hamiltonians]
         assert (bte._LOG in arithmetics.ran) == (temps.min() < 0.1)
-        monkeypatch.setattr(bte, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
         threads = []
         curve = bte.bte_magnetization_curve
 
@@ -485,7 +492,7 @@ class TestBatch:
         pairs = list(hamiltonians[0].graph.edges)[::7]
         serial = [bte.bte_pair_correlation_curve(H, temps, pairs)
                   for H in hamiltonians]
-        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         assert np.array_equal(
             bte.BteEngine().pair_correlation_curves(hamiltonians, temps, pairs),
             serial)
@@ -499,31 +506,40 @@ class TestBatch:
                 raise err
             return curve(H, temps, order)
 
-        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
         with pytest.raises(core.CapacityError) as info:
             bte.bte_magnetization_curves(hamiltonians, np.array([1.5]))
         assert info.value is err
 
-    def test_worker_count(self, monkeypatch):
+    def test_worker_count(self):
         order = bte.elimination_order(core.build_chimera(4))
-        peak = 8 * order.plan.entries  # one temperature's arena
-        monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
-        assert bte._workers(order, 1, 21) == 2
-        assert bte._workers(order, 1, 1) == 1
-        assert bte._workers(order, 32, 21) == 1
-        monkeypatch.setattr(bte, "usable_cpus", lambda: 64)
-        # one-temperature calls: as many as BUDGET holds at their peak
-        n = bte._workers(order, 1, 100)
-        assert n * peak <= bte.BUDGET < (n + 1) * peak
-        # a 32-temperature chunk alone takes most of BUDGET: never two at once
-        assert bte._workers(order, 32, 100) == 1
-        assert bte._workers(order, 50, 100) == 1
-        assert bte._workers(bte.elimination_order(core.build_chimera(5)), 1, 100) == 1
-        # small passes: one thread per usable CPU and per call
+        per_t = 8 * order.plan.entries  # one temperature's arena
+        # two CPUs: one-temperature calls are one job each; a grid curve
+        # splits into a piece per thread, or more where BUDGET asks for it
+        assert bte._jobs(order, 1, 21, 2) == (2, 1)
+        assert bte._jobs(order, 1, 1, 2) == (1, 1)
+        assert bte._jobs(order, 6, 1, 2) == (2, 3)
+        assert bte._jobs(order, 50, 1, 2) == (2, 13)
+        # the arenas alive at once, one piece per thread, never exceed
+        # BUDGET, which holds one 32-temperature arena but not two
+        assert 32 * per_t <= bte.BUDGET < 2 * 32 * per_t
+        for cpus, n_temps, n_calls in itertools.product(
+                (1, 2, 3, 64), (1, 6, 32, 50), (1, 3, 21, 100)):
+            threads, piece = bte._jobs(order, n_temps, n_calls, cpus)
+            assert 1 <= threads <= cpus and 1 <= piece <= n_temps
+            assert threads * piece * per_t <= bte.BUDGET
+        # one-temperature calls: as many threads as BUDGET holds at their peak
+        n, _ = bte._jobs(order, 1, 100, 64)
+        assert n * per_t <= bte.BUDGET < (n + 1) * per_t
+        # L=5: one temperature's arena takes most of BUDGET, so one thread
+        assert bte._jobs(bte.elimination_order(core.build_chimera(5)), 1, 100, 64) \
+            == (1, 1)
+        # small passes: one thread per usable CPU and per job
         order3 = bte.elimination_order(core.build_chimera(3))
-        assert bte._workers(order3, 1, 100) == 64
-        assert bte._workers(order3, 1, 3) == 3
+        assert bte._jobs(order3, 1, 100, 64) == (64, 1)
+        assert bte._jobs(order3, 1, 3, 64) == (3, 1)
+        assert bte._jobs(order3, 8, 1, 64) == (8, 1)
 
     def test_capacity_error_before_any_table(self, monkeypatch):
         def no_tables(*args):
@@ -538,3 +554,80 @@ class TestBatch:
         with pytest.raises(ValueError, match="one graph"):
             bte.bte_magnetization_curves(
                 [random_instance(1, 0), random_instance(2, 0)], np.array([1.0]))
+
+
+class TestRowIndependence:
+    """Each temperature's values are those of its one-temperature call,
+    whatever the rest of the pass holds."""
+
+    @pytest.fixture
+    def instance(self):
+        # the golden L=3 instance: T = 0.085 runs in logs, the others linear
+        H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
+                                     110, channel.stream(14, 0))
+        return H, np.linspace(0.085, 4.0, 8), list(H.graph.edges)[::5]
+
+    def test_bytes_do_not_depend_on_chunk_pieces_or_workers(self, instance,
+                                                            arithmetics,
+                                                            monkeypatch):
+        H, temps, pairs = instance
+        H2 = sa.inject_control_error(H, sa.ControlErrorSpec(), channel.stream(14, 1))
+        curves = {
+            "m": lambda H, t: bte.bte_magnetization_curve(H, t),
+            "c": lambda H, t: bte.bte_pair_correlation_curve(H, t, pairs),
+            "z": lambda H, t: bte.bte_log_partition_curve(H, t),
+        }
+        alone = {(name, k): np.concatenate([curve(G, temps[i:i + 1])
+                                            for i in range(len(temps))])
+                 for name, curve in curves.items() for k, G in enumerate((H, H2))}
+        assert bte._LOG in arithmetics.ran and bte._LINEAR in arithmetics.ran
+        order = bte.elimination_order(H.graph)
+        for name, curve in curves.items():
+            want = alone[name, 0]
+            assert np.array_equal(curve(H, temps), want)
+            # pieces dealt contiguously and interleaved
+            assert np.array_equal(np.concatenate([curve(H, temps[:3]),
+                                                  curve(H, temps[3:])]), want)
+            for r in (0, 1):
+                assert np.array_equal(curve(H, temps[r::2]), want[r::2])
+        # chunks of 3, 3 and 2 within one call, as a smaller BUDGET cuts it
+        with monkeypatch.context() as m:
+            m.setattr(bte, "BUDGET", 3 * 8 * order.plan.entries)
+            assert bte._jobs(order, len(temps), 1, 1) == (1, 3)
+            for name, curve in curves.items():
+                assert np.array_equal(curve(H, temps), alone[name, 0])
+        # a batch on 1 to 8 threads: pieces of 8, 4, 3 and 1 temperatures
+        eng = bte.BteEngine()
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            assert np.array_equal(eng.magnetization_curves([H, H2], temps),
+                                  [alone["m", 0], alone["m", 1]])
+            assert np.array_equal(eng.pair_correlation_curves([H2, H], temps, pairs),
+                                  [alone["c", 1], alone["c", 0]])
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a corrupted 4x4 grid curve, T = 0.05 in logs; its single products
+        # are large enough for OpenBLAS to split them across its threads
+        code = """
+import hashlib
+import numpy as np
+from isingdec import bte, channel, core, workers
+H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(4)), 200,
+                             channel.stream(14, 0))
+temps = np.linspace(0.05, 5.0, 6)
+workers.usable_cpus = lambda: 2
+for m in (bte.bte_magnetization_curve(H, temps),
+          bte.BteEngine().magnetization_curves([H], temps)[0]):
+    print(hashlib.sha256(m.tobytes()).hexdigest())
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bte.__file__)))
+        hashes = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src] + ([os.environ["PYTHONPATH"]]
+                                if os.environ.get("PYTHONPATH") else []))}
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            hashes.update(out.split())
+        assert len(hashes) == 1

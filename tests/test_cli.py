@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from isingdec import bte, cli, core, sa
+from isingdec import bte, cli, core, sa, workers
 
 
 def run(argv):
@@ -185,6 +185,22 @@ class TestCodewordFile:
             p = 1.0 / (1.0 + math.exp(2.0 / float(row["t_nish"])))
             assert float(row["r_map"]) == pytest.approx(p, abs=1e-12)
             assert float(row["r_mpm"]) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["ber", "surface", "validate"])
+    @pytest.mark.parametrize("graph, message", [
+        ("exclude = 0 1 2 3 4 5 6 7", "[graph] exclude leaves no spin"),
+        ("exclude = 3 99", "[graph] excluded spin 99 out of range [0, 8)"),
+        ("l = 0", "[graph] L must be >= 1"),
+    ], ids=["no-spins", "spin-out-of-range", "no-cells"])
+    def test_bad_graph_is_config_error(self, tmp_path, capsys, command, graph,
+                                       message):
+        cfg = write(tmp_path, "c.cfg", f"[graph]\n{graph}\n"
+                    "[grid]\npoints = 4\n[channel]\np = 0.05 0.2\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--seed", "1", "--out",
+                    str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["ber", "surface"])
     def test_multi_cell_graph_is_capacity_error(self, tmp_path, command):
@@ -506,7 +522,7 @@ def test_capacity_error_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
             raise core.CapacityError("tables of a worker's call")
         return curve(H, temps, order)
 
-    monkeypatch.setattr(bte, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
     cfg = write(tmp_path, "p.cfg", COMMAND_CONFIGS["plow-fit"])
     assert run(["plow-fit", "--config", str(cfg), "--seed", "3", "--out",
@@ -517,6 +533,32 @@ def test_capacity_error_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
 class TestSaCompare:
     sa_keys = {"t_start": "6.0", "t_end": "0.5", "updates": "200", "runs": "5",
                "checkpoints": "1.5 4.0"}
+
+    def test_bte_reference_starts_no_thread(self, tmp_path, monkeypatch):
+        # the reference runs beside the anneal, which holds the second CPU:
+        # its BTE batch runs inline, on the thread that started it
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        started, ran_on = [], []
+        start, curve = threading.Thread.start, bte.bte_magnetization_curve
+
+        def counting(thread):
+            started.append(thread)
+            return start(thread)
+
+        def spy(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        monkeypatch.setattr(bte, "bte_magnetization_curve", spy)
+        keys = {**self.sa_keys, "checkpoints": "1.0 1.5 2.0 4.0"}
+        cfg = write(tmp_path, "s.cfg",
+                    "[graph]\nl = 2\nengine = bte\n[channel]\nflips = 6\n[sa]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert run(["sa-compare", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert len(started) == 1  # the anneal's helper
+        assert ran_on == [threading.main_thread()]
 
     @pytest.mark.parametrize("key, value, message", [
         ("runs", "0", "sa.runs must be >= 1"),

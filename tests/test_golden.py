@@ -169,11 +169,11 @@ PINS = {
     case_sweep_l4_checkpoint_in_block:
         "87af7948eea500adc8feba0815107791a96e11fe4758c94193abf5506b2e148d",
     case_bte_magnetization:
-        "7c1d6e85a851adba079099ffec09e1f633a598ca059d0d6b381430d4ea6b1ded",
+        "c531eb307129b0e18d7b573a9e1b07dd60602325e2f444fa734e5c3e15526274",
     case_bte_log_partition:
         "68cd308894e4ef92c21a94d7c695d3c5938efb3b2f00650681ef8f59700f3fae",
     case_bte_pair_correlation:
-        "d11957a3648733e3ec927e832723f40f8fb8d56ef877edc2c9c899a7d5089322",
+        "d66eafef620866bd1f79c898d2f4a058c6116748730fddcbb696ca804497a21c",
     case_bte_sample:
         "58cf593b0c375b3363b8f5e1718d507c885f045325670ee139d0313690efe511",
 }
