@@ -115,7 +115,6 @@ class EliminationOrder:
     order: tuple[int, ...]
     induced_width: int
     table_entries: int
-    graph: ChimeraGraph = field(repr=False)
     schedule: _Schedule = field(repr=False, compare=False)
 
     @functools.cached_property
@@ -150,7 +149,7 @@ def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
     scopes = [step.scope for step in schedule.forward if isinstance(step, _SumOut)]
     return EliminationOrder(order=ot, induced_width=max(map(len, scopes)) - 1,
                             table_entries=sum(1 << len(s) for s in scopes),
-                            graph=graph, schedule=schedule)
+                            schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +760,6 @@ class BteEngine:
     The batch methods take Hamiltonians of one graph and return one curve
     per Hamiltonian, stacked in input order; magnetization_curve is their
     one-element case."""
-
-    name = "bte"
-
-    def supports(self, H: Hamiltonian) -> bool:
-        """True when one temperature's elimination tables fit in BUDGET."""
-        try:
-            _jobs(elimination_order(H.graph), 1, 1, 1)
-        except CapacityError:
-            return False
-        return True
 
     def magnetization_curves(self, Hs: list[Hamiltonian],
                              temps: np.ndarray) -> np.ndarray:

@@ -137,7 +137,7 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _temperature(config: dict, key: str, default: float | None = None) -> float:
+def _positive(config: dict, key: str, default: float | None = None) -> float:
     """config[key] (default if absent and not None): ConfigError unless it
     is a positive finite number."""
     value = _require(config, key) if default is None else config.get(key, default)
@@ -152,8 +152,8 @@ def _temperature_grid(config: dict, distinct: bool = True) -> np.ndarray:
     points = _require(config, "grid.points")
     if points < 1:
         raise ConfigError("grid.points must be >= 1")
-    t_max = _temperature(config, "grid.t_max", 7.0)
-    t_min = _temperature(config, "grid.t_min", t_max / points)
+    t_max = _positive(config, "grid.t_max", 7.0)
+    t_min = _positive(config, "grid.t_min", t_max / points)
     if t_max < t_min:
         raise ConfigError("invalid temperature grid: grid.t_max < grid.t_min")
     grid = np.linspace(t_min, t_max, points)
@@ -237,7 +237,7 @@ def _clean_hamiltonian(config: dict) -> Hamiltonian:
     if "graph.hamiltonian" in config:
         return _hamiltonian_file(config["graph.hamiltonian"])
     return Hamiltonian.uniform(_graph(config),
-                               alpha=config.get("graph.alpha", 1.0))
+                               alpha=_positive(config, "graph.alpha", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 def cmd_validate(config, seed, out_dir):
     _graph(config)
+    _positive(config, "graph.alpha", 1.0)
     print("config ok")
     return []
 
@@ -288,12 +289,12 @@ def cmd_canonicalize(config, seed, out_dir):
         path = config["graph.hamiltonian"]
         H = _hamiltonian_file(path)
         try:
-            canon = canonicalize_cell(H)
+            word = canonicalize_cell(H)
         except ValueError as err:  # not a nominal full cell
             raise ConfigError(f"{path}: {err}") from err
         _write_csv(out_dir / "canonical.csv",
                    ["canonical_word", "n_negative_couplers"],
-                   [[canon.word, bin(canon.word).count("1")]])
+                   [[word, bin(word).count("1")]])
         return ["canonical.csv"]
     count, histogram, canonical = enumerate_cell_classes()
     words, orbit_sizes = np.unique(canonical, return_counts=True)
@@ -403,7 +404,7 @@ def _plow_scatter(config, seed):
     n_run = config.get("plow.n_run", 1000)
     if n_run < 1:
         raise ConfigError("plow.n_run must be >= 1")
-    t_samp = _temperature(config, "plow.sampler_temperature")
+    t_samp = _positive(config, "plow.sampler_temperature")
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
     curves = transitions.orientation_curves(Hs, grid, engine)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "gauge_transform",
     "unit_cell_automorphisms",
     "canonicalize_cell",
-    "CanonicalCell",
     "cell_orbits",
     "enumerate_cell_classes",
     "parse_hamiltonian",
@@ -68,9 +67,6 @@ class ChimeraGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def spin_index(self, cell_x: int, cell_y: int, side: int, offset: int) -> int:
-        return 8 * (cell_y * self.L + cell_x) + 4 * side + offset
-
     def positions(self, labels) -> np.ndarray:
         """Positions in `spins` of an int array of active spin labels."""
         labels = np.asarray(labels, dtype=np.int64)
@@ -86,13 +82,6 @@ class ChimeraGraph:
         pos = pos.reshape(-1, 2)
         pos.flags.writeable = False
         return pos
-
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {s: [] for s in self.spins}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return {s: tuple(v) for s, v in adj.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,30 +230,6 @@ def unit_cell_automorphisms() -> list[tuple[int, ...]]:
     return perms
 
 
-@lru_cache(maxsize=8)
-def _cell_group(graph: ChimeraGraph) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Cell automorphisms that map a single-cell graph's active spins onto
-    themselves, and their gather table G over the graph's edges:
-    G[g, new_edge_index] = old_edge_index under perm g.
-
-    The full cell keeps all 1152 elements, `truncated_cell()` 72.
-    """
-    if graph.L != 1:
-        raise ValueError("cell symmetries need a single unit cell")
-    every = unit_cell_automorphisms()
-    P = np.array(every)
-    active = np.array(graph.spins)
-    keep = np.isin(P[:, active], active).all(axis=1)
-    perms, P = tuple(p for p, k in zip(every, keep) if k), P[keep]
-    E = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    index = np.zeros((8, 8), dtype=np.int64)
-    index[E[:, 0], E[:, 1]] = index[E[:, 1], E[:, 0]] = np.arange(graph.n_edges)
-    # row g maps old edge index -> new edge index; its inverse is the gather
-    G = np.argsort(index[P[:, E[:, 0]], P[:, E[:, 1]]], axis=1)
-    G.flags.writeable = False
-    return perms, G
-
-
 def cell_orbits(graph: ChimeraGraph) -> np.ndarray:
     """Canonical (orbit-minimum) word of every coupler word of a single cell.
 
@@ -332,45 +297,19 @@ def _unpack_word(word: int) -> tuple[int, ...]:
     return tuple(1 - 2 * int(b) for b in bits)
 
 
-@dataclass(frozen=True)
-class CanonicalCell:
-    """Result of single-cell canonicalization.
+def canonicalize_cell(H: Hamiltonian) -> int:
+    """Canonical word of a nominal single-cell instance under gauge + symmetry.
 
-    `word` packs the coupler signs of the canonical representative over the
-    canonical edge order (+1 -> 0 bit, edge 0 most significant). `flip` is the
-    gauge applied to make all fields +1, `perm` the cell automorphism that
-    attains the lexicographic minimum.
-    """
-
-    word: int
-    signs: tuple[int, ...]
-    flip: frozenset[int]
-    perm: tuple[int, ...]
-
-
-def canonicalize_cell(H: Hamiltonian) -> CanonicalCell:
-    """Canonical form of a nominal single-cell instance under gauge + symmetry.
-
-    Gauge-fixes all fields to +1 (flipping spins with h = -1), then minimizes
-    the packed coupler-sign word over the 1152 cell automorphisms. Two
+    Gauge-fixes all fields to +1 (flipping spins with h = -1), then reads the
+    orbit minimum of the packed coupler-sign word from `cell_orbits`. Two
     instances canonicalize equal iff related by a gauge and an automorphism.
     """
     if H.graph.L != 1 or H.graph.excluded:
         raise ValueError("canonicalize_cell requires a full single unit cell")
     if not H.is_nominal():
         raise ValueError("canonicalize_cell requires h, J in {-1, +1}")
-    flip = frozenset(np.array(H.graph.spins)[H.h == -1].tolist())
-    signs = gauge_transform(H, flip).J.astype(np.int64)
-    perms, G = _cell_group(H.graph)
-    words = _pack_word(signs[G])  # word of every automorphism image
-    g_best = int(np.argmin(words))
-    word = int(words[g_best])
-    return CanonicalCell(
-        word=word,
-        signs=_unpack_word(word),
-        flip=flip,
-        perm=perms[g_best],
-    )
+    ij = H.graph.edge_positions
+    return int(cell_orbits(H.graph)[_pack_word(H.J * H.h[ij[:, 0]] * H.h[ij[:, 1]])])
 
 
 def enumerate_cell_classes() -> tuple[int, dict[int, int], np.ndarray]:
@@ -414,6 +353,10 @@ def _finite(text: str, no: int) -> float:
     return value
 
 
+# tokens on an alpha, h or J line, the directive included
+_ENTRY_TOKENS = {"alpha": 2, "h": 3, "J": 4}
+
+
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse the line-oriented Hamiltonian format.
 
@@ -444,8 +387,10 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     for no, ln in body[1:]:
         tok = ln.split()
         try:
+            if len(tok) != _ENTRY_TOKENS.get(tok[0], len(tok)):
+                raise ValueError(f"{tok[0]} takes {_ENTRY_TOKENS[tok[0]]} tokens")
             if tok[0] == "exclude":
-                if excluded:
+                if exclude_no:
                     raise FormatError(f"line {no}: duplicate exclude line")
                 excluded = {int(t) for t in tok[1:]}
                 exclude_no = no
@@ -471,7 +416,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
                 raise FormatError(f"line {no}: unknown directive {tok[0]!r}")
         except FormatError:
             raise
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"line {no}: malformed entry {ln!r}") from exc
 
     try:  # the header is valid, so only the exclude line can fail here

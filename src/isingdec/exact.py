@@ -222,8 +222,6 @@ class ExactEngine:
     per Hamiltonian, stacked in input order; magnetization_curve is their
     one-element case."""
 
-    name = "exact"
-
     def magnetization_curves(self, Hs: list[Hamiltonian],
                              temps: np.ndarray) -> np.ndarray:
         return magnetization_curves(Hs, temps)

@@ -236,5 +236,4 @@ def sa_orientation_sweep(H: Hamiltonian, schedule: AnnealSchedule,
         temperatures=H.alpha * cps,
         values=means[::-1],
         items=tuple(H.graph.spins),
-        engine="sa",
     )

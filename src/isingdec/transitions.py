@@ -54,13 +54,12 @@ class OrientationCurve:
     """Per-item thermal averages over an ascending temperature grid.
 
     `values[t, k]` is <sigma_i>(temperatures[t]) for spin items[k], or
-    <sigma_i sigma_j> when items are pairs. `engine` tags the producer.
+    <sigma_i sigma_j> when items are pairs.
     """
 
     temperatures: np.ndarray
     values: np.ndarray
     items: tuple
-    engine: str
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.temperatures) <= 0):
@@ -85,8 +84,8 @@ def orientation_curves(Hs: list[Hamiltonian], grid: np.ndarray,
     from one batch call of the given engine, in input order."""
     grid = np.asarray(grid, dtype=float)
     values = engine.magnetization_curves(Hs, grid)
-    return [OrientationCurve(temperatures=grid, values=v, items=tuple(H.graph.spins),
-                             engine=engine.name) for H, v in zip(Hs, values)]
+    return [OrientationCurve(temperatures=grid, values=v, items=tuple(H.graph.spins))
+            for H, v in zip(Hs, values)]
 
 
 def orientation_curve(H: Hamiltonian, grid: np.ndarray, engine) -> OrientationCurve:
@@ -100,8 +99,8 @@ def correlation_curves(Hs: list[Hamiltonian], grid: np.ndarray, engine,
     graph, from one batch call; records reuse find_transitions."""
     grid = np.asarray(grid, dtype=float)
     values = engine.pair_correlation_curves(Hs, grid, pairs)
-    return [OrientationCurve(temperatures=grid, values=v, items=tuple(pairs),
-                             engine=engine.name) for v in values]
+    return [OrientationCurve(temperatures=grid, values=v, items=tuple(pairs))
+            for v in values]
 
 
 def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:

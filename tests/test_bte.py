@@ -355,11 +355,6 @@ class TestSampling:
 
 
 class TestEngine:
-    def test_supports(self):
-        eng = bte.BteEngine()
-        assert eng.supports(core.Hamiltonian.uniform(core.build_chimera(4)))
-        assert not eng.supports(core.Hamiltonian.uniform(core.build_chimera(8)))
-
     def test_capacity_error(self):
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):

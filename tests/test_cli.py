@@ -17,6 +17,10 @@ def run(argv):
     return cli.main(argv)
 
 
+# [graph] alpha values that each once left a command as an internal error
+ALPHAS = ["0", "-1", "nan", "inf"]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -191,7 +195,9 @@ class TestCodewordFile:
         ("exclude = 0 1 2 3 4 5 6 7", "[graph] exclude leaves no spin"),
         ("exclude = 3 99", "[graph] excluded spin 99 out of range [0, 8)"),
         ("l = 0", "[graph] L must be >= 1"),
-    ], ids=["no-spins", "spin-out-of-range", "no-cells"])
+    ] + [(f"alpha = {v}", f"graph.alpha must be positive and finite, got {float(v)!r}")
+         for v in ALPHAS], ids=["no-spins", "spin-out-of-range", "no-cells"]
+        + [f"alpha-{v}" for v in ALPHAS])
     def test_bad_graph_is_config_error(self, tmp_path, capsys, command, graph,
                                        message):
         cfg = write(tmp_path, "c.cfg", f"[graph]\n{graph}\n"
@@ -336,7 +342,11 @@ flips = 20
         ]
         for command in ("transitions", "plow-fit", "sa-compare")
     ] + [pytest.param("plow-fit", "[channel]\nflips = 4\n[plow]\nn_run = 0",
-                      "plow.n_run must be >= 1", id="zero-n-run-plow-fit")])
+                      "plow.n_run must be >= 1", id="zero-n-run-plow-fit")] + [
+        pytest.param(command, f"[channel]\nflips = 4\n[graph]\nalpha = {v}",
+                     f"graph.alpha must be positive and finite, got {float(v)!r}",
+                     id=f"alpha-{v}-{command}")
+        for v in ALPHAS for command in ("transitions", "plow-fit", "sa-compare")])
     def test_bad_instance_value_is_config_error(self, tmp_path, capsys, command,
                                                 section, message):
         # each of these once left the command as an internal error (exit 4)

@@ -1,13 +1,18 @@
 """Static checks on the package source, standing in for a linter: every
-module-level import is used, every name in `__all__` is defined, and nothing
-imports scipy."""
+module-level import is used, every name in `__all__` is defined, every
+function, method and class is named somewhere, and nothing imports scipy."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "isingdec").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "isingdec").glob("*.py"))
+# where a definition may be used: the package, its tests and the benchmark
+CORPUS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 
 
 def parse(path):
@@ -79,3 +84,22 @@ def test_no_scipy_import(path):
         found += [f"{m} (line {node.lineno})" for m in modules
                   if m.split(".")[0] == "scipy"]
     assert not found, f"{path.name} imports scipy: {', '.join(found)}"
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function, method or class whose name appears, as a whole word, on
+    # no line but its own definitions is dead code
+    lines = {}
+    for path in CORPUS:
+        for no, line in enumerate(path.read_text().splitlines(), start=1):
+            for word in set(re.findall(r"\w+", line)):
+                lines.setdefault(word, set()).add((path, no))
+    definitions = {}
+    for path in SOURCES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                definitions.setdefault(node.name, set()).add((path, node.lineno))
+    dead = sorted(name for name, own in definitions.items()
+                  if not lines.get(name, set()) - own)
+    assert not dead, f"defined but never named elsewhere: {', '.join(dead)}"

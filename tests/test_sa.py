@@ -231,7 +231,6 @@ class TestSweep:
         assert np.all(np.diff(curve.temperatures) > 0)
         assert np.allclose(curve.temperatures, [0.5, 1.5, 3.0])
         assert curve.values.shape == (3, 8)
-        assert curve.engine == "sa"
         assert np.all(np.abs(curve.values) <= 1.0)
 
     def test_checkpoint_range_enforced(self):

@@ -10,24 +10,12 @@ from scipy.special import erfc, ndtr
 from isingdec import bte, core, exact, transitions as tr
 
 
-class FakeEngine:
-    """Engine stub returning a preset curve; lets tests pin inputs exactly."""
-
-    name = "fake"
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def magnetization_curve(self, H, temps):
-        return self.values
-
-
 def make_curve(temps, values, items=None):
     values = np.asarray(values, dtype=float)
     items = tuple(range(values.shape[1])) if items is None else tuple(items)
     return tr.OrientationCurve(
         temperatures=np.asarray(temps, dtype=float),
-        values=values, items=items, engine="test")
+        values=values, items=items)
 
 
 class TestSmoothing:
@@ -105,7 +93,6 @@ class TestFindTransitions:
         oracle = exact.magnetization_curve(H, temps)
         assert np.allclose(curve.values, oracle, atol=1e-10)
         assert curve.items == H.graph.spins
-        assert curve.engine == "bte"
 
 
 class TestPlowModel:
