@@ -57,11 +57,15 @@ Every product and sum of a pass keeps each temperature apart, so a
 temperature's values are those of its one-temperature call, whatever piece
 it is in, whichever thread runs it, and however many threads there are. So
 the engine cuts its work into jobs, one per Hamiltonian and temperature
-piece (`_jobs`): a thread per CPU that no other batch holds, and the fewest
-pieces that give every thread one and let the threads' arenas fit BUDGET at
-once. Each thread keeps the arena of its first job for the others; the
-arenas go when the batch returns. The bte_*_curve functions run on the
-calling thread.
+piece (`_jobs`): a thread per CPU that no other batch holds, within
+BUDGET, and the fewest pieces that give every thread one, let the threads'
+arenas fit BUDGET at once and keep each piece's largest table within 1 MiB.
+A wider piece amortizes the interpreter's time per step over more
+temperatures, but once its largest table outgrows a core's cache it only
+costs memory: so a 4x4 runs one temperature per pass, and its threads hold
+69 MiB of arena each, not that times their share of the grid. Each thread
+keeps the arena of its first job for the others; the arenas go when the
+batch returns. The bte_*_curve functions run on the calling thread.
 """
 
 from __future__ import annotations
@@ -91,9 +95,17 @@ __all__ = [
 ]
 
 # bytes of arena (8 * n_T * plan entries) that the threads of a batch may hold
-# at once: on L=4 (69 MiB per temperature) one piece of up to 33 temperatures,
-# or two of up to 16; L=5 gets one temperature per pass (1.65 GiB), one thread.
+# at once, which sets the thread count: on L=4 (69 MiB per temperature) up to
+# 33 threads of one-temperature pieces; L=5 (1.65 GiB per temperature) gets
+# one thread, and L >= 6 is refused before any table exists.
 BUDGET = 9 << 28
+# a piece holds at most as many temperatures as keep its largest table
+# (8 * 2^(induced width + 1) bytes per temperature) within this many bytes,
+# about a core's L2: one thread's ms per temperature by piece size, two
+# rounds, on L=4 86-97 at 1, 87-93 at 3, 99 at 6 and 128-133 at 12; on L=3
+# 9.3-11 at 1, 5.1-5.2 at 4, 3.8-4.1 at 16 and 3.7-4.8 at 48. So one
+# temperature per piece on L=4, 16 on L=3 and 256 on L=2.
+_PIECE_BYTES = 1 << 20
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
 _TINY = np.finfo(float).tiny
@@ -422,8 +434,9 @@ def _jobs(order: EliminationOrder, n_temps: int, n_calls: int,
           cpus: int) -> tuple[int, int]:
     """(threads, piece) for n_calls curves of n_temps temperatures on up to
     `cpus` CPUs. Each curve is cut into pieces of `piece` temperatures (its
-    last one shorter): the fewest pieces that give every thread one and let
-    the threads' arenas, of one piece each, fit BUDGET at once. Raises
+    last one shorter): the fewest pieces that give every thread one, let the
+    threads' arenas, of one piece each, fit BUDGET at once, and keep a
+    piece's largest table within _PIECE_BYTES. Raises
     CapacityError, before any table exists, if one temperature does not
     fit."""
     # every cond table is live when the forward pass ends, so the plan holds
@@ -437,7 +450,9 @@ def _jobs(order: EliminationOrder, n_temps: int, n_calls: int,
         raise CapacityError(f"induced width {order.induced_width}: one temperature "
                             f"needs at least {8 * entries} bytes of tables")
     threads = max(1, min(cpus, fit, n_calls * n_temps))
-    cuts = max(-(-threads // n_calls), -(-n_temps // (fit // threads)))
+    # temperatures of the largest table, 2^(width + 1) entries each, that fit
+    cap = max(1, _PIECE_BYTES // (8 << (order.induced_width + 1)))
+    cuts = max(-(-threads // n_calls), -(-n_temps // min(fit // threads, cap)))
     return threads, max(1, -(-n_temps // cuts))
 
 

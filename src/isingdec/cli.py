@@ -277,8 +277,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def cmd_validate(config, seed, out_dir):
-    _graph(config)
-    _positive(config, "graph.alpha", 1.0)
+    """Build what the commands build from the config: the Hamiltonian (the
+    file, or the graph and alpha), the engine and, when [grid] is present,
+    the temperature grid (repeats allowed, as `surface` merges them)."""
+    _clean_hamiltonian(config)
+    _engine(config)
+    if any(key.startswith("grid.") for key in config):
+        _temperature_grid(config, distinct=False)
     print("config ok")
     return []
 

@@ -242,14 +242,20 @@ def test_criterion_11_control_error_broadening(capfd):
     grid = np.linspace(0.05, 5.0, 50)
     t_sampler, n_run, n_real = 1.5, 1000, 20
     spec = sa.ControlErrorSpec(sigma_h=0.05, sigma_j=0.03)
-    pts_clean, pts_err = [], []
-    for k in range(20):
-        H, _ = channel.sample_sector(H_clean, 200, channel.stream(77, 0, k))
-        recs = tr.find_transitions(tr.orientation_curve(H, grid, eng))
+    Hs = [channel.sample_sector(H_clean, 200, channel.stream(77, 0, k))[0]
+          for k in range(20)]
+    # each instance and its control-error realizations at the sampler
+    # temperature, drawn from the instance's own stream
+    sampled = []
+    for k, H in enumerate(Hs):
         err_rng = channel.stream(77, 1, k)
-        sampled = [H] + [sa.inject_control_error(H, spec, err_rng)
-                         for _ in range(n_real)]
-        m = eng.magnetization_curves(sampled, np.array([t_sampler]))[:, 0]
+        sampled += [H] + [sa.inject_control_error(H, spec, err_rng)
+                          for _ in range(n_real)]
+    curves = tr.orientation_curves(Hs, grid, eng)
+    at_sampler = eng.magnetization_curves(sampled, np.array([t_sampler]))[:, 0]
+    pts_clean, pts_err = [], []
+    for curve, m in zip(curves, np.split(at_sampler, len(Hs))):
+        recs = tr.find_transitions(curve)
         m_clean, m_err = m[0], m[1:]
         for i, rec in enumerate(recs):
             if rec.excluded or len(rec.transition_temps) != 1:

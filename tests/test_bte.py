@@ -371,12 +371,13 @@ class TestEngine:
 
     @pytest.mark.parametrize("L", range(1, 6))
     def test_chunk_fits_budget(self, L):
-        # a 32-temperature curve on one thread: one pass up to L=4
+        # a 32-temperature curve on one thread: one pass up to L=2, pieces
+        # of 16 on L=3 and of 1 on L=4, where the largest table fills 1 MiB
         order = bte.elimination_order(core.build_chimera(L))
         threads, chunk = bte._jobs(order, 32, 1, 1)
         assert threads == 1
         assert chunk * 8 * order.plan.entries <= bte.BUDGET
-        assert chunk == (32 if L <= 4 else 1)
+        assert chunk == (32 if L <= 2 else 16 if L == 3 else 1)
 
     def test_table_entries_count_the_forward_tables(self):
         H = random_instance(2, 12)
@@ -510,31 +511,64 @@ class TestBatch:
     def test_worker_count(self):
         order = bte.elimination_order(core.build_chimera(4))
         per_t = 8 * order.plan.entries  # one temperature's arena
-        # two CPUs: one-temperature calls are one job each; a grid curve
-        # splits into a piece per thread, or more where BUDGET asks for it
+        # two CPUs: one-temperature calls are one job each; a grid curve on
+        # L=4 is cut into one-temperature pieces, its largest table 1 MiB
         assert bte._jobs(order, 1, 21, 2) == (2, 1)
         assert bte._jobs(order, 1, 1, 2) == (1, 1)
-        assert bte._jobs(order, 6, 1, 2) == (2, 3)
-        assert bte._jobs(order, 50, 1, 2) == (2, 13)
-        # the arenas alive at once, one piece per thread, never exceed
-        # BUDGET, which holds one 32-temperature arena but not two
+        assert bte._jobs(order, 6, 1, 2) == (2, 1)
+        assert bte._jobs(order, 50, 1, 2) == (2, 1)
+        # BUDGET holds one 32-temperature L=4 arena but not two
         assert 32 * per_t <= bte.BUDGET < 2 * 32 * per_t
+        order3 = bte.elimination_order(core.build_chimera(3))
         for cpus, n_temps, n_calls in itertools.product(
-                (1, 2, 3, 64), (1, 6, 32, 50), (1, 3, 21, 100)):
+                (1, 2, 3, 64), (1, 6, 32, 50, 200), (1, 3, 21, 100)):
+            # L=4: every piece is one temperature
             threads, piece = bte._jobs(order, n_temps, n_calls, cpus)
-            assert 1 <= threads <= cpus and 1 <= piece <= n_temps
+            assert 1 <= threads <= cpus and piece == 1
+            # the arenas alive at once, one piece per thread, fit BUDGET
             assert threads * piece * per_t <= bte.BUDGET
+            # L=3: pieces of at most 16 temperatures
+            threads, piece = bte._jobs(order3, n_temps, n_calls, cpus)
+            assert 1 <= threads <= cpus and 1 <= piece <= min(16, n_temps)
+            assert threads * piece * 8 * order3.plan.entries <= bte.BUDGET
         # one-temperature calls: as many threads as BUDGET holds at their peak
         n, _ = bte._jobs(order, 1, 100, 64)
         assert n * per_t <= bte.BUDGET < (n + 1) * per_t
         # L=5: one temperature's arena takes most of BUDGET, so one thread
-        assert bte._jobs(bte.elimination_order(core.build_chimera(5)), 1, 100, 64) \
-            == (1, 1)
+        order5 = bte.elimination_order(core.build_chimera(5))
+        assert bte._jobs(order5, 1, 100, 64) == (1, 1)
+        assert bte._jobs(order5, 50, 3, 64) == (1, 1)
         # small passes: one thread per usable CPU and per job
-        order3 = bte.elimination_order(core.build_chimera(3))
         assert bte._jobs(order3, 1, 100, 64) == (64, 1)
         assert bte._jobs(order3, 1, 3, 64) == (3, 1)
         assert bte._jobs(order3, 8, 1, 64) == (8, 1)
+        assert bte._jobs(order3, 200, 1, 1) == (1, 16)
+
+    @pytest.mark.parametrize("n_temps, n_calls", [(6, 1), (3, 1), (50, 20)],
+                             ids=["6-point-grid", "3-checkpoints", "50-point-grids"])
+    def test_each_thread_is_lent_one_temperature_of_arena_on_4x4(self, n_temps,
+                                                                 n_calls,
+                                                                 monkeypatch):
+        order = bte.elimination_order(core.build_chimera(4))
+        lent = []
+
+        class Spy:
+            def __init__(self, plan, n):
+                assert plan is order.plan
+                lent.append(8 * plan.entries * n)
+
+        def no_tables(H, temps, order):
+            assert getattr(bte._lent, "arena", None) is not None
+            return np.zeros((len(temps), H.graph.n_spins))
+
+        monkeypatch.setattr(bte, "_Arena", Spy)
+        monkeypatch.setattr(bte, "bte_magnetization_curve", no_tables)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        H = core.Hamiltonian.uniform(core.build_chimera(4))
+        out = bte.BteEngine().magnetization_curves([H] * n_calls,
+                                                   np.linspace(1.0, 2.0, n_temps))
+        assert out.shape == (n_calls, n_temps, H.graph.n_spins)
+        assert lent == [8 * order.plan.entries] * 2
 
     def test_capacity_error_before_any_table(self, monkeypatch):
         def no_tables(*args):

@@ -76,6 +76,24 @@ class TestValidate:
         cfg = write(tmp_path, "v.cfg", "[graph]\nl = 1\n")
         assert run(["validate", "--config", str(cfg), "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("key, value, command, message", [
+        ("graph.hamiltonian", "missing.txt", "ber", "missing.txt: [Errno 2]"),
+        ("graph.engine", "foo", "transitions", "unknown engine 'foo'"),
+        ("grid.points", "0", "surface", "grid.points must be >= 1"),
+    ], ids=["missing-hamiltonian-file", "unknown-engine", "no-grid-points"])
+    def test_refuses_what_a_command_refuses(self, tmp_path, capsys, key, value,
+                                            command, message):
+        sections = {"graph": {"l": "1"}, "grid": {"points": "6"},
+                    "channel": {"p": "0.1"}}
+        section, name = key.split(".")
+        sections[section][name] = value
+        cfg = write(tmp_path, "v.cfg", "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for s, keys in sections.items()))
+        for argv in (["validate"], [command, "--out", str(tmp_path / "o")]):
+            assert run(argv + ["--config", str(cfg), "--seed", "1"]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestBer:
     def make_cfg(self, tmp_path, out):
