@@ -3,8 +3,12 @@
 Every command is a pure function of (config, seed): outputs are plot-ready
 CSV files plus a JSON manifest echoing the resolved configuration, and
 reruns with the same inputs are byte-identical. Config files are flat
-key=value text grouped under [section] headers; unknown keys are rejected
-with line numbers.
+key=value text grouped under [section] headers. One schema gives each key
+its type and domain: an unknown key, or a value outside its key's domain,
+is refused with its line number when the file is read, by every command,
+`validate` included, whether or not the command reads the key. Checks that
+need a second key or the graph run in the commands that read the keys, and
+in `validate` where they do not depend on the command.
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 internal error.
 """
@@ -61,44 +65,66 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-# (section, key) -> value parser; one schema shared by all commands. A key
-# outside it is a config error in any command; a known key that a command
-# does not read, or a whole section of them, is ignored by that command.
+# A key's domain: (test, refusal). A value whose test is false is refused
+# when the file is read.
+_ANY = (lambda v: True, "")
+_NONNEGATIVE = (lambda v: v >= 0, "{key} must be >= 0, got {value!r}")
+_COUNT = (lambda v: v >= 1, "{key} must be >= 1, got {value!r}")
+_SCALE = (lambda v: 0 < v < math.inf,  # false for NaN too
+          "{key} must be positive and finite, got {value!r}")
+_SIGMA = (lambda v: 0 <= v < math.inf,
+          "{key} must be finite and >= 0, got {value!r}")
+_PROBABILITIES = (lambda v: v and all(0 <= p <= 1 for p in v),
+                  "{key} must list one or more values in [0, 1], got {value!r}")
+_TEMPERATURES = (len, "{key} must list at least one temperature, got {value!r}")
+
+
+def _one_of(*names):
+    return (lambda v: v in names,
+            "unknown {key} {value!r}: use " + " or ".join(names))
+
+
+# (section, key) -> (value parser, domain); one schema shared by all
+# commands. A key outside it, or a value outside its domain, is a config
+# error in every command, validate included, whether or not it reads the key.
 _SCHEMA = {
-    ("run", "seed"): int,
-    ("run", "out"): str,
-    ("graph", "l"): int,
-    ("graph", "exclude"): _parse_ints,
-    ("graph", "alpha"): float,
-    ("graph", "engine"): str,
-    ("graph", "hamiltonian"): str,
-    ("grid", "t_min"): float,
-    ("grid", "t_max"): float,
-    ("grid", "points"): int,
-    ("channel", "p"): _parse_floats,
-    ("channel", "mode"): str,
-    ("channel", "flips"): int,
-    ("ensemble", "instances"): int,
-    ("ensemble", "classes"): _parse_bool,
-    ("ensemble", "correlation"): _parse_bool,
-    ("sa", "t_start"): float,
-    ("sa", "t_end"): float,
-    ("sa", "updates"): int,
-    ("sa", "runs"): int,
-    ("sa", "checkpoints"): _parse_floats,
-    ("control", "sigma_h"): float,
-    ("control", "sigma_j"): float,
-    ("control", "realizations"): int,
-    ("plow", "n_run"): int,
-    ("plow", "sampler_temperature"): float,
+    ("run", "seed"): (int, _NONNEGATIVE),
+    ("run", "out"): (str, _ANY),
+    ("graph", "l"): (int, _COUNT),
+    ("graph", "exclude"): (_parse_ints, _ANY),
+    ("graph", "alpha"): (float, _SCALE),
+    ("graph", "engine"): (str, _one_of("exact", "bte")),
+    ("graph", "hamiltonian"): (str, _ANY),
+    ("grid", "t_min"): (float, _SCALE),
+    ("grid", "t_max"): (float, _SCALE),
+    ("grid", "points"): (int, _COUNT),
+    ("channel", "p"): (_parse_floats, _PROBABILITIES),
+    # the exact channel average is the only mode; the key stays valid for
+    # configs that name it
+    ("channel", "mode"): (str, _one_of("exhaustive")),
+    ("channel", "flips"): (int, _NONNEGATIVE),
+    ("ensemble", "instances"): (int, _COUNT),
+    ("ensemble", "classes"): (_parse_bool, _ANY),
+    ("ensemble", "correlation"): (_parse_bool, _ANY),
+    ("sa", "t_start"): (float, _SCALE),
+    ("sa", "t_end"): (float, _SCALE),
+    ("sa", "updates"): (int, _COUNT),
+    ("sa", "runs"): (int, _COUNT),
+    ("sa", "checkpoints"): (_parse_floats, _TEMPERATURES),
+    ("control", "sigma_h"): (float, _SIGMA),
+    ("control", "sigma_j"): (float, _SIGMA),
+    ("control", "realizations"): (int, _NONNEGATIVE),
+    ("plow", "n_run"): (int, _COUNT),
+    ("plow", "sampler_temperature"): (float, _SCALE),
 }
 
 
 def load_config(path: Path) -> dict:
     """Parse a flat key=value config with [section] headers.
 
-    Returns {"section.key": value}. Unknown keys, bad values, and duplicate
-    keys raise ConfigError with the offending line number.
+    Returns {"section.key": value}. Unknown keys, bad values, values outside
+    their key's domain and duplicate keys raise ConfigError with the
+    offending line number.
     """
     config: dict = {}
     section = ""
@@ -118,9 +144,9 @@ def load_config(path: Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        parser = _SCHEMA.get((section, key))
-        if parser is None:
+        if (section, key) not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key [{section}] {key}")
+        parser, (in_domain, refusal) = _SCHEMA[section, key]
         full = f"{section}.{key}"
         if full in config:
             raise ConfigError(f"{path}:{lineno}: duplicate key {full}")
@@ -128,6 +154,9 @@ def load_config(path: Path) -> dict:
             config[full] = parser(value)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {full}: {err}")
+        if not in_domain(config[full]):
+            raise ConfigError(refusal.format(key=full, value=config[full])
+                              + f" ({path}:{lineno})")
     return config
 
 
@@ -137,23 +166,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _positive(config: dict, key: str, default: float | None = None) -> float:
-    """config[key] (default if absent and not None): ConfigError unless it
-    is a positive finite number."""
-    value = _require(config, key) if default is None else config.get(key, default)
-    if not 0 < value < math.inf:  # false for NaN too
-        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
-    return value
-
-
 def _temperature_grid(config: dict, distinct: bool = True) -> np.ndarray:
     """The [grid] linspace; unless distinct is False, ConfigError if it
     repeats a temperature."""
     points = _require(config, "grid.points")
-    if points < 1:
-        raise ConfigError("grid.points must be >= 1")
-    t_max = _positive(config, "grid.t_max", 7.0)
-    t_min = _positive(config, "grid.t_min", t_max / points)
+    t_max = config.get("grid.t_max", 7.0)
+    t_min = config.get("grid.t_min", t_max / points)
     if t_max < t_min:
         raise ConfigError("invalid temperature grid: grid.t_max < grid.t_min")
     grid = np.linspace(t_min, t_max, points)
@@ -175,11 +193,6 @@ def _ber_surface(config: dict, t_decode: np.ndarray,
                  t_nish: np.ndarray) -> experiments.BerSurface:
     """The exact BER surface of the configured codeword instance; a file
     holding any other instance is a config error."""
-    # the exact channel average is the only mode; the key stays valid for
-    # configs that name it
-    mode = config.get("channel.mode", "exhaustive")
-    if mode != "exhaustive":
-        raise ConfigError(f"unknown channel.mode {mode!r}")
     H = _clean_hamiltonian(config)
     try:
         return experiments.ber_surface(H, t_decode, t_nish)
@@ -188,12 +201,9 @@ def _ber_surface(config: dict, t_decode: np.ndarray,
 
 
 def _engine(config: dict):
-    name = config.get("graph.engine", "exact")
-    if name == "exact":
-        return exact.ExactEngine()
-    if name == "bte":
+    if config.get("graph.engine") == "bte":
         return bte.BteEngine()
-    raise ConfigError(f"unknown engine {name!r}")
+    return exact.ExactEngine()
 
 
 def _graph(config: dict):
@@ -211,16 +221,39 @@ def _graph(config: dict):
 def _control_spec(config: dict) -> sa.ControlErrorSpec | None:
     """The [control] Gaussian control error, or None when control.realizations
     is absent or 0; an unset sigma takes the ControlErrorSpec default."""
-    n_real = config.get("control.realizations", 0)
-    if n_real < 0:
-        raise ConfigError("control.realizations must be >= 0")
-    if n_real == 0:
+    if config.get("control.realizations", 0) == 0:
         return None
-    sigmas = {k: config[f"control.{k}"] for k in ("sigma_h", "sigma_j")
-              if f"control.{k}" in config}
-    if not all(0 <= v < float("inf") for v in sigmas.values()):
-        raise ConfigError("control.sigma_h and control.sigma_j must be finite and >= 0")
-    return sa.ControlErrorSpec(**sigmas)
+    return sa.ControlErrorSpec(**{k: config[f"control.{k}"]
+                                  for k in ("sigma_h", "sigma_j")
+                                  if f"control.{k}" in config})
+
+
+def _flips(config: dict, H: Hamiltonian) -> int | None:
+    """channel.flips, None if unset; ConfigError above the N+M spins and
+    couplers of H's graph."""
+    flips = config.get("channel.flips")
+    total = H.graph.n_spins + H.graph.n_edges
+    if flips is not None and flips > total:
+        raise ConfigError(f"channel.flips must lie in [0, {total}], got {flips}")
+    return flips
+
+
+def _anneal_plan(config: dict, H: Hamiltonian):
+    """The [sa] schedule, its checkpoints and their temperatures on H."""
+    try:
+        schedule = sa.AnnealSchedule(
+            t_start=config.get("sa.t_start", 10.0),
+            t_end=config.get("sa.t_end", 1.405),
+            total_updates=config.get("sa.updates", 1_000_000))
+    except ValueError as err:
+        raise ConfigError(f"[sa] {err}") from err
+    checkpoints = np.asarray(config.get(
+        "sa.checkpoints", list(np.linspace(schedule.t_end, schedule.t_start, 8))))
+    try:
+        temps = sa.checkpoint_temperatures(H, schedule, checkpoints)
+    except ValueError as err:
+        raise ConfigError(f"sa.{err}") from err
+    return schedule, checkpoints, temps
 
 
 def _hamiltonian_file(path) -> Hamiltonian:
@@ -237,11 +270,26 @@ def _clean_hamiltonian(config: dict) -> Hamiltonian:
     if "graph.hamiltonian" in config:
         return _hamiltonian_file(config["graph.hamiltonian"])
     return Hamiltonian.uniform(_graph(config),
-                               alpha=_positive(config, "graph.alpha", 1.0))
+                               alpha=config.get("graph.alpha", 1.0))
 
 
 # ---------------------------------------------------------------------------
 # output helpers
+
+
+def _out_dir(path: Path, make: bool) -> Path:
+    """The output directory, made if make is true. A path that names a
+    file, lies under one or cannot be made is a config error, like an
+    unreadable config file."""
+    try:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"{nearest} is not a directory")
+        if make:
+            path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -277,13 +325,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def cmd_validate(config, seed, out_dir):
-    """Build what the commands build from the config: the Hamiltonian (the
-    file, or the graph and alpha), the engine and, when [grid] is present,
-    the temperature grid (repeats allowed, as `surface` merges them)."""
-    _clean_hamiltonian(config)
-    _engine(config)
+    """Build what the commands build from the config, for the checks that
+    need more than one key: the Hamiltonian (the file, or the graph and
+    alpha), the flips bound on its graph and, when [grid] or [sa] is
+    present, the temperature grid (repeats allowed, as `surface` merges
+    them) or the anneal schedule and checkpoints."""
+    H = _clean_hamiltonian(config)
+    _flips(config, H)
     if any(key.startswith("grid.") for key in config):
         _temperature_grid(config, distinct=False)
+    if any(key.startswith("sa.") for key in config):
+        _anneal_plan(config, H)
     print("config ok")
     return []
 
@@ -351,21 +403,13 @@ def _transition_instances(config, seed):
         for word in np.unique(canonical, return_counts=True)[0]:  # as above
             yield f"class-{int(word)}", cell_from_word(int(word))
         return
-    n_inst = config.get("ensemble.instances", 1)
-    if n_inst < 1:
-        raise ConfigError("ensemble.instances must be >= 1")
     H_clean = _clean_hamiltonian(config)
     if not H_clean.is_nominal():  # only a file can hold one
         raise ConfigError(f"{config['graph.hamiltonian']}: the channel needs "
                           "a nominal instance, h and J in {-1, +1}")
-    flips = config.get("channel.flips")
+    flips = _flips(config, H_clean)
     p = config.get("channel.p", [0.1])
-    total = H_clean.graph.n_spins + H_clean.graph.n_edges
-    if flips is not None and not 0 <= flips <= total:
-        raise ConfigError(f"channel.flips must lie in [0, {total}], got {flips}")
-    if flips is None and not (p and 0 <= p[0] <= 1):  # false for NaN too
-        raise ConfigError(f"channel.p must start with a value in [0, 1], got {p}")
-    for k in range(n_inst):
+    for k in range(config.get("ensemble.instances", 1)):
         rng = channel.stream(seed, 10, k)
         if flips is not None:
             H, _ = channel.sample_sector(H_clean, flips, rng)
@@ -407,9 +451,7 @@ def _plow_scatter(config, seed):
     grid = _temperature_grid(config)
     engine = _engine(config)
     n_run = config.get("plow.n_run", 1000)
-    if n_run < 1:
-        raise ConfigError("plow.n_run must be >= 1")
-    t_samp = _positive(config, "plow.sampler_temperature")
+    t_samp = _require(config, "plow.sampler_temperature")
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
     curves = transitions.orientation_curves(Hs, grid, engine)
@@ -454,24 +496,9 @@ def cmd_plow_fit(config, seed, out_dir):
 def cmd_sa_compare(config, seed, out_dir):
     """Annealer orientations vs equilibrium at checkpoint temperatures."""
     H = next(_transition_instances(config, seed))[1]
-    try:
-        schedule = sa.AnnealSchedule(
-            t_start=config.get("sa.t_start", 10.0),
-            t_end=config.get("sa.t_end", 1.405),
-            total_updates=config.get("sa.updates", 1_000_000))
-    except ValueError as err:
-        raise ConfigError(f"[sa] {err}") from err
+    # control error keeps alpha, so temps are the sweep's temperatures
+    schedule, checkpoints, temps = _anneal_plan(config, H)
     n_runs = config.get("sa.runs", 1000)
-    if n_runs < 1:
-        raise ConfigError("sa.runs must be >= 1")
-    checkpoints = np.asarray(config.get(
-        "sa.checkpoints", list(np.linspace(schedule.t_end, schedule.t_start, 8))))
-    if checkpoints.size == 0:
-        raise ConfigError("sa.checkpoints must list at least one temperature")
-    try:  # control error keeps alpha, so these are the sweep's temperatures
-        temps = sa.checkpoint_temperatures(H, schedule, checkpoints)
-    except ValueError as err:
-        raise ConfigError(f"sa.{err}") from err
     spec = _control_spec(config)
     if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))
@@ -542,8 +569,8 @@ def main(argv=None) -> int:
             raise ConfigError("seed is mandatory: pass --seed or set [run] seed")
         if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        out_dir = args.out or Path(config.get("run.out", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out or Path(config.get("run.out", ".")),
+                           make=args.command != "validate")  # it writes nothing
         outputs = _COMMANDS[args.command](config, seed, out_dir)
         if outputs:
             _write_manifest(out_dir, args.command, config, seed,

@@ -76,23 +76,169 @@ class TestValidate:
         cfg = write(tmp_path, "v.cfg", "[graph]\nl = 1\n")
         assert run(["validate", "--config", str(cfg), "--seed", "-1"]) == 2
 
-    @pytest.mark.parametrize("key, value, command, message", [
-        ("graph.hamiltonian", "missing.txt", "ber", "missing.txt: [Errno 2]"),
-        ("graph.engine", "foo", "transitions", "unknown engine 'foo'"),
-        ("grid.points", "0", "surface", "grid.points must be >= 1"),
-    ], ids=["missing-hamiltonian-file", "unknown-engine", "no-grid-points"])
-    def test_refuses_what_a_command_refuses(self, tmp_path, capsys, key, value,
+    @pytest.mark.parametrize("settings, command, message", [
+        ({"graph.hamiltonian": "missing.txt"}, "ber", "missing.txt: [Errno 2]"),
+        ({"graph.engine": "foo"}, "transitions",
+         "unknown graph.engine 'foo': use exact or bte"),
+        ({"grid.points": "0"}, "surface", "grid.points must be >= 1"),
+        ({"sa.t_start": "2.0", "sa.t_end": "5.0"}, "sa-compare",
+         "[sa] t_end must not exceed t_start"),
+        ({"sa.checkpoints": "0.4"}, "sa-compare",
+         "sa.checkpoints must lie within the schedule range"),
+        ({"channel.flips": "99"}, "transitions",
+         "channel.flips must lie in [0, 24], got 99"),
+    ], ids=["missing-hamiltonian-file", "unknown-engine", "no-grid-points",
+            "t-end-above-t-start", "checkpoint-below-t-end", "flips-above-elements"])
+    def test_refuses_what_a_command_refuses(self, tmp_path, capsys, settings,
                                             command, message):
         sections = {"graph": {"l": "1"}, "grid": {"points": "6"},
                     "channel": {"p": "0.1"}}
-        section, name = key.split(".")
-        sections[section][name] = value
+        for key, value in settings.items():
+            section, name = key.split(".")
+            sections.setdefault(section, {})[name] = value
         cfg = write(tmp_path, "v.cfg", "".join(
             f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
             for s, keys in sections.items()))
         for argv in (["validate"], [command, "--out", str(tmp_path / "o")]):
             assert run(argv + ["--config", str(cfg), "--seed", "1"]) == 2
             assert f"config error: {message}" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["surface", "validate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_file_in_the_way_is_config_error(self, tmp_path, capsys, command,
+                                             under, source):
+        # FileExistsError and NotADirectoryError here were internal errors
+        taken = write(tmp_path, "taken", "")
+        out = taken / "sub" if under else taken
+        text = COMMAND_CONFIGS["surface"]
+        argv = [command, "--seed", "1"]
+        if source == "flag":
+            argv += ["--out", str(out)]
+        else:
+            text += f"[run]\nout = {out}\n"
+        cfg = write(tmp_path, "c.cfg", text)
+        assert run(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {out}: {taken} is not a directory\n")
+
+    def test_validate_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "vnew"
+        cfg = write(tmp_path, "c.cfg", f"[run]\nseed = 1\nout = {out}\n"
+                    "[graph]\nl = 1\n")
+        assert run(["validate", "--config", str(cfg)]) == 0
+        assert "config ok" in capsys.readouterr().out
+        assert not out.exists()
+
+
+# every command but validate that reads a key; validate checks them all
+INSTANCE_COMMANDS = ["transitions", "plow-fit", "sa-compare"]
+GRAPH_COMMANDS = ["ber", "surface", *INSTANCE_COMMANDS]
+GRID_COMMANDS = ["surface", "transitions", "plow-fit"]
+READERS = {
+    "run.seed": ["canonicalize", *GRAPH_COMMANDS],
+    "graph.l": GRAPH_COMMANDS,
+    "graph.alpha": GRAPH_COMMANDS,
+    "graph.engine": INSTANCE_COMMANDS,
+    "grid.t_min": GRID_COMMANDS,
+    "grid.t_max": GRID_COMMANDS,
+    "grid.points": GRID_COMMANDS,
+    "channel.p": GRAPH_COMMANDS,
+    "channel.mode": ["ber", "surface"],
+    "channel.flips": INSTANCE_COMMANDS,
+    "ensemble.instances": INSTANCE_COMMANDS,
+    "sa.t_start": ["sa-compare"],
+    "sa.t_end": ["sa-compare"],
+    "sa.updates": ["sa-compare"],
+    "sa.runs": ["sa-compare"],
+    "sa.checkpoints": ["sa-compare"],
+    "control.sigma_h": ["plow-fit", "sa-compare"],
+    "control.sigma_j": ["plow-fit", "sa-compare"],
+    "control.realizations": ["plow-fit", "sa-compare"],
+    "plow.n_run": ["plow-fit"],
+    "plow.sampler_temperature": ["plow-fit"],
+}
+
+# a config every command runs: the key under test replaces or joins these
+SCHEMA_BASE = {
+    "run": {"seed": "1"},
+    "graph": {"l": "1", "exclude": "3 7 6"},
+    "grid": {"points": "5"},
+    "channel": {"p": "0.1"},
+    "ensemble": {"instances": "8"},
+    "plow": {"sampler_temperature": "1.5"},
+    "sa": {"updates": "200", "runs": "5", "checkpoints": "1.5 4.0"},
+}
+
+
+def positive(key, value):
+    return f"{key} must be positive and finite, got {float(value)!r}"
+
+
+OUT_OF_DOMAIN = [
+    ("run.seed", "-1", "run.seed must be >= 0, got -1"),
+    ("graph.l", "0", "graph.l must be >= 1, got 0"),
+    *[("graph.alpha", v, positive("graph.alpha", v)) for v in ALPHAS],
+    ("graph.engine", "foo", "unknown graph.engine 'foo': use exact or bte"),
+    ("grid.points", "0", "grid.points must be >= 1, got 0"),
+    ("grid.t_min", "nan", positive("grid.t_min", "nan")),
+    ("grid.t_min", "-0.5", positive("grid.t_min", "-0.5")),
+    ("grid.t_max", "inf", positive("grid.t_max", "inf")),
+    ("grid.t_max", "nan", positive("grid.t_max", "nan")),
+    *[("channel.p", v, f"channel.p must list one or more values in [0, 1], got {p}")
+      for v, p in [("1.5", "[1.5]"), ("", "[]"), ("0.1 1.5", "[0.1, 1.5]")]],
+    *[("channel.mode", v, f"unknown channel.mode '{v}': use exhaustive")
+      for v in ["bogus", "sampled"]],
+    ("channel.flips", "-1", "channel.flips must be >= 0, got -1"),
+    ("ensemble.instances", "0", "ensemble.instances must be >= 1, got 0"),
+    ("sa.t_start", "nan", positive("sa.t_start", "nan")),
+    ("sa.t_end", "0.0", positive("sa.t_end", "0.0")),
+    ("sa.updates", "0", "sa.updates must be >= 1, got 0"),
+    ("sa.runs", "0", "sa.runs must be >= 1, got 0"),
+    ("sa.runs", "-3", "sa.runs must be >= 1, got -3"),
+    ("sa.checkpoints", "", "sa.checkpoints must list at least one temperature, got []"),
+    ("control.realizations", "-1", "control.realizations must be >= 0, got -1"),
+    ("control.sigma_h", "-0.1", "control.sigma_h must be finite and >= 0, got -0.1"),
+    ("control.sigma_j", "inf", "control.sigma_j must be finite and >= 0, got inf"),
+    ("plow.n_run", "0", "plow.n_run must be >= 1, got 0"),
+    *[("plow.sampler_temperature", v, positive("plow.sampler_temperature", v))
+      for v in ["-1.0", "nan", "inf"]],
+]
+
+
+def config_lines(sections):
+    return [line for s, keys in sections.items()
+            for line in [f"[{s}]", *(f"{k} = {v}" for k, v in keys.items())]]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_schema_base_config_runs(tmp_path, command):
+    cfg = write(tmp_path, "c.cfg", "\n".join(config_lines(SCHEMA_BASE)) + "\n")
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("key, value, message", OUT_OF_DOMAIN,
+                         ids=[f"{k}={v}" for k, v, _ in OUT_OF_DOMAIN])
+def test_out_of_domain_value_is_refused_when_read(tmp_path, capsys, key, value,
+                                                  message):
+    # validate and every command that reads the key refuse it alike, with
+    # its line, before any output; each once took its own check in a command
+    sections = {s: dict(keys) for s, keys in SCHEMA_BASE.items()}
+    section, name = key.split(".")
+    sections.setdefault(section, {})[name] = value
+    lines = config_lines(sections)
+    cfg = write(tmp_path, "c.cfg", "\n".join(lines) + "\n")
+    lineno = lines.index(f"{name} = {value}") + 1
+    for command in ["validate", *READERS[key]]:
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message} ({cfg}:{lineno})\n", command
+        assert not out.exists(), command
 
 
 class TestBer:
@@ -212,7 +358,7 @@ class TestCodewordFile:
     @pytest.mark.parametrize("graph, message", [
         ("exclude = 0 1 2 3 4 5 6 7", "[graph] exclude leaves no spin"),
         ("exclude = 3 99", "[graph] excluded spin 99 out of range [0, 8)"),
-        ("l = 0", "[graph] L must be >= 1"),
+        ("l = 0", "graph.l must be >= 1, got 0"),
     ] + [(f"alpha = {v}", f"graph.alpha must be positive and finite, got {float(v)!r}")
          for v in ALPHAS], ids=["no-spins", "spin-out-of-range", "no-cells"]
         + [f"alpha-{v}" for v in ALPHAS])
@@ -350,13 +496,13 @@ flips = 20
         pytest.param(command, section, message, id=f"{name}-{command}")
         for name, section, message in [
             ("p-above-one", "[channel]\np = 1.5",
-             "channel.p must start with a value in [0, 1], got [1.5]"),
+             "channel.p must list one or more values in [0, 1], got [1.5]"),
             ("no-p", "[channel]\np = ",
-             "channel.p must start with a value in [0, 1], got []"),
+             "channel.p must list one or more values in [0, 1], got []"),
             ("flips-above-elements", "[channel]\nflips = 25",
              "channel.flips must lie in [0, 24], got 25"),
             ("negative-flips", "[channel]\nflips = -1",
-             "channel.flips must lie in [0, 24], got -1"),
+             "channel.flips must be >= 0, got -1"),
         ]
         for command in ("transitions", "plow-fit", "sa-compare")
     ] + [pytest.param("plow-fit", "[channel]\nflips = 4\n[plow]\nn_run = 0",
@@ -591,7 +737,7 @@ class TestSaCompare:
     @pytest.mark.parametrize("key, value, message", [
         ("runs", "0", "sa.runs must be >= 1"),
         ("runs", "-3", "sa.runs must be >= 1"),
-        ("updates", "0", "total_updates must be >= 1"),
+        ("updates", "0", "sa.updates must be >= 1"),
         ("t_end", "0.0", "must be positive"),
         ("t_start", "nan", "positive and finite"),
         ("checkpoints", "1.5 7.0", "sa.checkpoints must lie within"),

@@ -1,12 +1,15 @@
 """Static checks on the package source, standing in for a linter: every
 module-level import is used, every name in `__all__` is defined, every
-function, method and class is named somewhere, and nothing imports scipy."""
+function, method and class is named somewhere, nothing imports scipy, and
+the README's config key table lists the keys of the config schema."""
 
 import ast
 import pathlib
 import re
 
 import pytest
+
+from isingdec import cli
 
 ROOT = pathlib.Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "isingdec").glob("*.py"))
@@ -103,3 +106,13 @@ def test_every_definition_is_named_elsewhere():
     dead = sorted(name for name, own in definitions.items()
                   if not lines.get(name, set()) - own)
     assert not dead, f"defined but never named elsewhere: {', '.join(dead)}"
+
+
+def test_readme_key_table_matches_the_config_schema():
+    # a key cannot be added or dropped without its row in the README table
+    text = (ROOT / "README.md").read_text()
+    table = re.search(r"^\| Key \|.*\n((?:\|.*\n)*)", text, flags=re.MULTILINE)
+    documented = re.findall(r"^\| `(\w+)\.(\w+)` \|", table.group(1),
+                            flags=re.MULTILINE)
+    assert len(documented) == len(set(documented)), "a key is listed twice"
+    assert set(documented) == set(cli._SCHEMA)
