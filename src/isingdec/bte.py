@@ -79,7 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CapacityError, ChimeraGraph, Hamiltonian, common_graph
+from .core import CapacityError, ChimeraGraph, Hamiltonian, K, common_graph
 from .workers import free_cpus, run_calls
 
 __all__ = [
@@ -142,12 +142,12 @@ def elimination_order(graph: ChimeraGraph) -> EliminationOrder:
     Cells are processed column by column; within a column all side-0 spins go
     first, then all side-1 spins. Grouping a column's side-0 spins keeps the
     frontier to the side-1 cut plus one cell, so the induced width stays at
-    4L on an unexcluded L x L Chimera with K=4 (well under the 4L+4 bound of
+    4L on an unexcluded L x L Chimera (well under the 4L+4 bound of
     the per-cell order). The order of a graph is made once per process (for
     the last few graphs), so its schedule and plan are too.
     """
     order: list[int] = []
-    L, K = graph.L, graph.K
+    L = graph.L
     active = set(graph.spins)
     for x in range(L):
         for u in (0, 1):
@@ -775,6 +775,11 @@ class BteEngine:
     The batch methods take Hamiltonians of one graph and return one curve
     per Hamiltonian, stacked in input order; magnetization_curve is their
     one-element case."""
+
+    def check_capacity(self, graph: ChimeraGraph) -> None:
+        """CapacityError, before any plan is made, if one temperature's
+        tables on graph exceed BUDGET."""
+        _jobs(elimination_order(graph), 1, 1, 1)
 
     def magnetization_curves(self, Hs: list[Hamiltonian],
                              temps: np.ndarray) -> np.ndarray:

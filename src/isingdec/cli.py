@@ -1,14 +1,18 @@
 """Configuration-driven command-line front end.
 
-Every command is a pure function of (config, seed): outputs are plot-ready
-CSV files plus a JSON manifest echoing the resolved configuration, and
-reruns with the same inputs are byte-identical. Config files are flat
-key=value text grouped under [section] headers. One schema gives each key
-its type and domain: an unknown key, or a value outside its key's domain,
-is refused with its line number when the file is read, by every command,
-`validate` included, whether or not the command reads the key. Checks that
-need a second key or the graph run in the commands that read the keys, and
-in `validate` where they do not depend on the command.
+Every command is a pure function of (config, seed) that returns its
+outputs, plot-ready CSV and JSON texts by file name. Only `main` writes
+them, plus a JSON manifest echoing the resolved configuration, and it makes
+the output directory only then, after every check and all the work: a
+refused run leaves nothing behind. Reruns with the same inputs are
+byte-identical. Config files are flat key=value text grouped under
+[section] headers. One schema gives each key its type and domain: an
+unknown key, or a value outside its key's domain, is refused with its line
+number when the file is read, by every command, `validate` included,
+whether or not the command reads the key. Checks that need a second key or
+the graph run in the commands that read the keys, and in `validate` where
+they do not depend on the command; so does the engine's capacity check on
+the instances' graph, before any curve or anneal.
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 internal error.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -200,10 +205,14 @@ def _ber_surface(config: dict, t_decode: np.ndarray,
         raise ConfigError(f"{config['graph.hamiltonian']}: {err}") from err
 
 
-def _engine(config: dict):
-    if config.get("graph.engine") == "bte":
-        return bte.BteEngine()
-    return exact.ExactEngine()
+def _engine(config: dict, graph):
+    """The configured engine, once it has checked that graph, the graph of
+    the instances, is within its capacity: CapacityError, before any curve,
+    if not."""
+    engine = (bte.BteEngine() if config.get("graph.engine") == "bte"
+              else exact.ExactEngine())
+    engine.check_capacity(graph)
+    return engine
 
 
 def _graph(config: dict):
@@ -277,26 +286,28 @@ def _clean_hamiltonian(config: dict) -> Hamiltonian:
 # output helpers
 
 
-def _out_dir(path: Path, make: bool) -> Path:
-    """The output directory, made if make is true. A path that names a
-    file, lies under one or cannot be made is a config error, like an
-    unreadable config file."""
+def _out_dir(path: Path) -> Path:
+    """The output directory; a path that names a file or lies under one is
+    a config error, like an unreadable config file."""
     try:
         nearest = next(p for p in (path, *path.parents) if p.exists())
         if not nearest.is_dir():
             raise NotADirectoryError(f"{nearest} is not a directory")
-        if make:
-            path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _json(value) -> str:
+    return json.dumps(value, indent=2, default=str) + "\n"
 
 
 def _fmt(x) -> str:
@@ -305,42 +316,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    config_text: str, outputs: list[str],
-                    started: float) -> None:
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "config": {k: config[k] for k in sorted(config)},
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "outputs": outputs,
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_validate(config, seed, out_dir):
+def cmd_validate(config, seed):
     """Build what the commands build from the config, for the checks that
     need more than one key: the Hamiltonian (the file, or the graph and
     alpha), the flips bound on its graph and, when [grid] or [sa] is
     present, the temperature grid (repeats allowed, as `surface` merges
-    them) or the anneal schedule and checkpoints."""
+    them) or the anneal schedule and checkpoints; then the engine's
+    capacity check on the instances' graph, a single cell for the class
+    ensemble."""
     H = _clean_hamiltonian(config)
     _flips(config, H)
     if any(key.startswith("grid.") for key in config):
         _temperature_grid(config, distinct=False)
     if any(key.startswith("sa.") for key in config):
         _anneal_plan(config, H)
+    cell = config.get("ensemble.classes", False)
+    _engine(config, build_chimera(1) if cell else H.graph)
     print("config ok")
-    return []
+    return {}
 
 
-def cmd_canonicalize(config, seed, out_dir):
+def cmd_canonicalize(config, seed):
     """Emit the canonical single-cell coupler classes, or canonicalize a file."""
     if "graph.hamiltonian" in config:
         path = config["graph.hamiltonian"]
@@ -349,20 +349,17 @@ def cmd_canonicalize(config, seed, out_dir):
             word = canonicalize_cell(H)
         except ValueError as err:  # not a nominal full cell
             raise ConfigError(f"{path}: {err}") from err
-        _write_csv(out_dir / "canonical.csv",
-                   ["canonical_word", "n_negative_couplers"],
-                   [[word, bin(word).count("1")]])
-        return ["canonical.csv"]
+        return {"canonical.csv": _csv(["canonical_word", "n_negative_couplers"],
+                                      [[word, bin(word).count("1")]])}
     count, histogram, canonical = enumerate_cell_classes()
     words, orbit_sizes = np.unique(canonical, return_counts=True)
     rows = [[int(w), int(o), bin(int(w)).count("1")]
             for w, o in zip(words, orbit_sizes)]
-    _write_csv(out_dir / "classes.csv",
-               ["canonical_word", "orbit_size", "n_negative_couplers"], rows)
-    return ["classes.csv"]
+    return {"classes.csv": _csv(
+        ["canonical_word", "orbit_size", "n_negative_couplers"], rows)}
 
 
-def cmd_ber(config, seed, out_dir):
+def cmd_ber(config, seed):
     """BER ratio curve r_mpm(T_Nish)/r_map at matched decoding temperature."""
     p_vals, t_nish = _channel_p(config)
     surf = _ber_surface(config, np.sort(t_nish), t_nish)
@@ -373,12 +370,11 @@ def cmd_ber(config, seed, out_dir):
         rows.append([_fmt(float(p)), _fmt(float(t)),
                      _fmt(float(surf.r_map[k])), _fmt(float(surf.r_mpm[d, k])),
                      _fmt(float(surf.ratio[d, k])), _fmt(0.0)])
-    _write_csv(out_dir / "ber.csv",
-               ["p", "t_nish", "r_map", "r_mpm", "ratio", "std"], rows)
-    return ["ber.csv"]
+    return {"ber.csv": _csv(["p", "t_nish", "r_map", "r_mpm", "ratio", "std"],
+                            rows)}
 
 
-def cmd_surface(config, seed, out_dir):
+def cmd_surface(config, seed):
     grid = _temperature_grid(config, distinct=False)  # merged below
     _, t_nish = _channel_p(config)
     # np.unique without return_counts imports numpy.ma on its first call
@@ -391,9 +387,8 @@ def cmd_surface(config, seed, out_dir):
                          _fmt(float(surf.r_mpm[d, k])),
                          _fmt(float(surf.r_map[k])),
                          _fmt(float(surf.ratio[d, k]))])
-    _write_csv(out_dir / "surface.csv",
-               ["t_decode", "t_nish", "r_mpm", "r_map", "ratio"], rows)
-    return ["surface.csv"]
+    return {"surface.csv": _csv(["t_decode", "t_nish", "r_mpm", "r_map", "ratio"],
+                                rows)}
 
 
 def _transition_instances(config, seed):
@@ -418,14 +413,14 @@ def _transition_instances(config, seed):
         yield f"instance-{k}", H
 
 
-def cmd_transitions(config, seed, out_dir):
+def cmd_transitions(config, seed):
     """Per-spin (or per-pair) sign-transition records over an ensemble."""
     grid = _temperature_grid(config)
     if len(grid) < 5:
         raise ConfigError("transition grid needs at least 5 points")
-    engine = _engine(config)
     correlation = config.get("ensemble.correlation", False)
     labels, Hs = zip(*_transition_instances(config, seed))
+    engine = _engine(config, Hs[0].graph)
     if correlation:
         curves = transitions.correlation_curves(
             Hs, grid, engine, pairs=list(Hs[0].graph.edges))
@@ -440,20 +435,18 @@ def cmd_transitions(config, seed, out_dir):
                 " ".join(repr(t) for t in rec.transition_temps),
             ])
     name = "correlation_transitions.csv" if correlation else "transitions.csv"
-    _write_csv(out_dir / name,
-               ["instance", "item", "sigma_low", "excluded",
-                "n_transitions", "transition_temps"], rows)
-    return [name]
+    return {name: _csv(["instance", "item", "sigma_low", "excluded",
+                        "n_transitions", "transition_temps"], rows)}
 
 
 def _plow_scatter(config, seed):
     """(t_trans, p_low) pairs per included spin across the ensemble."""
     grid = _temperature_grid(config)
-    engine = _engine(config)
     n_run = config.get("plow.n_run", 1000)
     t_samp = _require(config, "plow.sampler_temperature")
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
+    engine = _engine(config, Hs[0].graph)
     curves = transitions.orientation_curves(Hs, grid, engine)
     # the Hamiltonians the sampler draws from at t_samp: each instance, or its
     # control-error realizations drawn from its own stream
@@ -477,7 +470,7 @@ def _plow_scatter(config, seed):
     return points
 
 
-def cmd_plow_fit(config, seed, out_dir):
+def cmd_plow_fit(config, seed):
     """P_low-vs-T_trans scatter plus a logistic transition fit."""
     points = _plow_scatter(config, seed)
     if len(points) < 3:
@@ -485,15 +478,15 @@ def cmd_plow_fit(config, seed, out_dir):
     t_trans = np.array([p[0] for p in points])
     p_low = np.array([p[1] for p in points])
     t0, width = transitions.fit_logistic(t_trans, p_low)
-    _write_csv(out_dir / "plow.csv", ["t_trans", "p_low"],
-               [[_fmt(float(a)), _fmt(float(b))] for a, b in points])
-    (out_dir / "fit.json").write_text(json.dumps(
-        {"center": t0, "width": width, "n_points": len(points)},
-        indent=2) + "\n")
-    return ["plow.csv", "fit.json"]
+    return {
+        "plow.csv": _csv(["t_trans", "p_low"],
+                         [[_fmt(float(a)), _fmt(float(b))] for a, b in points]),
+        "fit.json": _json({"center": t0, "width": width,
+                           "n_points": len(points)}),
+    }
 
 
-def cmd_sa_compare(config, seed, out_dir):
+def cmd_sa_compare(config, seed):
     """Annealer orientations vs equilibrium at checkpoint temperatures."""
     H = next(_transition_instances(config, seed))[1]
     # control error keeps alpha, so temps are the sweep's temperatures
@@ -502,7 +495,7 @@ def cmd_sa_compare(config, seed, out_dir):
     spec = _control_spec(config)
     if spec is not None:
         H = sa.inject_control_error(H, spec, channel.stream(seed, 31))
-    engine = _engine(config)
+    engine = _engine(config, H.graph)
     # the reference depends only on H and the checkpoints, so it runs beside
     # the anneal; the anneal itself stays whole, one generator feeds it
     ref, sweep = workers.run_calls([
@@ -524,17 +517,16 @@ def cmd_sa_compare(config, seed, out_dir):
                          _fmt(float(ref[t_idx, s_idx])),
                          _fmt(dev), _fmt(float(band[t_idx, s_idx])),
                          int(within)])
-    _write_csv(out_dir / "deviation.csv",
-               ["temperature", "spin", "sa_mean", "reference", "deviation",
-                "band_4sigma", "within"], rows)
-    summary = {
-        "all_within_band": onset is None,
-        "deviation_onset_temperature": onset,
-        "n_runs": n_runs,
-        "total_updates": schedule.total_updates,
+    return {
+        "deviation.csv": _csv(["temperature", "spin", "sa_mean", "reference",
+                               "deviation", "band_4sigma", "within"], rows),
+        "summary.json": _json({
+            "all_within_band": onset is None,
+            "deviation_onset_temperature": onset,
+            "n_runs": n_runs,
+            "total_updates": schedule.total_updates,
+        }),
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return ["deviation.csv", "summary.json"]
 
 
 _COMMANDS = {
@@ -569,12 +561,25 @@ def main(argv=None) -> int:
             raise ConfigError("seed is mandatory: pass --seed or set [run] seed")
         if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        out_dir = _out_dir(args.out or Path(config.get("run.out", ".")),
-                           make=args.command != "validate")  # it writes nothing
-        outputs = _COMMANDS[args.command](config, seed, out_dir)
-        if outputs:
-            _write_manifest(out_dir, args.command, config, seed,
-                            args.config.read_text(), outputs, started)
+        out_dir = _out_dir(args.out or Path(config.get("run.out", ".")))
+        outputs = _COMMANDS[args.command](config, seed)
+        if outputs:  # every check and all the work are done
+            config_text = args.config.read_text()
+            outputs["manifest.json"] = _json({
+                "command": args.command,
+                "seed": seed,
+                "config": {k: config[k] for k in sorted(config)},
+                "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+                "outputs": list(outputs),
+                "elapsed_seconds": round(time.time() - started, 3),
+            })
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"{out_dir}: {err}") from err
+            for name, text in outputs.items():
+                with open(out_dir / name, "w", newline="") as fh:
+                    fh.write(text)
         return 0
     except (ConfigError, FormatError) as err:
         print(f"config error: {err}", file=sys.stderr)

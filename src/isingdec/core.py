@@ -11,12 +11,13 @@ side-1 spins to the like-indexed side-1 spin of the column-adjacent cell.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+K = 4  # spins on each side of a K_{4,4} unit cell
 
 __all__ = [
     "CapacityError",
@@ -28,7 +29,6 @@ __all__ = [
     "truncated_cell",
     "energy",
     "gauge_transform",
-    "unit_cell_automorphisms",
     "canonicalize_cell",
     "cell_orbits",
     "enumerate_cell_classes",
@@ -54,7 +54,6 @@ class ChimeraGraph:
     """
 
     L: int
-    K: int
     excluded: frozenset[int]
     spins: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -143,17 +142,15 @@ def common_graph(Hs: list[Hamiltonian]) -> ChimeraGraph:
     return graph
 
 
-def build_chimera(L: int, excluded: set[int] | frozenset[int] = frozenset(),
-                  K: int = 4) -> ChimeraGraph:
+def build_chimera(L: int,
+                  excluded: set[int] | frozenset[int] = frozenset()) -> ChimeraGraph:
     """Build an L x L Chimera graph, dropping excluded spins entirely.
 
     Excluded spins lose their fields and all incident edges. Edge count with
-    no exclusions is 16 L^2 + 8 L (L - 1) for K = 4.
+    no exclusions is 16 L^2 + 8 L (L - 1).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if K != 4:
-        raise ValueError("only K = 4 cells are supported")
     n_total = 2 * K * L * L
     excluded = frozenset(int(i) for i in excluded)
     for i in excluded:
@@ -180,7 +177,7 @@ def build_chimera(L: int, excluded: set[int] | frozenset[int] = frozenset(),
         sorted((min(a, b), max(a, b)) for a, b in edges
                if a not in excluded and b not in excluded)
     )
-    return ChimeraGraph(L=L, K=K, excluded=excluded, spins=spins, edges=kept)
+    return ChimeraGraph(L=L, excluded=excluded, spins=spins, edges=kept)
 
 
 def truncated_cell() -> ChimeraGraph:
@@ -213,21 +210,6 @@ def gauge_transform(H: Hamiltonian, flip: set[int] | frozenset[int]) -> Hamilton
     ij = H.graph.edge_positions
     return Hamiltonian(H.graph, sign * H.h, sign[ij[:, 0]] * sign[ij[:, 1]] * H.J,
                        H.alpha)
-
-
-def unit_cell_automorphisms() -> list[tuple[int, ...]]:
-    """All 1152 automorphisms of the K_{4,4} unit cell, as spin permutations.
-
-    Elements are permutations of {0..7}: any permutation within the side-0
-    set {0..3}, any within the side-1 set {4..7}, optionally composed with
-    the side swap. Group order |S4 x S4 x Z2| = 24 * 24 * 2 = 1152.
-    """
-    perms: list[tuple[int, ...]] = []
-    for p_left in itertools.permutations(range(4)):
-        for p_right in itertools.permutations(range(4)):
-            perms.append(tuple(p_left) + tuple(4 + r for r in p_right))
-            perms.append(tuple(4 + r for r in p_right) + tuple(p_left))
-    return perms
 
 
 def cell_orbits(graph: ChimeraGraph) -> np.ndarray:
@@ -335,7 +317,7 @@ def cell_from_word(word: int, alpha: float = 1.0) -> Hamiltonian:
 
 def format_hamiltonian(H: Hamiltonian) -> str:
     """Serialize to the line-oriented text format."""
-    lines = [f"chimera L={H.graph.L} K={H.graph.K}"]
+    lines = [f"chimera L={H.graph.L} K={K}"]
     if H.graph.excluded:
         lines.append("exclude " + " ".join(str(i) for i in sorted(H.graph.excluded)))
     lines.append(f"alpha {H.alpha!r}")
@@ -371,11 +353,12 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     no, head = body[0]
     parts = head.split()
     if len(parts) != 3 or parts[0] != "chimera":
-        raise FormatError(f"line {no}: expected 'chimera L=<int> K=4'")
+        raise FormatError(f"line {no}: expected 'chimera L=<int> K={K}'")
     try:
         L = int(parts[1].removeprefix("L="))
-        K = int(parts[2].removeprefix("K="))
-        build_chimera(L, K=K)
+        if int(parts[2].removeprefix("K=")) != K:
+            raise ValueError(f"only K = {K} cells are supported")
+        build_chimera(L)
     except ValueError as exc:
         raise FormatError(f"line {no}: bad chimera header {head!r}: {exc}") from exc
 
@@ -420,7 +403,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise FormatError(f"line {no}: malformed entry {ln!r}") from exc
 
     try:  # the header is valid, so only the exclude line can fail here
-        graph = build_chimera(L, excluded, K)
+        graph = build_chimera(L, excluded)
     except ValueError as exc:
         raise FormatError(f"line {exclude_no}: {exc}") from exc
     if alpha is None:

@@ -60,10 +60,15 @@ def _cached_config_matrix(n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.float64)
 
 
-def config_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of spin values; row k is configuration code k."""
+def _check_spins(n: int) -> None:
+    """CapacityError if n spins exceed the exhaustive cap."""
     if n > MAX_SPINS:
         raise CapacityError(f"{n} spins exceeds the exhaustive cap {MAX_SPINS}")
+
+
+def config_matrix(n: int) -> np.ndarray:
+    """(2^n, n) matrix of spin values; row k is configuration code k."""
+    _check_spins(n)
     return _cached_config_matrix(n)
 
 
@@ -221,6 +226,10 @@ class ExactEngine:
     The batch methods take Hamiltonians of one graph and return one curve
     per Hamiltonian, stacked in input order; magnetization_curve is their
     one-element case."""
+
+    def check_capacity(self, graph: ChimeraGraph) -> None:
+        """CapacityError if graph has more spins than enumeration takes."""
+        _check_spins(graph.n_spins)
 
     def magnetization_curves(self, Hs: list[Hamiltonian],
                              temps: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "find_transitions",
     "plow_model",
     "fit_logistic",
-    "default_temperature_grid",
 ]
 
 # |orientation| at the lowest grid temperature below which an item is excluded
@@ -42,11 +41,6 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 # of its norm, or after this many steps
 _LM_XTOL = 1e-12
 _LM_MAX_ITER = 1000
-
-
-def default_temperature_grid(n_points: int = 200, t_max: float = 7.0) -> np.ndarray:
-    """Uniform grid of n_points temperatures on (0, t_max]."""
-    return t_max * np.arange(1, n_points + 1) / n_points
 
 
 @dataclass(frozen=True)

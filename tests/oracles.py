@@ -10,6 +10,26 @@ from isingdec.core import CapacityError, Hamiltonian
 from isingdec.sa import AnnealSchedule, _local_field_tables
 
 
+def unit_cell_automorphisms() -> list[tuple[int, ...]]:
+    """All 1152 automorphisms of the K_{4,4} unit cell, as spin permutations.
+
+    Elements are permutations of {0..7}: any permutation within the side-0
+    set {0..3}, any within the side-1 set {4..7}, optionally composed with
+    the side swap. Group order |S4 x S4 x Z2| = 24 * 24 * 2 = 1152.
+    """
+    perms: list[tuple[int, ...]] = []
+    for p_left in itertools.permutations(range(4)):
+        for p_right in itertools.permutations(range(4)):
+            perms.append(tuple(p_left) + tuple(4 + r for r in p_right))
+            perms.append(tuple(4 + r for r in p_right) + tuple(p_left))
+    return perms
+
+
+def default_temperature_grid(n_points: int = 200, t_max: float = 7.0) -> np.ndarray:
+    """Uniform grid of n_points temperatures on (0, t_max]."""
+    return t_max * np.arange(1, n_points + 1) / n_points
+
+
 def direct_rtot(H_clean, decoder, p_grid, chunk=4096):
     """r_tot(p) by direct enumeration of every corruption pattern.
 

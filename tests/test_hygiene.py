@@ -1,7 +1,8 @@
 """Static checks on the package source, standing in for a linter: every
 module-level import is used, every name in `__all__` is defined, every
-function, method and class is named somewhere, nothing imports scipy, and
-the README's config key table lists the keys of the config schema."""
+function, method and class is named somewhere, nothing imports scipy, the
+README's config key table lists the keys of the config schema, and only
+`cli.main` writes files."""
 
 import ast
 import pathlib
@@ -116,3 +117,20 @@ def test_readme_key_table_matches_the_config_schema():
                             flags=re.MULTILINE)
     assert len(documented) == len(set(documented)), "a key is listed twice"
     assert set(documented) == set(cli._SCHEMA)
+
+
+def test_only_main_writes_files():
+    # the commands return their outputs and `main` writes them once every
+    # check and all the work are done, so a refused run leaves nothing behind
+    writes = {"open", "write_text", "write_bytes", "mkdir"}
+    found = []
+    for node in parse(ROOT / "src" / "isingdec" / "cli.py").body:
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in writes:
+                found.append(f"{name} (line {call.lineno})")
+    assert not found, f"cli.py writes outside main: {', '.join(found)}"

@@ -8,6 +8,7 @@ from scipy.optimize import curve_fit
 from scipy.special import erfc, ndtr
 
 from isingdec import bte, core, exact, transitions as tr
+from oracles import default_temperature_grid
 
 
 def make_curve(temps, values, items=None):
@@ -251,7 +252,7 @@ class TestLogisticFitAgainstCurveFit:
 
 class TestGrid:
     def test_default_grid(self):
-        g = tr.default_temperature_grid()
+        g = default_temperature_grid()
         assert len(g) == 200
         assert g[-1] == pytest.approx(7.0)
         assert np.all(g > 0)
