@@ -266,20 +266,26 @@ def _anneal_plan(config: dict, H: Hamiltonian):
 
 
 def _hamiltonian_file(path) -> Hamiltonian:
-    """Parse the Hamiltonian file at path; a file that cannot be read is a
-    config error, like the config file itself."""
+    """Parse the Hamiltonian file at path; a file that cannot be read or
+    parsed is a config error that names it, like the config file itself."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        return parse_hamiltonian(Path(path).read_text())
+    except (OSError, FormatError) as err:
         raise ConfigError(f"{path}: {err}") from err
-    return parse_hamiltonian(text)
 
 
 def _clean_hamiltonian(config: dict) -> Hamiltonian:
-    if "graph.hamiltonian" in config:
-        return _hamiltonian_file(config["graph.hamiltonian"])
-    return Hamiltonian.uniform(_graph(config),
-                               alpha=config.get("graph.alpha", 1.0))
+    """The channel's clean instance: the file, which must be nominal, or
+    the uniform instance on the graph with alpha."""
+    if "graph.hamiltonian" not in config:
+        return Hamiltonian.uniform(_graph(config),
+                                   alpha=config.get("graph.alpha", 1.0))
+    path = config["graph.hamiltonian"]
+    H = _hamiltonian_file(path)
+    if not H.is_nominal():
+        raise ConfigError(f"{path}: the channel needs a nominal instance, "
+                          "h and J in {-1, +1}")
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +314,6 @@ def _csv(header: list[str], rows) -> str:
 
 def _json(value) -> str:
     return json.dumps(value, indent=2, default=str) + "\n"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +367,9 @@ def cmd_ber(config, seed):
     for k, (p, t) in enumerate(zip(p_vals, t_nish)):
         d = int(np.argmin(np.abs(surf.t_decode - t)))
         # std stays a column: the exact average has no sampling error
-        rows.append([_fmt(float(p)), _fmt(float(t)),
-                     _fmt(float(surf.r_map[k])), _fmt(float(surf.r_mpm[d, k])),
-                     _fmt(float(surf.ratio[d, k])), _fmt(0.0)])
+        rows.append([float(p), float(t),
+                     float(surf.r_map[k]), float(surf.r_mpm[d, k]),
+                     float(surf.ratio[d, k]), 0.0])
     return {"ber.csv": _csv(["p", "t_nish", "r_map", "r_mpm", "ratio", "std"],
                             rows)}
 
@@ -383,10 +383,10 @@ def cmd_surface(config, seed):
     rows = []
     for d, td in enumerate(surf.t_decode):
         for k, tn in enumerate(surf.t_nish):
-            rows.append([_fmt(float(td)), _fmt(float(tn)),
-                         _fmt(float(surf.r_mpm[d, k])),
-                         _fmt(float(surf.r_map[k])),
-                         _fmt(float(surf.ratio[d, k]))])
+            rows.append([float(td), float(tn),
+                         float(surf.r_mpm[d, k]),
+                         float(surf.r_map[k]),
+                         float(surf.ratio[d, k])])
     return {"surface.csv": _csv(["t_decode", "t_nish", "r_mpm", "r_map", "ratio"],
                                 rows)}
 
@@ -399,9 +399,6 @@ def _transition_instances(config, seed):
             yield f"class-{int(word)}", cell_from_word(int(word))
         return
     H_clean = _clean_hamiltonian(config)
-    if not H_clean.is_nominal():  # only a file can hold one
-        raise ConfigError(f"{config['graph.hamiltonian']}: the channel needs "
-                          "a nominal instance, h and J in {-1, +1}")
     flips = _flips(config, H_clean)
     p = config.get("channel.p", [0.1])
     for k in range(config.get("ensemble.instances", 1)):
@@ -480,7 +477,7 @@ def cmd_plow_fit(config, seed):
     t0, width = transitions.fit_logistic(t_trans, p_low)
     return {
         "plow.csv": _csv(["t_trans", "p_low"],
-                         [[_fmt(float(a)), _fmt(float(b))] for a, b in points]),
+                         [[float(a), float(b)] for a, b in points]),
         "fit.json": _json({"center": t0, "width": width,
                            "n_points": len(points)}),
     }
@@ -512,10 +509,10 @@ def cmd_sa_compare(config, seed):
             within = abs(dev) <= band[t_idx, s_idx]
             if not within:
                 onset = max(onset or 0.0, float(T))
-            rows.append([_fmt(float(T)), spin,
-                         _fmt(float(sweep.values[t_idx, s_idx])),
-                         _fmt(float(ref[t_idx, s_idx])),
-                         _fmt(dev), _fmt(float(band[t_idx, s_idx])),
+            rows.append([float(T), spin,
+                         float(sweep.values[t_idx, s_idx]),
+                         float(ref[t_idx, s_idx]),
+                         dev, float(band[t_idx, s_idx]),
                          int(within)])
     return {
         "deviation.csv": _csv(["temperature", "spin", "sa_mean", "reference",

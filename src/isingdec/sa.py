@@ -9,8 +9,11 @@ in fixed sequential order.
 The kernel updates each run of consecutive, mutually non-adjacent spins
 (one cell side, or side 1 of a cell and side 0 of the next) as one numpy
 step. No member of such a block reads another member's spin, so its updates
-commute, and each block draws its uniforms in sweep order: the chain is the
-sequential single-spin chain, bit for bit.
+commute, and each block draws its uniforms in sweep order. Its local fields
+are one product of the couplers with the slot-major neighbour gather, the
+orientation in which the sequential chain sums each spin's field. So the
+chain is the sequential single-spin chain, bit for bit, on every instance,
+control-error ones included.
 """
 
 from __future__ import annotations
@@ -107,30 +110,17 @@ def _blocks(graph) -> np.ndarray:
     return np.array(starts + [graph.n_spins])
 
 
-def _order_free(H: Hamiltonian) -> bool:
-    """True when every local field sums integers whose absolute values add
-    up to less than 2^53: every partial sum is then exact, and any summation
-    order gives the same float."""
-    elements = np.concatenate([H.h, H.J])
-    return bool(np.array_equal(elements, np.rint(elements))
-                and np.abs(elements).sum() < 2.0 ** 53)
-
-
-def _neighbour_sums(nb: np.ndarray, val: np.ndarray, any_order: bool):
+def _neighbour_sums(nb: np.ndarray, val: np.ndarray):
     """Coupler-weighted neighbour sums of one block, shape (k, runs): the
     sum over slots of val * nb, for neighbour spins nb of shape
     (k, slots, runs) and couplers val of shape (k, slots).
 
-    The sequential chain sums each run's slots with one BLAS matrix-vector
-    product over a run-major (runs, slots) matrix. The product over the
-    slot-major gather is cheaper, but BLAS then adds the terms in another
-    order, which can change the last bit of a non-integer sum. So it is used
-    only when `any_order` holds (every order gives the same sum); otherwise
-    the gather is copied run-major and summed by the sequential chain's call.
+    One stacked product of each spin's couplers with its slot-major
+    (slots, runs) gather; it adds the terms in the order of the sequential
+    chain's per-spin product val[i] @ gather, so the last bit of a
+    non-integer field matches too.
     """
-    if any_order:
-        return np.matmul(val[:, None, :], nb)[:, 0]
-    return np.matmul(nb.transpose(0, 2, 1).copy(), val[:, :, None])[..., 0]
+    return np.matmul(val[:, None, :], nb)[:, 0]
 
 
 def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
@@ -155,7 +145,6 @@ def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
         (rng.integers(0, 2, size=(n_runs, n)) * 2 - 1).T, dtype=float)
     bounds = _blocks(H.graph)
     block_end = np.repeat(bounds[1:], np.diff(bounds)).tolist()
-    any_order = _order_free(H)
 
     total = schedule.total_updates
     # first update at or below each checkpoint; snapshots are taken in list
@@ -176,8 +165,7 @@ def _run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
         k = min(block_end[i] - i, stop - u)
         block = slice(i, i + k)
         s = state[block]
-        local = h[block, None] + _neighbour_sums(state[idx[block]], val[block],
-                                                 any_order)
+        local = h[block, None] + _neighbour_sums(state[idx[block]], val[block])
         d_energy = 2.0 * alpha * s * local
         beta = 1.0 / (alpha * schedule.temperature(np.arange(u, u + k)))
         p_accept = np.exp(-np.maximum(d_energy, 0.0) * beta[:, None])

@@ -196,7 +196,10 @@ def per_update_run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
     <= each checkpoint.
 
     The sequential chain that `sa._run_batch` reproduces: one numpy step per
-    single-spin update, on a run-major (n_runs, n_spins) state.
+    single-spin update, on a run-major (n_runs, n_spins) state. Each local
+    field is the product of the spin's couplers with its slot-major
+    (slots, n_runs) neighbour gather: one fixed summation order, the one the
+    block kernel uses.
     """
     h, idx, val = _local_field_tables(H)
     n = H.graph.n_spins
@@ -217,7 +220,8 @@ def per_update_run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,
                 snaps[next_cp] = state
                 next_cp += 1
         i = u % n
-        local = h[i] + state[:, idx[i]] @ val[i]
+        local = h[i] + val[i] @ np.ascontiguousarray(state[:, idx[i]].T,
+                                                     dtype=float)
         d_energy = 2.0 * alpha * state[:, i] * local
         beta = 1.0 / (alpha * t_sched)
         p_accept = np.exp(-np.maximum(d_energy, 0.0) * beta)

@@ -576,6 +576,40 @@ flips = 20
         assert "config error" in err
         assert "h.txt: the channel needs a nominal instance" in err
 
+    @pytest.mark.parametrize("command", ["validate", "ber", "surface"])
+    def test_non_nominal_file_is_refused_by_every_reader(self, tmp_path, capsys,
+                                                         command):
+        # validate printed "config ok" for it, ber and surface refused it as
+        # no codeword instance
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("h 0 1.0", "h 0 0.5")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "c.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n[channel]\np = 0.1\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {ham}: the channel needs a nominal instance, "
+            "h and J in {-1, +1}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "transitions",
+                                         "canonicalize"])
+    def test_malformed_file_refusal_names_the_file(self, tmp_path, capsys,
+                                                   command):
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("h 0 1.0", "h 0 zz")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "c.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {ham}: line 3: malformed entry 'h 0 zz'\n")
+        assert not out.exists()
+
     def test_missing_hamiltonian_file_is_config_error(self, tmp_path, capsys):
         ham = tmp_path / "missing.txt"
         cfg = write(tmp_path, "m.cfg",
@@ -706,19 +740,6 @@ class TestControl:
                                 + "[control]\nsigma_h = 0.05\nsigma_j = 0.03\n"
                                 "realizations = 1\n", "b")
         assert implicit == explicit
-
-    @pytest.mark.parametrize("command", ["plow-fit", "sa-compare"])
-    @pytest.mark.parametrize("control, message", [
-        ("realizations = -1", "control.realizations must be >= 0"),
-        ("realizations = 2\nsigma_h = -0.1", "must be finite and >= 0"),
-    ], ids=["negative-realizations", "negative-sigma"])
-    def test_bad_control_is_config_error(self, tmp_path, capsys, command,
-                                         control, message):
-        base = self.plow if command == "plow-fit" else self.anneal
-        cfg = write(tmp_path, "c.cfg", f"{base}[control]\n{control}\n")
-        assert run([command, "--config", str(cfg), "--seed", "1",
-                    "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
 
 
 def test_capacity_error_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):

@@ -125,32 +125,26 @@ class TestBlocks:
 
 
 class TestNeighbourSums:
-    @pytest.mark.parametrize("control_error", [False, True])
-    def test_bits_of_the_sequential_dot_products(self, control_error):
-        H = core.Hamiltonian.uniform(core.build_chimera(3, excluded={9}))
+    @pytest.mark.parametrize("L, excluded, control_error, runs", [
+        (3, {9}, False, 37),
+        (3, {9}, True, 37),
+        (4, set(), True, 1000),   # the shape sa-compare anneals under [control]
+    ], ids=["False", "True", "4x4-control-error-1000-runs"])
+    def test_bits_of_the_sequential_dot_products(self, L, excluded,
+                                                 control_error, runs):
+        H = core.Hamiltonian.uniform(core.build_chimera(L, excluded=excluded))
         H, _ = channel.sample_sector(H, 40, channel.stream(8, 0))
         if control_error:
             H = sa.inject_control_error(H, sa.ControlErrorSpec(),
                                         channel.stream(8, 1))
-        assert sa._order_free(H) is not control_error
         h, idx, val = sa._local_field_tables(H)
-        state = np.random.default_rng(8).integers(0, 2, (37, len(h))) * 2 - 1
+        state = np.random.default_rng(8).integers(0, 2, (runs, len(h))) * 2 - 1
         spin_major = np.ascontiguousarray(state.T, dtype=float)
         bounds = sa._blocks(H.graph)
         for a, b in zip(bounds[:-1], bounds[1:]):
-            got = sa._neighbour_sums(spin_major[idx[a:b]], val[a:b],
-                                     sa._order_free(H))
-            want = [state[:, idx[i]] @ val[i] for i in range(a, b)]
+            got = sa._neighbour_sums(spin_major[idx[a:b]], val[a:b])
+            want = [val[i] @ spin_major[idx[i]] for i in range(a, b)]
             assert np.array_equal(got, want)
-
-    def test_order_free_needs_small_integers(self):
-        g = core.build_chimera(1)
-        ints = core.Hamiltonian.from_vectors(g, np.full(8, 3.0), np.full(16, -2.0))
-        big = core.Hamiltonian.from_vectors(g, np.full(8, 2.0 ** 50), np.ones(16))
-        half = core.Hamiltonian.from_vectors(g, np.full(8, 0.5), np.ones(16))
-        assert sa._order_free(ints)
-        assert not sa._order_free(big)
-        assert not sa._order_free(half)
 
 
 @st.composite
