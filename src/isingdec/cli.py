@@ -367,9 +367,8 @@ def cmd_ber(config, seed):
     for k, (p, t) in enumerate(zip(p_vals, t_nish)):
         d = int(np.argmin(np.abs(surf.t_decode - t)))
         # std stays a column: the exact average has no sampling error
-        rows.append([float(p), float(t),
-                     float(surf.r_map[k]), float(surf.r_mpm[d, k]),
-                     float(surf.ratio[d, k]), 0.0])
+        rows.append([float(p), float(t), float(surf.r_map[k]),
+                     float(surf.r_mpm[d, k]), float(surf.ratio[d, k]), 0.0])
     return {"ber.csv": _csv(["p", "t_nish", "r_map", "r_mpm", "ratio", "std"],
                             rows)}
 
@@ -383,10 +382,8 @@ def cmd_surface(config, seed):
     rows = []
     for d, td in enumerate(surf.t_decode):
         for k, tn in enumerate(surf.t_nish):
-            rows.append([float(td), float(tn),
-                         float(surf.r_mpm[d, k]),
-                         float(surf.r_map[k]),
-                         float(surf.ratio[d, k])])
+            rows.append([float(td), float(tn), float(surf.r_mpm[d, k]),
+                         float(surf.r_map[k]), float(surf.ratio[d, k])])
     return {"surface.csv": _csv(["t_decode", "t_nish", "r_mpm", "r_map", "ratio"],
                                 rows)}
 
@@ -509,11 +506,9 @@ def cmd_sa_compare(config, seed):
             within = abs(dev) <= band[t_idx, s_idx]
             if not within:
                 onset = max(onset or 0.0, float(T))
-            rows.append([float(T), spin,
-                         float(sweep.values[t_idx, s_idx]),
-                         float(ref[t_idx, s_idx]),
-                         dev, float(band[t_idx, s_idx]),
-                         int(within)])
+            rows.append([float(T), spin, float(sweep.values[t_idx, s_idx]),
+                         float(ref[t_idx, s_idx]), dev,
+                         float(band[t_idx, s_idx]), int(within)])
     return {
         "deviation.csv": _csv(["temperature", "spin", "sa_mean", "reference",
                                "deviation", "band_4sigma", "within"], rows),
