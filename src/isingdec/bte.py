@@ -17,8 +17,9 @@ below the smallest normal float, `np.finfo(float).tiny`; then every number
 of the pass, messages included, is a normal float. Where one does, at any
 temperature, the pass is abandoned. Each temperature's rows are computed
 apart from the others', so a flagged temperature would trip the guard again:
-the flagged ones go straight to log arithmetic (sums of log tables,
-log-add-exp over v), and the others run linear again.
+the others run linear again, each flagged row holding a copy of one of them,
+and the flagged ones then run in log arithmetic (sums of log tables,
+log-add-exp over v).
 
 Only low temperatures trip the guard. A corrupted 4x4 table spans about
 52/T nats against a float's 708, and where several messages meet, their
@@ -34,16 +35,17 @@ the same tables, cond_v as probabilities, which the other outputs read:
 Tables carry a leading temperature axis, so a piece of a grid is processed
 at once, and one axis per scope spin in elimination order. Broadcasts and
 marginals see adjacent axes that play the same part as one run. A broadcast
-whose innermost run is short loops over it in Python, so that numpy's inner
-loop runs over the long run outside it; a marginal sums one run at a time
-as a product with a vector of ones, each product over one temperature's
-rows: BLAS rounds a row differently with the rows a product holds.
+whose innermost run is short sees that run outermost and runs in C order, so
+that numpy's inner loop runs over the long run outside it; a marginal sums
+one run at a time as a product with a vector of ones, stacked so that each
+BLAS call holds one temperature's rows: BLAS rounds a row differently with
+the rows a call holds.
 
 Schedule and memory. The elimination order alone fixes every scope, run and
 sum of a pass, so each order walks its scopes once, into the steps of a
 forward and a backward pass (`EliminationOrder.schedule`). Each step names
 the tables it creates and the tables it reads; a table written in place
-keeps its key (lam_v becomes cond_v, then the belief). The passes run the
+keeps its key (lam_v becomes cond_v, then the belief). Programs run the
 steps, and the memory plan (`EliminationOrder.plan`) reads from them each
 table's lifetime, to give every table an offset such that tables alive at
 the same time never share an entry. A thread makes one buffer, the arena,
@@ -52,6 +54,28 @@ it runs (each piece, an abandoned linear attempt, the re-runs) writes its
 tables as views of it, at offset times the pass's temperature count, and a
 table the plan does not hold raises LookupError. Its size, known before any
 table is written, is the thread's peak.
+
+Programs. A pass does not walk the schedule: an arena binds the steps once
+per pass size (`_Bound`), each step becoming calls of (kind, arguments)
+whose arguments are views of the arena, made and checked against the plan
+then, and of a few buffers for the pass's inputs. Each arithmetic turns the
+bound steps into its program (`_bind`): a list of functions, ufuncs mostly,
+and a list of their arguments; the linear and log programs of a pass size
+share the views, and a backward program is bound once per list of groups it
+reads. `_forward` and `_moments` are the runners: they write the inputs (the
+Hamiltonian's log factor tables and 1/T) into the buffers and call the
+functions in turn. The arena keeps what it binds, so a thread binds each
+program once per batch, and all of it goes with the arena.
+
+At low temperature the log pass leaves many belief entries below the
+smallest normal float (about 8% of a corrupted 4x4's at T = 0.05), where
+arithmetic is several times slower; so its backward program sets them to 0
+as each belief is made. A belief is a joint distribution whose entries sum
+to 1, and every output is a ratio of sums of its entries, so what the flush
+drops, less than 2^-1000 in all, lies far below the rounding of any output
+of order 1; the golden pins at T = 0.03 and 0.05, taken before the flush,
+keep every bit. The linear pass's beliefs hold no such entry at the
+temperatures it runs at on the grids tried, and it does not flush.
 
 Every product and sum of a pass keeps each temperature apart, so a
 temperature's values are those of its one-temperature call, whatever piece
@@ -133,6 +157,17 @@ class EliminationOrder:
     def plan(self) -> _Plan:
         """The arena layout of one forward and backward pass in this order."""
         return _pack(*_lifetimes(self.schedule))
+
+    @functools.cached_property
+    def ones(self) -> dict[int, np.ndarray]:
+        """Read-only ones, one vector for each run length a backward pass in
+        this order sums (prefixes of the longest), by length."""
+        sums = [step.run for step in self.schedule.backward if isinstance(step, _Sum)]
+        sums += [run for step in self.schedule.backward if isinstance(step, _Read)
+                 for runs in step.sums.values() for run in runs]
+        ones = np.ones(max((size for _, size, _ in sums), default=0))
+        ones.setflags(write=False)
+        return {size: ones[:size] for _, size, _ in sums}
 
 
 @functools.lru_cache(maxsize=8)
@@ -408,8 +443,9 @@ def _pack(tables: dict[tuple, list[int]], forward_end: int) -> _Plan:
 
 
 class _Arena:
-    """One buffer for all passes of one call over up to n_temps temperatures
-    each, handing out the tables of `plan` as views."""
+    """One buffer for all passes of one thread over up to n_temps
+    temperatures each, handing out the tables of `plan` as views, and the
+    steps bound to it, by pass size."""
 
     def __init__(self, plan: _Plan, n_temps: int):
         self.plan = plan
@@ -417,6 +453,7 @@ class _Arena:
         raw = np.empty(size + _ALIGN)
         start = -(raw.__array_interface__["data"][0] // 8) % _ALIGN
         self.buffer = raw[start:start + size]
+        self.bound: dict[int, _Bound] = {}
 
     def table(self, key: tuple, shape: tuple[int, ...]) -> np.ndarray:
         """The planned table `key` of a pass over shape[0] temperatures, as a
@@ -428,6 +465,13 @@ class _Arena:
                 or (slot[0] + entries) * n > self.buffer.size):
             raise LookupError(f"table {key} of shape {shape} is outside the memory plan")
         return self.buffer[slot[0] * n:(slot[0] + entries) * n].reshape(shape)
+
+    def steps(self, order: EliminationOrder, n: int) -> _Bound:
+        """The steps of passes in `order` over n temperatures, bound to this
+        arena at their first use."""
+        if n not in self.bound:
+            self.bound[n] = _Bound(order, self, n)
+        return self.bound[n]
 
 
 def _jobs(order: EliminationOrder, n_temps: int, n_calls: int,
@@ -506,149 +550,260 @@ def _sum_out_log(lam: np.ndarray, msg: np.ndarray,
 
 @dataclass(frozen=True)
 class _Arithmetic:
-    """How tables combine (op), how a spin is summed out (sum_out), and the
+    """How tables combine (op), how a spin is summed out (sum_out), the
     ufunc, if any, that turns a log factor table into this arithmetic's in
-    place (enter)."""
+    place (enter), and the function, if any, that the backward pass calls
+    on each belief (flush)."""
 
     op: np.ufunc
     sum_out: Callable[[np.ndarray, np.ndarray, np.ndarray],
                       tuple[np.ndarray, np.ndarray]]
     enter: np.ufunc | None
+    flush: Callable[[np.ndarray, np.ndarray], None] | None
 
 
-_LINEAR = _Arithmetic(np.multiply, _sum_out_linear, np.exp)
-_LOG = _Arithmetic(np.add, _sum_out_log, None)
+def _flush(belief: np.ndarray, low: np.ndarray) -> None:
+    """Set the entries of belief below the smallest normal float to 0,
+    with low, of its shape, for their mask."""
+    np.less(belief, _TINY, out=low)
+    np.copyto(belief, 0.0, where=low)
 
 
-def _factors(H: Hamiltonian) -> tuple[list[np.ndarray], float]:
+_LINEAR = _Arithmetic(np.multiply, _sum_out_linear, np.exp, None)
+_LOG = _Arithmetic(np.add, _sum_out_log, None, _flush)
+
+
+def _factors(H: Hamiltonian) -> tuple[np.ndarray, float]:
     """Log field tables in spin order, then log coupler tables in edge order,
-    each flat and shifted to a largest entry of 0, to be divided by T; and
-    the sum of the shifts."""
+    each shifted to a largest entry of 0, to be divided by T, end to end in
+    one flat array; and the sum of the shifts."""
     fields = H.alpha * H.h[:, None] * _SPIN_VALUES
     couplers = ((H.alpha * H.J)[:, None, None] * _PAIR_VALUES).reshape(-1, 4)
-    bases = [*(fields - fields.max(axis=1, keepdims=True)),
-             *(couplers - couplers.max(axis=1, keepdims=True))]
+    bases = np.concatenate([(fields - fields.max(axis=1, keepdims=True)).ravel(),
+                            (couplers - couplers.max(axis=1, keepdims=True)).ravel()])
     shift = np.abs(H.alpha * H.h).sum() + np.abs(H.alpha * H.J).sum()
     return bases, shift
 
 
-def _forward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
-             arith: _Arithmetic,
-             arena: _Arena) -> tuple[dict[tuple, np.ndarray], np.ndarray]:
-    """Run the forward steps of order.schedule in one arithmetic, every table
-    in `arena`; returns the pass's tables, (n_temps, entries) by key, and
-    ln Z per T. The linear arithmetic raises _Underflow where its guard
-    fires."""
-    n = len(temps)
-    bases, shift = _factors(H)
-    inv_t = 1.0 / temps
-    lnz = shift * inv_t
-    tables: dict[tuple, np.ndarray] = {}
-    for step in order.schedule.forward:
-        tables.update((key, arena.table(key, (n, e))) for key, e in step.creates)
-        if isinstance(step, _Enter):
-            for (key, _), f in zip(step.creates, step.factors):
-                np.multiply(inv_t[:, None], bases[f], out=tables[key])
-                if arith.enter is not None:
-                    arith.enter(tables[key], out=tables[key])
-            for dst, src in step.merges:
-                arith.op(tables[dst], tables[src], out=tables[dst])
-        elif isinstance(step, _Broadcast):
-            a, b, out = (tables[key].reshape((n,) + view)
-                         for key, view in zip(step.reads + (step.out,), step.views))
-            if step.short is None:
-                arith.op(a, b, out=out)
-            else:  # one op per innermost index: the inner loop runs over the next run
-                in_a, in_b, size = step.short
-                for i in range(size):
-                    arith.op(a[..., i if in_a else 0], b[..., i if in_b else 0],
-                             out=out[..., i])
-        else:
-            msg, scratch = (tables[key] for key, _ in step.creates)
-            lnz += arith.sum_out(tables[step.reads[0]].reshape(n, 2, -1), msg,
-                                 scratch)[1]
-    return tables, lnz
+def _scaled(sum_out, lnz: np.ndarray, *tables: np.ndarray) -> None:
+    """sum_out(*tables), its log scale added to lnz."""
+    lnz += sum_out(*tables)[1]
+
+
+def _bind(calls: list[tuple], arith: _Arithmetic) -> tuple[list, list]:
+    """A program: the calls (kind, arguments) of bound steps in one
+    arithmetic, as a list of functions and a list of their arguments. A kind
+    is a function, or the name of one that depends on the arithmetic; a
+    name the arithmetic has no function for drops its calls."""
+    functions = {"op": arith.op, "op_c": functools.partial(arith.op, order="C"),
+                 "enter": arith.enter, "flush": arith.flush,
+                 "sum_out": functools.partial(_scaled, arith.sum_out)}
+    kept = [(functions.get(kind, kind), args) for kind, args in calls
+            if functions.get(kind, kind) is not None]
+    return [fn for fn, _ in kept], [args for _, args in kept]
 
 
 _SIGNS = {1: _SPIN_VALUES, 2: _PAIR_VALUES.ravel()}
 
 
-def _sum_run(table: np.ndarray, out: np.ndarray, pre: int, size: int,
-             post: int) -> np.ndarray:
-    """out = table, seen as (pre, size, post) per temperature, summed over
-    its middle axis as a product with ones. BLAS rounds a row of a
-    matrix-vector product differently with the rows the product holds, so
-    each product holds one temperature's rows, or one (size, post) matrix
-    in the stacked case: a temperature's sums never depend on the others."""
-    n = out.shape[0]
-    ones = np.ones(size)
-    if post == 1:
-        rows, sums = table.reshape(n, pre, size), out.reshape(n, pre)
-        for i in range(n):
-            np.matmul(rows[i], ones, out=sums[i])
-    else:
-        np.matmul(ones, table.reshape(n * pre, size, post),
-                  out=out.reshape(n * pre, post))
-    return out
+class _Bound:
+    """The steps of order.schedule bound to one arena for passes over n
+    temperatures: each step as its calls (kind, arguments), every argument a
+    view of the arena or of the buffers of this object, made once. The
+    programs, one per arithmetic (_bind), share these views.
+
+    A pass's inputs go into the buffers first: bases (the Hamiltonian's log
+    factor tables, as _factors gives them), inv_t (1 / T per temperature)
+    and lnz (ln Z per T, from the shift up). The forward steps are bound at
+    once and keep the cond tables (conds); the backward steps, once per list
+    of groups they read (backward). programs holds each program by
+    (arithmetic,) for the forward pass and (arithmetic, groups) for the
+    backward."""
+
+    def __init__(self, order: EliminationOrder, arena: _Arena, n: int):
+        self.order, self.n = order, n
+        tables = {key: arena.table(key, (n, e))
+                  for step in order.schedule.forward for key, e in step.creates}
+        self.conds = {step.reads[0]: tables[step.reads[0]]
+                      for step in order.schedule.forward if isinstance(step, _SumOut)}
+        n_spins = len(order.order)
+        n_factors = sum(len(step.factors) for step in order.schedule.forward
+                        if isinstance(step, _Enter))
+        self.bases = np.empty(4 * n_factors - 2 * n_spins)
+        self.inv_t, self.lnz = np.empty((n, 1)), np.empty(n)
+        self.programs: dict[tuple, tuple[list, list]] = {}
+        self.backward: dict[tuple, tuple[list, list]] = {}
+        self.forward = []
+        for step in order.schedule.forward:
+            if isinstance(step, _Enter):
+                for (key, e), f in zip(step.creates, step.factors):
+                    at = 2 * f if f < n_spins else 4 * f - 2 * n_spins
+                    self.forward += [(np.multiply, (self.inv_t, self.bases[at:at + e],
+                                                    tables[key])),
+                                     ("enter", (tables[key], tables[key]))]
+                self.forward += [("op", (tables[dst], tables[src], tables[dst]))
+                                 for dst, src in step.merges]
+            elif isinstance(step, _Broadcast):
+                a, b, out = (tables[key].reshape((n,) + view)
+                             for key, view in zip(step.reads + (step.out,), step.views))
+                if step.short is None:
+                    self.forward.append(("op", (a, b, out)))
+                else:  # the short run outermost, so the inner loop runs over the next
+                    self.forward.append(("op_c", tuple(np.moveaxis(x, -1, 1)
+                                                       for x in (a, b, out))))
+            else:
+                msg, scratch = (tables[key] for key, _ in step.creates)
+                self.forward.append(("sum_out", (self.lnz,
+                                                 tables[step.reads[0]].reshape(n, 2, -1),
+                                                 msg, scratch)))
+
+    def program(self, arith: _Arithmetic) -> tuple[list, list]:
+        """The forward program in `arith`, bound at its first use."""
+        if (arith,) not in self.programs:
+            self.programs[arith,] = _bind(self.forward, arith)
+        return self.programs[arith,]
+
+    def _sum_run(self, table: np.ndarray, out: np.ndarray, pre: int, size: int,
+                 post: int) -> tuple:
+        """The call that sets out = table, seen as (pre, size, post) per
+        temperature, summed over its middle axis as a product with ones.
+        BLAS rounds a row of a matrix-vector product differently with the
+        rows the product holds, so the product is a stack of matrices, one
+        BLAS call each: each temperature's (pre, size) rows, or each (size,
+        post) matrix. A temperature's sums never depend on the others."""
+        n, ones = out.shape[0], self.order.ones[size]
+        if post == 1:
+            return np.matmul, (table.reshape(n, pre, size), ones, out.reshape(n, pre))
+        return np.matmul, (ones, table.reshape(n * pre, size, post),
+                           out.reshape(n * pre, post))
+
+    def moments(self, arena: _Arena, arith: _Arithmetic,
+                groups: tuple[tuple[int, ...], ...]) -> tuple[tuple[list, list], list]:
+        """The backward program in `arith` that reads `groups`, the steps
+        bound to arena, this object's own, at their first use; and the
+        columns it fills: (ks, num, den) per group size, <group ks[j]> =
+        num[j] / den[j].
+
+        The backward steps turn each bucket's cond table into its belief in
+        place; in log arithmetic, its entries below the smallest normal
+        float then become 0. A group is read from the belief of the bucket
+        of its earliest spin, whose scope holds the whole group: its last
+        sum writes its marginal into a stack of the marginals of its size,
+        which the last calls read at once."""
+        if groups not in self.backward:
+            self.backward[groups] = self._backward_calls(arena, groups)
+        calls, reads = self.backward[groups]
+        if (arith, groups) not in self.programs:
+            self.programs[arith, groups] = _bind(calls, arith)
+        return self.programs[arith, groups], reads
+
+    def _backward_calls(self, arena: _Arena,
+                        groups: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
+        """The calls (kind, arguments) of the backward steps that read
+        groups, bound to arena, and the columns they fill."""
+        n, schedule = self.n, self.order.schedule
+        tables = {**self.conds, **{key: arena.table(key, (n, e))
+                                   for step in schedule.backward
+                                   for key, e in step.creates}}
+        columns: dict[frozenset[int], list[int]] = {}
+        for k, g in enumerate(groups):
+            columns.setdefault(frozenset(g), []).append(k)
+        ks = {size: [k for k, g in enumerate(groups) if len(g) == size]
+              for size in (1, 2)}
+        margs = {size: np.empty((len(ks[size]), n, 2 ** size)) for size in ks}
+        marg = {k: margs[size][j] for size in ks for j, k in enumerate(ks[size])}
+        mask = np.empty(n * max(c.shape[1] for c in self.conds.values()), dtype=bool)
+        calls = []
+        for step in schedule.backward:
+            if isinstance(step, _Belief):
+                belief = tables[step.reads[0]]
+                if len(step.reads) > 1:
+                    cond = belief.reshape(n, 2, -1)  # P(v | separator)
+                    # times P(separator)
+                    calls.append((np.multiply, (cond, tables[step.reads[1]][:, None],
+                                                cond)))
+                calls.append(("flush", (belief,
+                                        mask[:belief.size].reshape(belief.shape))))
+            elif isinstance(step, _Sum):
+                calls.append(self._sum_run(tables[step.reads[0]],
+                                           tables[step.creates[0][0]], *step.run))
+            else:
+                scratch = [tables[key].reshape(-1) for key, _ in step.creates]
+                for g, sums in step.sums.items():
+                    if g not in columns:
+                        continue
+                    first, *rest = columns[g]
+                    p = tables[step.reads[0]]
+                    for i, (t, (pre, size, post)) in enumerate(zip(scratch, sums), 1):
+                        q = (marg[first] if i == len(sums)
+                             else t[:n * pre * post].reshape(n, pre * post))
+                        calls.append(self._sum_run(p, q, pre, size, post))
+                        p = q
+                    if not sums:  # the belief is the group's marginal
+                        calls.append((np.copyto, (marg[first], p)))
+                    calls += [(np.copyto, (marg[k], marg[first])) for k in rest]
+        reads = []
+        for size, stack in margs.items():
+            if ks[size]:
+                num, den = np.empty((len(ks[size]), n, 1)), np.empty((len(ks[size]), n))
+                # stacked one row each, as the sums' products are
+                calls += [(np.matmul, (stack[:, :, None, :], _SIGNS[size], num)),
+                          (np.add.reduce, (stack, 2, None, den))]
+                reads.append((ks[size], num, den))
+        return calls, reads
+
+
+def _forward(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
+             arith: _Arithmetic,
+             arena: _Arena) -> tuple[dict[tuple, np.ndarray], np.ndarray]:
+    """Run the forward program in `arith` of the steps bound to `arena` for
+    len(temps) temperatures; returns the cond tables, (n_temps, entries) by
+    key, and ln Z per T. The linear arithmetic raises _Underflow where its
+    guard fires."""
+    steps = arena.steps(order, len(temps))
+    steps.bases[:], shift = _factors(H)
+    np.divide(1.0, temps, out=steps.inv_t[:, 0])
+    np.multiply(shift, steps.inv_t[:, 0], out=steps.lnz)
+    for fn, args in zip(*steps.program(arith)):
+        fn(*args)
+    return steps.conds, steps.lnz.copy()
 
 
 def _moments(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
              arith: _Arithmetic, arena: _Arena,
              groups: list[tuple[int, ...]]) -> np.ndarray:
     """<product of sigma over g>(T) for each group g of one spin or of an
-    edge's two spins: (n_temps, len(groups)).
-
-    The backward steps turn each bucket's cond table into its belief in
-    place. A group is read from the belief of the bucket of its earliest
-    spin, whose scope holds the whole group.
-    """
-    n = len(temps)
-    columns: dict[frozenset[int], list[int]] = {}
-    for k, g in enumerate(groups):
-        columns.setdefault(frozenset(g), []).append(k)
-    tables, _ = _forward(H, temps, order, arith, arena)
-    out = np.empty((n, len(groups)))
-    for step in order.schedule.backward:
-        tables.update((key, arena.table(key, (n, e))) for key, e in step.creates)
-        if isinstance(step, _Belief):
-            if len(step.reads) > 1:
-                belief, down = (tables[key] for key in step.reads)
-                belief = belief.reshape(n, 2, -1)  # P(v | separator)
-                belief *= down[:, None]  # times P(separator)
-        elif isinstance(step, _Sum):
-            _sum_run(tables[step.reads[0]], tables[step.creates[0][0]], *step.run)
-        else:
-            scratch = [tables[key].reshape(-1) for key, _ in step.creates]
-            for g, sums in step.sums.items():
-                for k in columns.get(g, ()):
-                    p = tables[step.reads[0]]
-                    for t, (pre, size, post) in zip(scratch, sums):
-                        p = _sum_run(p, t[:n * pre * post].reshape(n, pre * post),
-                                     pre, size, post)
-                    # stacked one row each, as _sum_run's products are
-                    out[:, k] = (np.matmul(p[:, None], _SIGNS[len(g)])[:, 0]
-                                 / p.sum(axis=1))
+    edge's two spins: (n_temps, len(groups)); the forward program, then the
+    backward program that reads groups."""
+    _forward(H, temps, order, arith, arena)
+    program, reads = arena.steps(order, len(temps)).moments(arena, arith, tuple(groups))
+    for fn, args in zip(*program):
+        fn(*args)
+    out = np.empty((len(temps), len(groups)))
+    for ks, num, den in reads:
+        out[:, ks] = (num[:, :, 0] / den).T
     return out
 
 
 def _split(run, temps: np.ndarray, order: EliminationOrder, arena: _Arena):
-    """run(temps, order, arith, arena) in linear arithmetic. If the guard
-    flags some temperatures, they run in log arithmetic and the others
-    linear again, and the rows are put back in grid order; if it flags all
-    of them, the log run's result is returned as it is."""
-    try:
-        return run(temps, order, _LINEAR, arena)
-    except _Underflow as e:
-        low = e.flags
+    """run(temps, order, arith, arena) in linear arithmetic. Where the guard
+    flags some temperatures, linear runs again with each flagged row holding
+    an unflagged temperature instead, until a run ends; the flagged ones run
+    in log arithmetic, and their rows replace those. If it flags all of
+    them, the log run's result is returned as it is."""
+    low = np.zeros(len(temps), dtype=bool)
+    while True:
+        try:
+            linear = run(np.where(low, temps[~low][0], temps), order, _LINEAR, arena)
+            break
+        except _Underflow as e:
+            low |= e.flags
+        if low.all():
+            return run(temps, order, _LOG, arena)
     # the re-runs write their tables over the abandoned pass's, in the arena
-    flagged = run(temps[low], order, _LOG, arena)
-    if low.all():
-        return flagged
-    rest = _split(run, temps[~low], order, arena)
-    out = np.empty((len(temps),) + rest.shape[1:])
-    out[~low] = rest
-    out[low] = flagged
-    return out
+    if low.any():
+        linear[low] = run(temps[low], order, _LOG, arena)
+    return linear
 
 
 # the arena a batch lends the thread that runs its jobs, reused by every job

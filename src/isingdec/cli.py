@@ -196,13 +196,8 @@ def _channel_p(config: dict) -> tuple[np.ndarray, np.ndarray]:
 
 def _ber_surface(config: dict, t_decode: np.ndarray,
                  t_nish: np.ndarray) -> experiments.BerSurface:
-    """The exact BER surface of the configured codeword instance; a file
-    holding any other instance is a config error."""
-    H = _clean_hamiltonian(config)
-    try:
-        return experiments.ber_surface(H, t_decode, t_nish)
-    except ValueError as err:  # not a codeword instance
-        raise ConfigError(f"{config['graph.hamiltonian']}: {err}") from err
+    """The exact BER surface of the configured codeword instance."""
+    return experiments.ber_surface(_codeword_hamiltonian(config), t_decode, t_nish)
 
 
 def _engine(config: dict, graph):
@@ -288,6 +283,17 @@ def _clean_hamiltonian(config: dict) -> Hamiltonian:
     return H
 
 
+def _codeword_hamiltonian(config: dict) -> Hamiltonian:
+    """The channel's clean instance, which the exact sector means of ber and
+    surface need to be a codeword instance: a file holding any other
+    instance is a config error."""
+    H = _clean_hamiltonian(config)
+    if not H.is_codeword():
+        raise ConfigError(f"{config['graph.hamiltonian']}: exact sector means need a "
+                          "codeword instance (h_i = +-1, J_ij = h_i h_j)")
+    return H
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -327,8 +333,9 @@ def cmd_validate(config, seed):
     present, the temperature grid (repeats allowed, as `surface` merges
     them) or the anneal schedule and checkpoints; then the engine's
     capacity check on the instances' graph, a single cell for the class
-    ensemble."""
-    H = _clean_hamiltonian(config)
+    ensemble. With channel.p, which only ber and surface read, the
+    Hamiltonian must be a codeword instance, as they need."""
+    H = (_codeword_hamiltonian if "channel.p" in config else _clean_hamiltonian)(config)
     _flips(config, H)
     if any(key.startswith("grid.") for key in config):
         _temperature_grid(config, distinct=False)

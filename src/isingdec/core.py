@@ -119,6 +119,13 @@ class Hamiltonian:
     def is_nominal(self) -> bool:
         return bool(np.all(np.abs(self.h) == 1.0) and np.all(np.abs(self.J) == 1.0))
 
+    def is_codeword(self) -> bool:
+        """h_i = +-1 and J_ij = h_i h_j: the all-+1 instance gauge-transformed
+        by h, whose decoding the exact channel average scores."""
+        ij = self.graph.edge_positions
+        return bool(np.all(np.abs(self.h) == 1.0)
+                    and np.all(self.J == self.h[ij[:, 0]] * self.h[ij[:, 1]]))
+
     @staticmethod
     def from_vectors(graph: ChimeraGraph, h: np.ndarray, j: np.ndarray,
                      alpha: float = 1.0) -> "Hamiltonian":

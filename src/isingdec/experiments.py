@@ -55,9 +55,7 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
     Returns (map_means (S+1,), mpm_means (S+1, n_t_decode)) with S = N+M.
     """
     graph = H_clean.graph
-    h = H_clean.h
-    ij = graph.edge_positions
-    if np.any(np.abs(h) != 1.0) or np.any(H_clean.J != h[ij[:, 0]] * h[ij[:, 1]]):
+    if not H_clean.is_codeword():
         raise ValueError("exact sector means need a codeword instance "
                          "(h_i = +-1, J_ij = h_i h_j)")
     if graph.L != 1:

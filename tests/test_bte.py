@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -321,6 +322,34 @@ class TestGuard:
         assert e.value.flags.tolist() == [False, True, False]
 
 
+class TestFlush:
+    def test_log_backward_pass_reads_no_subnormal_entry(self):
+        # the golden L=3 instance at T = 0.03, in logs: every table that a
+        # sum or a copy of the backward program reads, beliefs and their
+        # marginals, holds no entry below the smallest normal float; without
+        # the flush they hold thousands
+        H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
+                                     110, channel.stream(14, 0))
+        order = bte.elimination_order(H.graph)
+        groups = tuple((s,) for s in H.graph.spins)
+
+        def subnormal_reads(arith):
+            arena = bte._Arena(order.plan, 1)
+            bte._forward(H, np.array([0.03]), order, arith, arena)
+            (functions, arguments), _ = arena.steps(order, 1).moments(arena, arith,
+                                                                      groups)
+            found = 0
+            for fn, args in zip(functions, arguments):
+                inputs = {np.matmul: args[:2], np.copyto: args[1:]}.get(fn, ())
+                found += sum(int(np.count_nonzero(
+                    (x != 0) & (np.abs(x) < np.finfo(float).tiny))) for x in inputs)
+                fn(*args)
+            return found
+
+        assert subnormal_reads(bte._LOG) == 0
+        assert subnormal_reads(dataclasses.replace(bte._LOG, flush=None)) > 1000
+
+
 class TestSampling:
     def test_distribution_matches_boltzmann(self):
         # 4-spin chain carved out of a cell: exhaustible state space.
@@ -578,6 +607,48 @@ class TestBatch:
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
             bte.BteEngine().magnetization_curves([H, H], np.array([1.0]))
+
+    def test_one_program_per_thread_arena_arithmetic_and_size(self, hamiltonians,
+                                                              monkeypatch):
+        # three jobs of one four-temperature piece on two threads: each piece
+        # runs linear (T = 0.06 flagged, then the other three) and 0.06 in logs
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        arenas, asked = [], []
+
+        class Spy(bte._Arena):
+            def __init__(self, *args):
+                super().__init__(*args)
+                arenas.append(weakref.ref(self))
+
+        program, bind = bte._Bound.program, bte._bind
+        binds = []
+
+        def spy_program(steps, arith):
+            asked.append((threading.get_ident(), arith, steps.n,
+                          (arith,) not in steps.programs))
+            return program(steps, arith)
+
+        def spy_bind(calls, arith):
+            binds.append(arith)
+            return bind(calls, arith)
+
+        monkeypatch.setattr(bte, "_Arena", Spy)
+        monkeypatch.setattr(bte._Bound, "program", spy_program)
+        monkeypatch.setattr(bte, "_bind", spy_bind)
+        temps = np.array([0.06, 0.4, 1.5, 4.0])
+        bte.BteEngine().magnetization_curves(hamiltonians, temps)
+        compiled = [key[:3] for key in asked if key[3]]
+        threads = {thread for thread, _, _ in compiled}
+        assert len(arenas) == len(threads) == 2
+        # every thread: one linear program of 4 and one log program of 1, on
+        # its one arena, although one thread ran two jobs
+        assert len(compiled) == len(set(compiled)) == len({key[:3] for key in asked})
+        assert {(a, n) for _, a, n in compiled} == {(bte._LINEAR, 4), (bte._LOG, 1)}
+        assert len(compiled) == 4 < len(asked)
+        # and one backward program beside each forward one
+        assert len(binds) == 2 * len(compiled)
+        # the arenas, and the programs with them, are freed with the batch
+        assert [arena() for arena in arenas] == [None, None]
 
     def test_one_graph_per_batch(self):
         with pytest.raises(ValueError, match="one graph"):

@@ -594,6 +594,38 @@ flips = 20
             "h and J in {-1, +1}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "ber", "surface"])
+    def test_non_codeword_file_is_refused_where_channel_p_is_read(self, tmp_path,
+                                                                  capsys, command):
+        # nominal, but J_04 != h_0 h_4: validate printed "config ok" for it
+        # while ber and surface refused it
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("J 0 4 1.0", "J 0 4 -1.0")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "c.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n[channel]\np = 0.1\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {ham}: exact sector means need a codeword instance "
+            "(h_i = +-1, J_ij = h_i h_j)\n")
+        assert not out.exists()
+
+    def test_non_codeword_file_serves_transitions(self, tmp_path, capsys):
+        # the same file without channel.p: validate and transitions take it
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        text = core.format_hamiltonian(H).replace("J 0 4 1.0", "J 0 4 -1.0")
+        ham = write(tmp_path, "h.txt", text)
+        cfg = write(tmp_path, "c.cfg",
+                    f"[run]\nseed = 1\n[graph]\nhamiltonian = {ham}\n"
+                    "[grid]\npoints = 10\n")
+        assert run(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+        out = tmp_path / "o"
+        assert run(["transitions", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "transitions.csv").is_file()
+
     @pytest.mark.parametrize("command", ["validate", "transitions",
                                          "canonicalize"])
     def test_malformed_file_refusal_names_the_file(self, tmp_path, capsys,

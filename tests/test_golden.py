@@ -141,6 +141,17 @@ def case_bte_pair_correlation():
     return sha(bte.bte_pair_correlation_curve(H, temps, list(H.graph.edges)[::5]))
 
 
+def case_bte_low_temperature():
+    # both temperatures run in logs, where the backward pass flushes belief
+    # entries below the smallest normal float to 0 (T = 0.085 above leaves
+    # none); pinned before the flush went in
+    H, _ = bte_instance()
+    temps = np.array([0.03, 0.05])
+    return sha(bte.bte_magnetization_curve(H, temps),
+               bte.bte_pair_correlation_curve(H, temps, list(H.graph.edges)[::5]),
+               bte.bte_log_partition_curve(H, temps))
+
+
 def case_bte_sample():
     # T = 0.05 draws from the log arithmetic's tables, T = 1.5 from the
     # linear one's; the second instance has excluded spins and alpha != 1
@@ -174,6 +185,8 @@ PINS = {
         "68cd308894e4ef92c21a94d7c695d3c5938efb3b2f00650681ef8f59700f3fae",
     case_bte_pair_correlation:
         "d66eafef620866bd1f79c898d2f4a058c6116748730fddcbb696ca804497a21c",
+    case_bte_low_temperature:
+        "a18dfe6223ec1e0de9097a7c22598db4f4765a109ac8e0fe4c362ec27eb55767",
     case_bte_sample:
         "58cf593b0c375b3363b8f5e1718d507c885f045325670ee139d0313690efe511",
 }
