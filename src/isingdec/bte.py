@@ -55,27 +55,23 @@ tables as views of it, at offset times the pass's temperature count, and a
 table the plan does not hold raises LookupError. Its size, known before any
 table is written, is the thread's peak.
 
-Programs. A pass does not walk the schedule: an arena binds the steps once
-per pass size (`_Bound`), each step becoming calls of (kind, arguments)
-whose arguments are views of the arena, made and checked against the plan
-then, and of a few buffers for the pass's inputs. Each arithmetic turns the
-bound steps into its program (`_bind`): a list of functions, ufuncs mostly,
-and a list of their arguments; the linear and log programs of a pass size
-share the views, and a backward program is bound once per list of groups it
-reads. `_forward` and `_moments` are the runners: they write the inputs (the
-Hamiltonian's log factor tables and 1/T) into the buffers and call the
-functions in turn. The arena keeps what it binds, so a thread binds each
-program once per batch, and all of it goes with the arena.
+Programs. A pass does not walk the schedule. An arena binds the steps once
+per pass size (`_Bound`) into calls whose arguments are views of it, checked
+against the plan then, and of a few buffers for the pass's inputs; each
+arithmetic makes of them its program (`_bind`), a list of functions and a
+list of their arguments, and the linear and log programs share the views.
+`_forward` and `_moments` run them: they write the inputs (the log factor
+tables and 1/T) into the buffers and call the functions in turn. The arena
+keeps what it binds, so a thread binds each program once per batch.
 
-At low temperature the log pass leaves many belief entries below the
-smallest normal float (about 8% of a corrupted 4x4's at T = 0.05), where
-arithmetic is several times slower; so its backward program sets them to 0
-as each belief is made. A belief is a joint distribution whose entries sum
-to 1, and every output is a ratio of sums of its entries, so what the flush
-drops, less than 2^-1000 in all, lies far below the rounding of any output
-of order 1; the golden pins at T = 0.03 and 0.05, taken before the flush,
-keep every bit. The linear pass's beliefs hold no such entry at the
-temperatures it runs at on the grids tried, and it does not flush.
+At low temperature many log-pass beliefs hold entries below the smallest
+normal float (about 8% of a corrupted 4x4's at T = 0.05), where arithmetic
+is several times slower, so the log backward program sets them to 0 as each
+belief is made. A belief is a joint distribution summing to 1 and an output
+a ratio of sums of its entries, so what the flush drops, less than 2^-1000
+in all, can move an output only where its sums cancel below that; the
+golden pins at T = 0.03 and 0.05, taken before the flush, keep every bit. The linear pass held no
+such entry down to its guard on the grids tried, and does not flush.
 
 Every product and sum of a pass keeps each temperature apart, so a
 temperature's values are those of its one-temperature call, whatever piece
@@ -133,8 +129,9 @@ _PIECE_BYTES = 1 << 20
 _SPIN_VALUES = np.array([-1.0, 1.0])  # table axis index 0 -> spin -1, 1 -> +1
 _PAIR_VALUES = np.outer(_SPIN_VALUES, _SPIN_VALUES)
 _TINY = np.finfo(float).tiny
-# a broadcast loops in Python over an innermost run of at most this many
-# entries: faster than one op at runs of 2 and 4, slower at 8 and 16
+# a broadcast runs with its innermost run moved outermost when that run holds
+# at most this many entries: on a 4x4's largest tables 7x faster than one op
+# in memory order at runs of 2, 2x slower at runs of 16
 _SHORT = 4
 # arena offsets and sizes are multiples of this many entries per
 # temperature, so every table starts on a 64-byte boundary
@@ -227,11 +224,12 @@ class _Enter(_Step):
 class _Broadcast(_Step):
     """out = a op b for reads (a, b) and out one of them or the table created,
     each seen through its view: the runs of out's scope, size 1 where the
-    table lacks them. short is (in a, in b, size) of a short innermost run."""
+    table lacks them. short: whether the innermost run is short, at most
+    _SHORT entries with another run outside it."""
 
     out: tuple
     views: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    short: tuple[bool, bool, int] | None
+    short: bool
 
 
 @dataclass
@@ -333,14 +331,13 @@ def _schedule(graph: ChimeraGraph, order: tuple[int, ...]) -> _Schedule:
             scope = tuple(sorted(set(acc_scope) | set(s), key=pos.__getitem__))
             runs = _runs(scope, acc_scope, s)
             out = acc if scope == acc_scope else key if scope == s else ("acc", scope)
-            (in_a, in_b), size = runs[-1]
             forward.append(_Broadcast(
                 ((out, 1 << len(scope)),) if out not in (acc, key) else (),
                 (acc, key), out,
                 (tuple(n if k[0] else 1 for k, n in runs),
                  tuple(n if k[1] else 1 for k, n in runs),
                  tuple(n for _, n in runs)),
-                None if len(runs) == 1 or size > _SHORT else (in_a, in_b, size)))
+                len(runs) > 1 and runs[-1][1] <= _SHORT))
             acc_scope, acc = scope, out
         sep = 1 << (len(acc_scope) - 1)
         forward.append(_SumOut(((("msg", v), sep), (("scratch", v), sep)), (acc,),
@@ -646,11 +643,11 @@ class _Bound:
             elif isinstance(step, _Broadcast):
                 a, b, out = (tables[key].reshape((n,) + view)
                              for key, view in zip(step.reads + (step.out,), step.views))
-                if step.short is None:
-                    self.forward.append(("op", (a, b, out)))
-                else:  # the short run outermost, so the inner loop runs over the next
+                if step.short:  # outermost, so the inner loop runs over the next run
                     self.forward.append(("op_c", tuple(np.moveaxis(x, -1, 1)
                                                        for x in (a, b, out))))
+                else:
+                    self.forward.append(("op", (a, b, out)))
             else:
                 msg, scratch = (tables[key] for key, _ in step.creates)
                 self.forward.append(("sum_out", (self.lnz,
