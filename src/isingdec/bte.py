@@ -644,8 +644,9 @@ class _Bound:
                 a, b, out = (tables[key].reshape((n,) + view)
                              for key, view in zip(step.reads + (step.out,), step.views))
                 if step.short:  # outermost, so the inner loop runs over the next run
-                    self.forward.append(("op_c", tuple(np.moveaxis(x, -1, 1)
-                                                       for x in (a, b, out))))
+                    axes = (0, len(step.views[2]), *range(1, len(step.views[2])))
+                    self.forward.append(("op_c", (a.transpose(axes), b.transpose(axes),
+                                                  out.transpose(axes))))
                 else:
                     self.forward.append(("op", (a, b, out)))
             else:
