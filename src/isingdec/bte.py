@@ -83,9 +83,10 @@ arenas fit BUDGET at once and keep each piece's largest table within 1 MiB.
 A wider piece amortizes the interpreter's time per step over more
 temperatures, but once its largest table outgrows a core's cache it only
 costs memory: so a 4x4 runs one temperature per pass, and its threads hold
-69 MiB of arena each, not that times their share of the grid. Each thread
-keeps the arena of its first job for the others; the arenas go when the
-batch returns. The bte_*_curve functions run on the calling thread.
+69 MiB of arena each, not that times their share of the grid. One driver
+(`_curves`) runs every curve so, a one-Hamiltonian curve as the one-element
+batch: each thread keeps the arena of its first job for the others, and the
+arenas go when the call returns.
 """
 
 from __future__ import annotations
@@ -804,101 +805,77 @@ def _split(run, temps: np.ndarray, order: EliminationOrder, arena: _Arena):
     return linear
 
 
-# the arena a batch lends the thread that runs its jobs, reused by every job
-# the thread runs
-_lent = threading.local()
+def _log_partition(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder,
+                   arith: _Arithmetic, arena: _Arena) -> np.ndarray:
+    """ln Z per T: the forward program's scales."""
+    return _forward(H, temps, order, arith, arena)[1]
 
 
-def _chunked(H: Hamiltonian, temps: np.ndarray, order: EliminationOrder | None,
-             run, shape: tuple[int, ...]) -> np.ndarray:
-    """_split(run, piece, order, arena) per temperature piece of one thread,
-    as one (n_temps, *shape) array. Every pass takes its tables from one
-    arena: the one a batch lent this thread, or one made for the largest
-    piece."""
+def _curves(run, Hs: list[Hamiltonian], temps: np.ndarray,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """run(H, piece, order, arith, arena) through _split for every H of one
+    graph and every temperature piece of _jobs, as one (B, n_temps, *shape)
+    array in input order. The jobs, one per (H, piece), run on _jobs's
+    threads; each thread makes one arena at its first job of this call and
+    keeps it for the others, and the arenas go when the call returns."""
     temps = np.asarray(temps, dtype=float)
     if not np.all(temps > 0):
         raise ValueError("all temperatures must be positive")
-    order = order or elimination_order(H.graph)
-    _, piece = _jobs(order, len(temps), 1, 1)
-    arena = getattr(_lent, "arena", None)
-    if arena is None or arena.plan is not order.plan:
-        arena = _Arena(order.plan, min(len(temps), piece))
-    out = np.empty((len(temps),) + shape)
-    for i in range(0, len(temps), piece):
-        out[i:i + piece] = _split(run, temps[i:i + piece], order, arena)
-    return out
-
-
-def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray,
-                            order: EliminationOrder | None = None) -> np.ndarray:
-    """ln Z(T) over a temperature grid, exact up to float rounding."""
-    return _chunked(H, temps, order,
-                    lambda block, o, arith, arena:
-                    _forward(H, block, o, arith, arena)[1], ())
-
-
-def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray,
-                            order: EliminationOrder | None = None) -> np.ndarray:
-    """Exact <sigma_i>(T): (n_temps, n_spins) aligned with graph.spins."""
-    groups = [(s,) for s in H.graph.spins]
-    return _chunked(H, temps, order,
-                    lambda block, o, arith, arena: _moments(H, block, o, arith,
-                                                            arena, groups),
-                    (len(groups),))
-
-
-def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
-                               pairs: list[tuple[int, int]],
-                               order: EliminationOrder | None = None) -> np.ndarray:
-    """Exact <sigma_i sigma_j>(T) for graph edges: (n_temps, n_pairs)."""
-    edges = set(H.graph.edges)
-    for i, j in pairs:
-        if (min(i, j), max(i, j)) not in edges:
-            raise ValueError(f"pair {(i, j)} is not a graph edge")
-    groups = [tuple(p) for p in pairs]
-    return _chunked(H, temps, order,
-                    lambda block, o, arith, arena: _moments(H, block, o, arith,
-                                                            arena, groups),
-                    (len(groups),))
-
-
-def _batch(curve, Hs: list[Hamiltonian], temps: np.ndarray, *args) -> np.ndarray:
-    """curve(H, temps, *args, order) for every H of one graph, stacked in
-    input order. The jobs are curve(H, piece, *args, order) for each H and
-    each temperature piece of _jobs, on its threads; each thread takes one
-    arena at its first job and keeps it for the others."""
-    temps = np.asarray(temps, dtype=float)
     order = elimination_order(common_graph(Hs))
     threads, piece = _jobs(order, len(temps), len(Hs), free_cpus())
+    lent = threading.local()
 
     def job(H: Hamiltonian, i: int) -> np.ndarray:
-        if getattr(_lent, "arena", None) is None:
-            _lent.arena = _Arena(order.plan, min(piece, len(temps)))
-        return curve(H, temps[i:i + piece], *args, order=order)
+        if not hasattr(lent, "arena"):
+            lent.arena = _Arena(order.plan, min(piece, len(temps)))
+        return _split(functools.partial(run, H), temps[i:i + piece], order, lent.arena)
 
-    cuts = range(0, len(temps), piece) or range(1)  # an empty grid: one empty piece
-    try:
-        parts = run_calls([functools.partial(job, H, i) for H in Hs for i in cuts],
-                          threads)
-    finally:
-        _lent.arena = None  # the helpers' arenas go with their threads
-    m = len(cuts)
-    return np.stack([np.concatenate(parts[k:k + m]) for k in range(0, len(parts), m)])
+    parts = run_calls([functools.partial(job, H, i) for H in Hs
+                       for i in range(0, len(temps), piece)], threads)
+    # an empty grid has no piece; the empty first part keeps the shape
+    return np.concatenate([np.empty((0,) + shape), *parts]).reshape(
+        (len(Hs), len(temps)) + shape)
 
 
 def bte_magnetization_curves(Hs: list[Hamiltonian], temps: np.ndarray) -> np.ndarray:
-    """bte_magnetization_curve of every H of one graph: (B, n_temps, n_spins)."""
-    return _batch(bte_magnetization_curve, Hs, temps)
+    """Exact <sigma_i>(T) of every H of one graph: (B, n_temps, n_spins),
+    aligned with graph.spins."""
+    groups = [(s,) for s in common_graph(Hs).spins]
+    return _curves(functools.partial(_moments, groups=groups), Hs, temps,
+                   (len(groups),))
 
 
 def bte_pair_correlation_curves(Hs: list[Hamiltonian], temps: np.ndarray,
                                 pairs: list[tuple[int, int]]) -> np.ndarray:
-    """bte_pair_correlation_curve of every H of one graph: (B, n_temps, n_pairs)."""
-    return _batch(bte_pair_correlation_curve, Hs, temps, pairs)
+    """Exact <sigma_i sigma_j>(T) for graph edges of every H of one graph:
+    (B, n_temps, n_pairs)."""
+    edges = set(common_graph(Hs).edges)
+    for i, j in pairs:
+        if (min(i, j), max(i, j)) not in edges:
+            raise ValueError(f"pair {(i, j)} is not a graph edge")
+    groups = [tuple(p) for p in pairs]
+    return _curves(functools.partial(_moments, groups=groups), Hs, temps,
+                   (len(groups),))
 
 
-def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
-               order: EliminationOrder | None = None) -> np.ndarray:
+def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
+    """bte_magnetization_curves of [H]: (n_temps, n_spins)."""
+    return bte_magnetization_curves([H], temps)[0]
+
+
+def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
+                               pairs: list[tuple[int, int]]) -> np.ndarray:
+    """bte_pair_correlation_curves of [H]: (n_temps, n_pairs)."""
+    return bte_pair_correlation_curves([H], temps, pairs)[0]
+
+
+def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
+    """ln Z(T) over a temperature grid, exact up to float rounding."""
+    return _curves(_log_partition, [H], temps, ())[0]
+
+
+def bte_sample(H: Hamiltonian, T: float, n: int,
+               rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. exact Boltzmann samples: (n, n_spins) of +-1, graph spin order.
 
     Forward elimination, then each spin in reverse order is drawn from its
@@ -908,7 +885,7 @@ def bte_sample(H: Hamiltonian, T: float, n: int, rng: np.random.Generator,
         raise ValueError("T must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    order = order or elimination_order(H.graph)
+    order = elimination_order(H.graph)
     _jobs(order, 1, 1, 1)
     tables, _ = _split(functools.partial(_forward, H), np.array([float(T)]), order,
                        _Arena(order.plan, 1))

@@ -15,6 +15,8 @@ they do not depend on the command; so does the engine's capacity check on
 the instances' graph, before any curve or anneal.
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 internal error.
+One config error comes after the work: `plow-fit` with too few transition
+points for a fit.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class TestPlan:
     @pytest.mark.parametrize("kind",
                              ["factor", "acc", "msg", "scratch", "down", "read"])
     @pytest.mark.parametrize("change", ["missing", "smaller"])
-    def test_table_outside_the_plan_raises(self, kind, change):
+    def test_table_outside_the_plan_raises(self, kind, change, monkeypatch):
         H = random_instance(2, 12)
         order = bte.elimination_order(H.graph)
         slots = dict(order.plan.slots)
@@ -304,10 +304,13 @@ class TestPlan:
             slots[key] = (offset, 1, first, last)  # smaller than any it holds
         bent = dataclasses.replace(order)  # a new object, planned below
         vars(bent)["plan"] = bte._Plan(slots, order.plan.entries)
-        with pytest.raises(LookupError, match="outside the memory plan"):
-            bte.bte_magnetization_curve(H, np.array([1.0]), bent)
-        assert np.array_equal(bte.bte_magnetization_curve(H, np.array([1.0]), order),
-                              bte.bte_magnetization_curve(H, np.array([1.0])))
+        with monkeypatch.context() as m:
+            m.setattr(bte, "elimination_order", lambda graph: bent)
+            with pytest.raises(LookupError, match="outside the memory plan"):
+                bte.bte_magnetization_curve(H, np.array([1.0]))
+            m.setattr(bte, "elimination_order", lambda graph: order)
+            planned = bte.bte_magnetization_curve(H, np.array([1.0]))
+        assert np.array_equal(planned, bte.bte_magnetization_curve(H, np.array([1.0])))
 
 
 class TestGuard:
@@ -426,17 +429,20 @@ class TestEngine:
         pytest.param(bte.bte_magnetization_curve, 0.085,
                      id="bte_magnetization_curve-log-fallback"),
     ])
-    def test_peak_memory_within_counted_tables(self, curve, t_min, arithmetics):
+    def test_peak_memory_within_counted_tables(self, curve, t_min, arithmetics,
+                                               monkeypatch):
         # what a pass holds at its peak may exceed the cond tables'
         # 8 * n_T * table_entries bytes by at most 25%, and the arena that
-        # BUDGET is charged for by at most small per-temperature vectors
+        # BUDGET is charged for by at most small per-temperature vectors; one
+        # CPU, so that the curve is one piece on one thread
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(3)),
                                      110, channel.stream(14, 0))
         order = bte.elimination_order(H.graph)
         temps = np.linspace(t_min, 4.0, 8)
         tracemalloc.start()
         try:
-            curve(H, temps, order)
+            curve(H, temps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,13 +501,13 @@ class TestBatch:
         assert (bte._LOG in arithmetics.ran) == (temps.min() < 0.1)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
         threads = []
-        curve = bte.bte_magnetization_curve
+        split = bte._split
 
         def spy(*args, **kwargs):
             threads.append(threading.current_thread())
-            return curve(*args, **kwargs)
+            return split(*args, **kwargs)
 
-        monkeypatch.setattr(bte, "bte_magnetization_curve", spy)
+        monkeypatch.setattr(bte, "_split", spy)
         eng = bte.BteEngine()
         batch = eng.magnetization_curves(hamiltonians, temps)
         assert len(set(threads)) > 1
@@ -524,15 +530,15 @@ class TestBatch:
 
     def test_worker_exception_reaches_the_caller(self, hamiltonians, monkeypatch):
         err = core.CapacityError("from a worker")
-        curve = bte.bte_magnetization_curve
+        moments = bte._moments
 
-        def failing(H, temps, order=None):
+        def failing(H, *args, **kwargs):
             if H is hamiltonians[1]:
                 raise err
-            return curve(H, temps, order)
+            return moments(H, *args, **kwargs)
 
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(bte, "bte_magnetization_curve", failing)
+        monkeypatch.setattr(bte, "_moments", failing)
         with pytest.raises(core.CapacityError) as info:
             bte.bte_magnetization_curves(hamiltonians, np.array([1.5]))
         assert info.value is err
@@ -586,12 +592,12 @@ class TestBatch:
                 assert plan is order.plan
                 lent.append(8 * plan.entries * n)
 
-        def no_tables(H, temps, order):
-            assert getattr(bte._lent, "arena", None) is not None
+        def no_tables(run, temps, order, arena):
+            assert isinstance(arena, Spy)
             return np.zeros((len(temps), H.graph.n_spins))
 
         monkeypatch.setattr(bte, "_Arena", Spy)
-        monkeypatch.setattr(bte, "bte_magnetization_curve", no_tables)
+        monkeypatch.setattr(bte, "_split", no_tables)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         H = core.Hamiltonian.uniform(core.build_chimera(4))
         out = bte.BteEngine().magnetization_curves([H] * n_calls,
@@ -607,6 +613,35 @@ class TestBatch:
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
             bte.BteEngine().magnetization_curves([H, H], np.array([1.0]))
+
+    def test_one_hamiltonian_curve_is_the_one_element_batch(self, hamiltonians,
+                                                            monkeypatch):
+        H, temps = hamiltonians[0], np.array([0.06, 0.4, 1.5, 4.0])
+        pairs = list(H.graph.edges)[::7]
+        for curve, batch in [
+                (bte.bte_magnetization_curve(H, temps),
+                 bte.bte_magnetization_curves([H], temps)),
+                (bte.bte_pair_correlation_curve(H, temps, pairs),
+                 bte.bte_pair_correlation_curves([H], temps, pairs)),
+                (bte.bte_log_partition_curve(H, temps),
+                 bte._curves(bte._log_partition, [H], temps, ()))]:
+            assert batch.shape == (1,) + curve.shape
+            assert curve.tobytes() == batch[0].tobytes()
+        # so a one-Hamiltonian grid curve on a 4x4, cut into one-temperature
+        # pieces, runs them on both CPUs
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        H4 = core.Hamiltonian.uniform(core.build_chimera(4))
+        ran = []
+
+        def no_tables(run, piece, order, arena):
+            ran.append((threading.current_thread(), len(piece)))
+            return np.zeros((len(piece), H4.graph.n_spins))
+
+        monkeypatch.setattr(bte, "_split", no_tables)
+        m = bte.bte_magnetization_curve(H4, np.linspace(1.0, 2.0, 6))
+        assert m.shape == (6, H4.graph.n_spins)
+        assert [n for _, n in ran] == [1] * 6
+        assert len({thread for thread, _ in ran}) == 2
 
     def test_one_program_per_thread_arena_arithmetic_and_size(self, hamiltonians,
                                                               monkeypatch):
@@ -690,9 +725,11 @@ class TestRowIndependence:
                                                   curve(H, temps[3:])]), want)
             for r in (0, 1):
                 assert np.array_equal(curve(H, temps[r::2]), want[r::2])
-        # chunks of 3, 3 and 2 within one call, as a smaller BUDGET cuts it
+        # chunks of 3, 3 and 2 within one call on one CPU, as a smaller
+        # BUDGET cuts it
         with monkeypatch.context() as m:
             m.setattr(bte, "BUDGET", 3 * 8 * order.plan.entries)
+            m.setattr(workers, "usable_cpus", lambda: 1)
             assert bte._jobs(order, len(temps), 1, 1) == (1, 3)
             for name, curve in curves.items():
                 assert np.array_equal(curve(H, temps), alone[name, 0])
