@@ -29,7 +29,9 @@ the same tables, cond_v as probabilities, which the other outputs read:
 - marginals walk the buckets in reverse order. A bucket's belief
   P(v, separator) is cond_v times its parent's belief marginalized onto the
   separator; it gives <sigma_v> and <sigma_i sigma_j> for the edges whose
-  earliest spin is v;
+  earliest spin is v. So the moments a curve reads (`bte_moment_curves`)
+  are of groups of one spin or of an edge's two spins, and any other group
+  is refused before any pass;
 - sampling draws each spin from cond_v at its already-drawn separator.
 
 Tables carry a leading temperature axis, so a piece of a grid is processed
@@ -107,10 +109,7 @@ __all__ = [
     "EliminationOrder",
     "elimination_order",
     "bte_log_partition_curve",
-    "bte_magnetization_curve",
-    "bte_magnetization_curves",
-    "bte_pair_correlation_curve",
-    "bte_pair_correlation_curves",
+    "bte_moment_curves",
     "bte_sample",
     "BteEngine",
 ]
@@ -837,36 +836,18 @@ def _curves(run, Hs: list[Hamiltonian], temps: np.ndarray,
         (len(Hs), len(temps)) + shape)
 
 
-def bte_magnetization_curves(Hs: list[Hamiltonian], temps: np.ndarray) -> np.ndarray:
-    """Exact <sigma_i>(T) of every H of one graph: (B, n_temps, n_spins),
-    aligned with graph.spins."""
-    groups = [(s,) for s in common_graph(Hs).spins]
-    return _curves(functools.partial(_moments, groups=groups), Hs, temps,
-                   (len(groups),))
-
-
-def bte_pair_correlation_curves(Hs: list[Hamiltonian], temps: np.ndarray,
-                                pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Exact <sigma_i sigma_j>(T) for graph edges of every H of one graph:
-    (B, n_temps, n_pairs)."""
-    edges = set(common_graph(Hs).edges)
-    for i, j in pairs:
-        if (min(i, j), max(i, j)) not in edges:
-            raise ValueError(f"pair {(i, j)} is not a graph edge")
-    groups = [tuple(p) for p in pairs]
-    return _curves(functools.partial(_moments, groups=groups), Hs, temps,
-                   (len(groups),))
-
-
-def bte_magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-    """bte_magnetization_curves of [H]: (n_temps, n_spins)."""
-    return bte_magnetization_curves([H], temps)[0]
-
-
-def bte_pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
-                               pairs: list[tuple[int, int]]) -> np.ndarray:
-    """bte_pair_correlation_curves of [H]: (n_temps, n_pairs)."""
-    return bte_pair_correlation_curves([H], temps, pairs)[0]
+def bte_moment_curves(Hs: list[Hamiltonian], temps: np.ndarray,
+                      groups: list[tuple[int, ...]]) -> np.ndarray:
+    """Exact <product of sigma_i over i in g>(T) of every H of one graph, for
+    each group g of one spin or of a graph edge's two spins: (B, n_temps,
+    len(groups)). ValueError, before any pass, for any other group."""
+    graph = common_graph(Hs)
+    readable = {(s,) for s in graph.spins} | set(graph.edges)
+    groups = list(map(tuple, groups))
+    for g in groups:
+        if tuple(sorted(g)) not in readable:
+            raise ValueError(f"group {g} is not one spin or a graph edge's two spins")
+    return _curves(functools.partial(_moments, groups=groups), Hs, temps, (len(groups),))
 
 
 def bte_log_partition_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
@@ -900,24 +881,18 @@ def bte_sample(H: Hamiltonian, T: float, n: int,
 
 
 class BteEngine:
-    """Orientation-curve engine backed by bucket-tree elimination.
-
-    The batch methods take Hamiltonians of one graph and return one curve
-    per Hamiltonian, stacked in input order; magnetization_curve is their
-    one-element case."""
+    """Thermal moments by bucket-tree elimination: moment_curves stacks one
+    curve per Hamiltonian of one graph in input order, and
+    magnetization_curve is its one-element, all-spins case."""
 
     def check_capacity(self, graph: ChimeraGraph) -> None:
         """CapacityError, before any plan is made, if one temperature's
         tables on graph exceed BUDGET."""
         _jobs(elimination_order(graph), 1, 1, 1)
 
-    def magnetization_curves(self, Hs: list[Hamiltonian],
-                             temps: np.ndarray) -> np.ndarray:
-        return bte_magnetization_curves(Hs, temps)
-
-    def pair_correlation_curves(self, Hs: list[Hamiltonian], temps: np.ndarray,
-                                pairs: list[tuple[int, int]]) -> np.ndarray:
-        return bte_pair_correlation_curves(Hs, temps, pairs)
+    def moment_curves(self, Hs: list[Hamiltonian], temps: np.ndarray,
+                      groups: list[tuple[int, ...]]) -> np.ndarray:
+        return bte_moment_curves(Hs, temps, groups)
 
     def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-        return self.magnetization_curves([H], temps)[0]
+        return self.moment_curves([H], temps, [(s,) for s in H.graph.spins])[0]

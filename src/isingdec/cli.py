@@ -423,12 +423,10 @@ def cmd_transitions(config, seed):
         raise ConfigError("transition grid needs at least 5 points")
     correlation = config.get("ensemble.correlation", False)
     labels, Hs = zip(*_transition_instances(config, seed))
-    engine = _engine(config, Hs[0].graph)
-    if correlation:
-        curves = transitions.correlation_curves(
-            Hs, grid, engine, pairs=list(Hs[0].graph.edges))
-    else:
-        curves = transitions.orientation_curves(Hs, grid, engine)
+    graph = Hs[0].graph
+    engine = _engine(config, graph)
+    curves = transitions.orientation_curves(
+        Hs, grid, engine, graph.edges if correlation else graph.spins)
     rows = []
     for label, curve in zip(labels, curves):
         for rec in transitions.find_transitions(curve):
@@ -450,7 +448,8 @@ def _plow_scatter(config, seed):
     spec = _control_spec(config)
     Hs = [H for _, H in _transition_instances(config, seed)]
     engine = _engine(config, Hs[0].graph)
-    curves = transitions.orientation_curves(Hs, grid, engine)
+    spins = Hs[0].graph.spins
+    curves = transitions.orientation_curves(Hs, grid, engine, spins)
     # the Hamiltonians the sampler draws from at t_samp: each instance, or its
     # control-error realizations drawn from its own stream
     sampler_Hs = Hs
@@ -460,7 +459,8 @@ def _plow_scatter(config, seed):
             rng = channel.stream(seed, 20, k)
             sampler_Hs += [sa.inject_control_error(H, spec, rng)
                            for _ in range(config["control.realizations"])]
-    at_samp = engine.magnetization_curves(sampler_Hs, np.array([t_samp]))[:, 0]
+    at_samp = engine.moment_curves(sampler_Hs, np.array([t_samp]),
+                                   [(s,) for s in spins])[:, 0]
     points = []
     for curve, mags in zip(curves, np.split(at_samp, len(Hs))):
         recs = transitions.find_transitions(curve)

@@ -5,6 +5,7 @@ t indexes the active spins of the graph in ascending order. Every thermal
 average goes through `thermal_average`, which subtracts the ground energy
 first, so no temperature in [1e-3, 1e7] overflows or underflows.
 
+Every curve is a moment curve (`moment_curves`) of groups of one spin or two.
 Curves over many Hamiltonians of one graph are one stacked computation.
 Every product in it is a stacked vector-matrix product, one per instance,
 which BLAS sums in the same order as the instance's product alone: a
@@ -23,11 +24,7 @@ from .core import CapacityError, ChimeraGraph, Hamiltonian, common_graph
 __all__ = [
     "Spectrum",
     "enumerate_spectrum",
-    "magnetization",
-    "magnetization_curve",
-    "magnetization_curves",
-    "pair_correlation_curve",
-    "pair_correlation_curves",
+    "moment_curves",
     "thermal_average",
     "mpm_decode",
     "map_decode",
@@ -72,11 +69,22 @@ def config_matrix(n: int) -> np.ndarray:
     return _cached_config_matrix(n)
 
 
-def _pair_products(graph: ChimeraGraph, positions: np.ndarray) -> np.ndarray:
-    """(2^n, k) values of s_i s_j in every configuration, for (k, 2) spin
-    positions such as `graph.edge_positions`."""
+def _group_products(graph: ChimeraGraph, groups: list[tuple[int, ...]]) -> np.ndarray:
+    """(2^n, k) values of each group's product of spins in every
+    configuration, for groups of one active spin label or two. BLAS rounds a
+    stacked average by this matrix's layout: all spins in order are
+    config_matrix itself, row-major; any other groups' products are
+    column-major, as a fancy index leaves them."""
+    if any(len(g) not in (1, 2) for g in groups):
+        raise ValueError("a group is one spin label or two")
     S = config_matrix(graph.n_spins)
-    return S[:, positions[:, 0]] * S[:, positions[:, 1]]
+    if list(groups) == [(s,) for s in graph.spins]:
+        return S
+    pos = graph.positions([(g[0], g[-1]) for g in groups]).reshape(-1, 2)
+    out = S[:, pos[:, 0]]
+    pairs = [k for k, g in enumerate(groups) if len(g) == 2]
+    out[:, pairs] *= S[:, pos[pairs, 1]]
+    return out
 
 
 def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
@@ -88,7 +96,8 @@ def batch_energies(graph: ChimeraGraph, h_mat: np.ndarray, j_mat: np.ndarray,
     the same floats as its instance's energies computed alone.
     """
     S = config_matrix(graph.n_spins)
-    P = _pair_products(graph, graph.edge_positions)
+    ij = graph.edge_positions
+    P = S[:, ij[:, 0]] * S[:, ij[:, 1]]
     return alpha * (-_rowwise(h_mat, S.T) - _rowwise(j_mat, P.T))
 
 
@@ -147,36 +156,13 @@ def _stacked_average(graph: ChimeraGraph, Hs: list[Hamiltonian],
     return out
 
 
-def magnetization(H: Hamiltonian, T: float) -> np.ndarray:
-    """Per-spin thermal averages <sigma_i> at temperature T."""
-    return magnetization_curve(H, np.array([T], dtype=float))[0]
-
-
-def magnetization_curves(Hs: list[Hamiltonian], temps: np.ndarray) -> np.ndarray:
-    """(B, n_temps, n_spins) array of <sigma_i>(T) for Hamiltonians of one
-    graph, in input order."""
+def moment_curves(Hs: list[Hamiltonian], temps: np.ndarray,
+                  groups: list[tuple[int, ...]]) -> np.ndarray:
+    """(B, n_temps, len(groups)) array of <product of sigma_i over i in g>(T)
+    for each group g of one active spin label or two, for Hamiltonians of one
+    graph, in input order. ValueError for any other group."""
     graph = common_graph(Hs)
-    return _stacked_average(graph, Hs, temps, config_matrix(graph.n_spins))
-
-
-def magnetization_curve(H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-    """(n_temps, n_spins) array of <sigma_i>(T) over a temperature grid."""
-    return magnetization_curves([H], temps)[0]
-
-
-def pair_correlation_curves(Hs: list[Hamiltonian], temps: np.ndarray,
-                            pairs: list[tuple[int, int]]) -> np.ndarray:
-    """(B, n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary
-    pairs, for Hamiltonians of one graph, in input order."""
-    graph = common_graph(Hs)
-    idx = graph.positions(pairs).reshape(-1, 2)
-    return _stacked_average(graph, Hs, temps, _pair_products(graph, idx))
-
-
-def pair_correlation_curve(H: Hamiltonian, temps: np.ndarray,
-                           pairs: list[tuple[int, int]]) -> np.ndarray:
-    """(n_temps, n_pairs) array of <sigma_i sigma_j>(T) for arbitrary pairs."""
-    return pair_correlation_curves([H], temps, pairs)[0]
+    return _stacked_average(graph, Hs, temps, _group_products(graph, groups))
 
 
 def _sign_with_zero(m: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:
@@ -190,7 +176,7 @@ def mpm_decode(H: Hamiltonian, T: float) -> np.ndarray:
 
     Entries align with H.graph.spins.
     """
-    return _sign_with_zero(magnetization(H, T))
+    return _sign_with_zero(moment_curves([H], [T], [(s,) for s in H.graph.spins])[0, 0])
 
 
 def map_decode(H: Hamiltonian) -> np.ndarray:
@@ -221,23 +207,17 @@ def batch_mpm_decode_curve(energies: np.ndarray, n_spins: int,
 
 
 class ExactEngine:
-    """Orientation-curve engine backed by exhaustive enumeration.
-
-    The batch methods take Hamiltonians of one graph and return one curve
-    per Hamiltonian, stacked in input order; magnetization_curve is their
-    one-element case."""
+    """Thermal moments by exhaustive enumeration: moment_curves stacks one
+    curve per Hamiltonian of one graph in input order, and
+    magnetization_curve is its one-element, all-spins case."""
 
     def check_capacity(self, graph: ChimeraGraph) -> None:
         """CapacityError if graph has more spins than enumeration takes."""
         _check_spins(graph.n_spins)
 
-    def magnetization_curves(self, Hs: list[Hamiltonian],
-                             temps: np.ndarray) -> np.ndarray:
-        return magnetization_curves(Hs, temps)
-
-    def pair_correlation_curves(self, Hs: list[Hamiltonian], temps: np.ndarray,
-                                pairs: list[tuple[int, int]]) -> np.ndarray:
-        return pair_correlation_curves(Hs, temps, pairs)
+    def moment_curves(self, Hs: list[Hamiltonian], temps: np.ndarray,
+                      groups: list[tuple[int, ...]]) -> np.ndarray:
+        return moment_curves(Hs, temps, groups)
 
     def magnetization_curve(self, H: Hamiltonian, temps: np.ndarray) -> np.ndarray:
-        return self.magnetization_curves([H], temps)[0]
+        return self.moment_curves([H], temps, [(s,) for s in H.graph.spins])[0]

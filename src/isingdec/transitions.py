@@ -23,9 +23,7 @@ from .core import Hamiltonian
 __all__ = [
     "OrientationCurve",
     "TransitionRecord",
-    "orientation_curve",
     "orientation_curves",
-    "correlation_curves",
     "smooth_curve",
     "find_transitions",
     "plow_model",
@@ -72,29 +70,16 @@ class TransitionRecord:
     excluded: bool = False
 
 
-def orientation_curves(Hs: list[Hamiltonian], grid: np.ndarray,
-                       engine) -> list[OrientationCurve]:
-    """Per-spin <sigma_i>(T) over the grid for Hamiltonians of one graph,
-    from one batch call of the given engine, in input order."""
+def orientation_curves(Hs: list[Hamiltonian], grid: np.ndarray, engine,
+                       items) -> list[OrientationCurve]:
+    """<sigma_i>(T) for each spin item i, or <sigma_i sigma_j>(T) for each
+    pair item (i, j), over the grid for Hamiltonians of one graph, from one
+    moment_curves call of the given engine, in input order."""
     grid = np.asarray(grid, dtype=float)
-    values = engine.magnetization_curves(Hs, grid)
-    return [OrientationCurve(temperatures=grid, values=v, items=tuple(H.graph.spins))
-            for H, v in zip(Hs, values)]
-
-
-def orientation_curve(H: Hamiltonian, grid: np.ndarray, engine) -> OrientationCurve:
-    """Per-spin <sigma_i>(T) over the grid, computed by the given engine."""
-    return orientation_curves([H], grid, engine)[0]
-
-
-def correlation_curves(Hs: list[Hamiltonian], grid: np.ndarray, engine,
-                       pairs: list[tuple[int, int]]) -> list[OrientationCurve]:
-    """<sigma_i sigma_j>(T) for the given pairs, for Hamiltonians of one
-    graph, from one batch call; records reuse find_transitions."""
-    grid = np.asarray(grid, dtype=float)
-    values = engine.pair_correlation_curves(Hs, grid, pairs)
-    return [OrientationCurve(temperatures=grid, values=v, items=tuple(pairs))
-            for v in values]
+    items = tuple(items)
+    groups = [item if isinstance(item, tuple) else (item,) for item in items]
+    return [OrientationCurve(temperatures=grid, values=v, items=items)
+            for v in engine.moment_curves(Hs, grid, groups)]
 
 
 def smooth_curve(values: np.ndarray, window: int) -> np.ndarray:

@@ -146,7 +146,7 @@ def all_words_sector_means(H_clean, t_decode, chunk=4096):
 
     tau = exact.config_matrix(n)                      # (2^n, n) gauges
     edge_parity = (
-        (1 - exact._pair_products(graph, graph.edge_positions)) // 2).astype(np.int64)
+        (1 - exact._group_products(graph, graph.edges)) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
     parity_sum = edge_parity.sum(axis=1).astype(np.int64)
     n_el = n + m

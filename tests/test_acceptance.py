@@ -41,8 +41,8 @@ def class_transition_records():
     _, _, canonical = core.enumerate_cell_classes()
     grid = default_temperature_grid(200, 7.0)
     words = [int(word) for word in np.unique(canonical)]
-    curves = tr.orientation_curves([core.cell_from_word(w) for w in words],
-                                   grid, exact.ExactEngine())
+    Hs = [core.cell_from_word(w) for w in words]
+    curves = tr.orientation_curves(Hs, grid, exact.ExactEngine(), Hs[0].graph.spins)
     return [(w, tr.find_transitions(curve, smoothing_window=1))
             for w, curve in zip(words, curves)]
 
@@ -96,8 +96,8 @@ def test_criterion_03_bte_vs_exhaustive(capfd):
     worst = 0.0
     for seed in range(200):
         H = random_cell(seed)
-        dev = np.abs(bte.bte_magnetization_curve(H, temps)
-                     - exact.magnetization_curve(H, temps))
+        dev = np.abs(bte.BteEngine().magnetization_curve(H, temps)
+                     - exact.ExactEngine().magnetization_curve(H, temps))
         worst = max(worst, float(dev.max()))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 60.0
@@ -163,8 +163,8 @@ def test_criterion_07_transition_plateau(capfd, class_transition_records):
     found = None
     for k in range(145):
         H, _ = channel.sample_sector(H_clean, 200, channel.stream(7, 10, k))
-        recs = tr.find_transitions(tr.orientation_curve(H, grid, eng),
-                                   smoothing_window=1)
+        curve, = tr.orientation_curves([H], grid, eng, H.graph.spins)
+        recs = tr.find_transitions(curve, smoothing_window=1)
         low = [t for r in recs for t in r.transition_temps if t < 1.0]
         if low:
             found = (k, min(low))
@@ -213,7 +213,7 @@ def test_criterion_10_sa_equilibration(capfd):
         core.Hamiltonian.uniform(core.build_chimera(4)), 200,
         channel.stream(44, 0))
     cps = np.array([1.405, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])
-    ref = bte.bte_magnetization_curve(H, H.alpha * cps)
+    ref = bte.BteEngine().magnetization_curve(H, H.alpha * cps)
     n_runs = 1000
     band = 4.0 * np.sqrt((1.0 - ref ** 2) / n_runs)
 
@@ -252,8 +252,10 @@ def test_criterion_11_control_error_broadening(capfd):
         err_rng = channel.stream(77, 1, k)
         sampled += [H] + [sa.inject_control_error(H, spec, err_rng)
                           for _ in range(n_real)]
-    curves = tr.orientation_curves(Hs, grid, eng)
-    at_sampler = eng.magnetization_curves(sampled, np.array([t_sampler]))[:, 0]
+    spins = Hs[0].graph.spins
+    curves = tr.orientation_curves(Hs, grid, eng, spins)
+    at_sampler = eng.moment_curves(sampled, np.array([t_sampler]),
+                                   [(s,) for s in spins])[:, 0]
     pts_clean, pts_err = [], []
     for curve, m in zip(curves, np.split(at_sampler, len(Hs))):
         recs = tr.find_transitions(curve)
@@ -321,7 +323,7 @@ def test_criterion_12_substituted_invariants(capfd):
             bte.bte_sample(H4, 1.0, 20, np.random.default_rng(2)),
             bte.bte_sample(H4, 1.0, 20, np.random.default_rng(2))))
     # Boltzmann consistency: BTE fair samples against exact magnetization
-    m = exact.magnetization(H4, 2.0)
+    m = exact.ExactEngine().magnetization_curve(H4, [2.0])[0]
     samp = bte.bte_sample(H4, 2.0, 40000, np.random.default_rng(3))
     ok_balance = np.all(
         np.abs(samp.mean(axis=0) - m)

@@ -16,6 +16,10 @@ from isingdec import bte, channel, core, exact, sa, workers
 from oracles import elimination_cost
 
 
+def spins(H):
+    return [(s,) for s in H.graph.spins]
+
+
 def random_instance(L, seed):
     rng = np.random.default_rng(seed)
     g = core.build_chimera(L)
@@ -82,8 +86,8 @@ class TestAgainstExact:
     def test_single_cell_magnetization(self, seed):
         H = random_instance(1, seed)
         temps = np.linspace(0.1, 6.0, 20)
-        m_bte = bte.bte_magnetization_curve(H, temps)
-        m_ex = exact.magnetization_curve(H, temps)
+        m_bte = bte.BteEngine().magnetization_curve(H, temps)
+        m_ex = exact.ExactEngine().magnetization_curve(H, temps)
         assert np.max(np.abs(m_bte - m_ex)) < 1e-10
 
     def test_log_partition(self):
@@ -102,24 +106,24 @@ class TestAgainstExact:
         J = [float(rng.choice([-1, 1])) for _ in g.edges]
         H = core.Hamiltonian(graph=g, h=h, J=J, alpha=1.0)
         temps = np.array([0.5, 1.5, 3.0])
-        m_bte = bte.bte_magnetization_curve(H, temps)
-        m_ex = exact.magnetization_curve(H, temps)
+        m_bte = bte.BteEngine().magnetization_curve(H, temps)
+        m_ex = exact.ExactEngine().magnetization_curve(H, temps)
         assert np.max(np.abs(m_bte - m_ex)) < 1e-9
 
     def test_pair_correlations(self):
         H = random_instance(1, 8)
         temps = np.array([0.7, 2.0])
         pairs = list(H.graph.edges)[:6]
-        c_bte = bte.bte_pair_correlation_curve(H, temps, pairs)
-        c_ex = exact.pair_correlation_curve(H, temps, pairs)
+        c_bte = bte.bte_moment_curves([H], temps, pairs)[0]
+        c_ex = exact.moment_curves([H], temps, pairs)[0]
         assert np.max(np.abs(c_bte - c_ex)) < 1e-10
 
     def test_corrupted_instance(self):
         H, _ = channel.corrupt(random_instance(1, 9), 0.1,
                                channel.stream(9, 0))
         temps = np.array([1.0])
-        m_bte = bte.bte_magnetization_curve(H, temps)
-        m_ex = exact.magnetization_curve(H, temps)
+        m_bte = bte.BteEngine().magnetization_curve(H, temps)
+        m_ex = exact.ExactEngine().magnetization_curve(H, temps)
         assert np.max(np.abs(m_bte - m_ex)) < 1e-9
 
 
@@ -144,13 +148,13 @@ class TestOracle:
         lnz_ex = [logsumexp(-sp.energies / T) for T in temps]
         np.testing.assert_allclose(bte.bte_log_partition_curve(H, temps),
                                    lnz_ex, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(bte.bte_magnetization_curve(H, temps),
-                                   exact.magnetization_curve(H, temps),
+        np.testing.assert_allclose(bte.BteEngine().magnetization_curve(H, temps),
+                                   exact.ExactEngine().magnetization_curve(H, temps),
                                    rtol=0, atol=1e-10)
         if pairs:
             np.testing.assert_allclose(
-                bte.bte_pair_correlation_curve(H, temps, pairs),
-                exact.pair_correlation_curve(H, temps, pairs),
+                bte.bte_moment_curves([H], temps, pairs)[0],
+                exact.moment_curves([H], temps, pairs)[0],
                 rtol=0, atol=1e-10)
 
     def test_disconnected_graph(self):
@@ -186,8 +190,8 @@ class TestOracle:
         temps = np.array([1.3, 0.002, 0.4, 0.004, 5.0, 0.003])
         curves = {
             "lnz": lambda t: bte.bte_log_partition_curve(H, t)[:, None],
-            "m": lambda t: bte.bte_magnetization_curve(H, t),
-            "pairs": lambda t: bte.bte_pair_correlation_curve(H, t, pairs),
+            "m": lambda t: bte.BteEngine().magnetization_curve(H, t),
+            "pairs": lambda t: bte.bte_moment_curves([H], t, pairs)[0],
         }
         for name, curve in curves.items():
             rows = np.concatenate([curve(np.array([T])) for T in temps])
@@ -199,7 +203,8 @@ class TestOracle:
         # each temperature's rows are computed apart from the others', so a
         # temperature the guard flagged would trip it again in a linear pass
         H = corrupted_two_cells()
-        bte.bte_magnetization_curve(H, np.array([1.3, 0.002, 0.4, 0.004, 5.0, 0.003]))
+        bte.BteEngine().magnetization_curve(
+            H, np.array([1.3, 0.002, 0.4, 0.004, 5.0, 0.003]))
         flagged, logged = set(), set()
         for arith, temps, flags in arithmetics.tried:
             if arith is bte._LOG:
@@ -307,10 +312,11 @@ class TestPlan:
         with monkeypatch.context() as m:
             m.setattr(bte, "elimination_order", lambda graph: bent)
             with pytest.raises(LookupError, match="outside the memory plan"):
-                bte.bte_magnetization_curve(H, np.array([1.0]))
+                bte.BteEngine().magnetization_curve(H, np.array([1.0]))
             m.setattr(bte, "elimination_order", lambda graph: order)
-            planned = bte.bte_magnetization_curve(H, np.array([1.0]))
-        assert np.array_equal(planned, bte.bte_magnetization_curve(H, np.array([1.0])))
+            planned = bte.BteEngine().magnetization_curve(H, np.array([1.0]))
+        assert np.array_equal(planned,
+                              bte.BteEngine().magnetization_curve(H, np.array([1.0])))
 
 
 class TestGuard:
@@ -381,7 +387,7 @@ class TestSampling:
         H = random_instance(1, 4)
         T, n = 1.5, 100_000
         samples = bte.bte_sample(H, T, n, np.random.default_rng(6))
-        m = exact.magnetization(H, T)
+        m = exact.ExactEngine().magnetization_curve(H, [T])[0]
         band = 4 * np.sqrt((1 - m ** 2) / n)
         assert np.all(np.abs(samples.mean(axis=0) - m) < band + 1e-3)
 
@@ -390,7 +396,7 @@ class TestEngine:
     def test_capacity_error(self):
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
-            bte.bte_magnetization_curve(H, np.array([1.0]))
+            bte.BteEngine().magnetization_curve(H, np.array([1.0]))
 
     def test_capacity_error_before_any_table(self, monkeypatch):
         def no_tables(*args):
@@ -399,7 +405,7 @@ class TestEngine:
         monkeypatch.setattr(bte, "_forward", no_tables)
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
-            bte.bte_magnetization_curve(H, np.array([1.0]))
+            bte.BteEngine().magnetization_curve(H, np.array([1.0]))
 
     @pytest.mark.parametrize("L", range(1, 6))
     def test_chunk_fits_budget(self, L):
@@ -421,12 +427,13 @@ class TestEngine:
         assert sum(c.size for c in conds) == 2 * order.table_entries
 
     @pytest.mark.parametrize("curve, t_min", [
-        pytest.param(bte.bte_magnetization_curve, 0.2, id="bte_magnetization_curve"),
+        pytest.param(bte.BteEngine().magnetization_curve, 0.2,
+                     id="bte_magnetization_curve"),
         pytest.param(bte.bte_log_partition_curve, 0.2, id="bte_log_partition_curve"),
         # T = 0.085 trips the linear pass's guard halfway through (bucket 37
         # of 72): the chunk splits and its lowest temperature runs in logs,
         # within the same budget only if the abandoned tables are freed first
-        pytest.param(bte.bte_magnetization_curve, 0.085,
+        pytest.param(bte.BteEngine().magnetization_curve, 0.085,
                      id="bte_magnetization_curve-log-fallback"),
     ])
     def test_peak_memory_within_counted_tables(self, curve, t_min, arithmetics,
@@ -455,7 +462,7 @@ class TestEngine:
     def test_temperature_must_be_positive(self, bad):
         H = random_instance(1, 0)
         with pytest.raises(ValueError, match="positive"):
-            bte.bte_magnetization_curve(H, np.array([1.0, bad]))
+            bte.BteEngine().magnetization_curve(H, np.array([1.0, bad]))
         with pytest.raises(ValueError, match="positive"):
             bte.bte_log_partition_curve(H, np.array([bad]))
         with pytest.raises(ValueError, match="positive"):
@@ -465,11 +472,11 @@ class TestEngine:
         H = random_instance(2, 0)
         none = np.array([])
         n = H.graph.n_spins
-        assert bte.bte_magnetization_curve(H, none).shape == (0, n)
+        assert bte.BteEngine().magnetization_curve(H, none).shape == (0, n)
         assert bte.bte_log_partition_curve(H, none).shape == (0,)
         pairs = list(H.graph.edges)[:3]
-        assert bte.bte_pair_correlation_curve(H, none, pairs).shape == (0, 3)
-        assert bte.BteEngine().magnetization_curves([H, H], none).shape == (2, 0, n)
+        assert bte.bte_moment_curves([H], none, pairs)[0].shape == (0, 3)
+        assert bte.BteEngine().moment_curves([H, H], none, spins(H)).shape == (2, 0, n)
 
     def test_curve_shape(self):
         eng = bte.BteEngine()
@@ -477,6 +484,28 @@ class TestEngine:
         temps = np.linspace(0.2, 4.0, 7)
         m = eng.magnetization_curve(H, temps)
         assert m.shape == (7, H.graph.n_spins)
+
+    @pytest.mark.parametrize("engine, group", [
+        *[pytest.param(engine, group, id=f"{engine}-{name}")
+          for engine in ("exact", "bte")
+          for name, group in [("three-spins", (0, 4, 5)), ("empty", ()),
+                              ("inactive-spin", (99,))]],
+        # exact enumeration reads any pair, BTE only a graph edge's
+        pytest.param("bte", (0, 1), id="bte-non-edge-pair"),
+    ])
+    def test_bad_group_is_refused_before_any_pass(self, engine, group, monkeypatch):
+        # a group that is not one active spin (or, for BTE, a graph edge's
+        # two spins) would read no marginal: refused before any energy or
+        # table is computed
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the group check")
+
+        monkeypatch.setattr(exact, "batch_energies", no_pass)
+        monkeypatch.setattr(bte, "_forward", no_pass)
+        eng = {"exact": exact.ExactEngine(), "bte": bte.BteEngine()}[engine]
+        H = core.Hamiltonian.uniform(core.build_chimera(1))
+        with pytest.raises(ValueError):
+            eng.moment_curves([H], np.array([1.0, 2.0]), [(0,), group])
 
 
 class TestBatch:
@@ -497,7 +526,7 @@ class TestBatch:
     def test_batch_equals_serial_calls(self, hamiltonians, temps, arithmetics,
                                        monkeypatch):
         temps = np.array(temps)
-        serial = [bte.bte_magnetization_curve(H, temps) for H in hamiltonians]
+        serial = [bte.BteEngine().magnetization_curve(H, temps) for H in hamiltonians]
         assert (bte._LOG in arithmetics.ran) == (temps.min() < 0.1)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
         threads = []
@@ -509,10 +538,11 @@ class TestBatch:
 
         monkeypatch.setattr(bte, "_split", spy)
         eng = bte.BteEngine()
-        batch = eng.magnetization_curves(hamiltonians, temps)
+        batch = eng.moment_curves(hamiltonians, temps, spins(hamiltonians[0]))
         assert len(set(threads)) > 1
         assert np.array_equal(batch, serial)
-        assert np.array_equal(eng.magnetization_curves(hamiltonians[::-1], temps),
+        assert np.array_equal(eng.moment_curves(hamiltonians[::-1], temps,
+                                                spins(hamiltonians[0])),
                               serial[::-1])
         assert np.array_equal(eng.magnetization_curve(hamiltonians[1], temps),
                               serial[1])
@@ -521,11 +551,11 @@ class TestBatch:
                                                         monkeypatch):
         temps = np.array([0.7, 2.0])
         pairs = list(hamiltonians[0].graph.edges)[::7]
-        serial = [bte.bte_pair_correlation_curve(H, temps, pairs)
+        serial = [bte.bte_moment_curves([H], temps, pairs)[0]
                   for H in hamiltonians]
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         assert np.array_equal(
-            bte.BteEngine().pair_correlation_curves(hamiltonians, temps, pairs),
+            bte.BteEngine().moment_curves(hamiltonians, temps, pairs),
             serial)
 
     def test_worker_exception_reaches_the_caller(self, hamiltonians, monkeypatch):
@@ -540,7 +570,7 @@ class TestBatch:
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(bte, "_moments", failing)
         with pytest.raises(core.CapacityError) as info:
-            bte.bte_magnetization_curves(hamiltonians, np.array([1.5]))
+            bte.bte_moment_curves(hamiltonians, np.array([1.5]), spins(hamiltonians[0]))
         assert info.value is err
 
     def test_worker_count(self):
@@ -600,8 +630,8 @@ class TestBatch:
         monkeypatch.setattr(bte, "_split", no_tables)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         H = core.Hamiltonian.uniform(core.build_chimera(4))
-        out = bte.BteEngine().magnetization_curves([H] * n_calls,
-                                                   np.linspace(1.0, 2.0, n_temps))
+        out = bte.BteEngine().moment_curves([H] * n_calls,
+                                            np.linspace(1.0, 2.0, n_temps), spins(H))
         assert out.shape == (n_calls, n_temps, H.graph.n_spins)
         assert lent == [8 * order.plan.entries] * 2
 
@@ -612,17 +642,17 @@ class TestBatch:
         monkeypatch.setattr(bte, "_forward", no_tables)
         H = core.Hamiltonian.uniform(core.build_chimera(8))
         with pytest.raises(core.CapacityError):
-            bte.BteEngine().magnetization_curves([H, H], np.array([1.0]))
+            bte.BteEngine().moment_curves([H, H], np.array([1.0]), spins(H))
 
     def test_one_hamiltonian_curve_is_the_one_element_batch(self, hamiltonians,
                                                             monkeypatch):
         H, temps = hamiltonians[0], np.array([0.06, 0.4, 1.5, 4.0])
         pairs = list(H.graph.edges)[::7]
         for curve, batch in [
-                (bte.bte_magnetization_curve(H, temps),
-                 bte.bte_magnetization_curves([H], temps)),
-                (bte.bte_pair_correlation_curve(H, temps, pairs),
-                 bte.bte_pair_correlation_curves([H], temps, pairs)),
+                (bte.BteEngine().magnetization_curve(H, temps),
+                 bte.bte_moment_curves([H], temps, spins(H))),
+                (bte.BteEngine().moment_curves([H], temps, pairs)[0],
+                 bte.bte_moment_curves([H], temps, pairs)),
                 (bte.bte_log_partition_curve(H, temps),
                  bte._curves(bte._log_partition, [H], temps, ()))]:
             assert batch.shape == (1,) + curve.shape
@@ -638,7 +668,7 @@ class TestBatch:
             return np.zeros((len(piece), H4.graph.n_spins))
 
         monkeypatch.setattr(bte, "_split", no_tables)
-        m = bte.bte_magnetization_curve(H4, np.linspace(1.0, 2.0, 6))
+        m = bte.BteEngine().magnetization_curve(H4, np.linspace(1.0, 2.0, 6))
         assert m.shape == (6, H4.graph.n_spins)
         assert [n for _, n in ran] == [1] * 6
         assert len({thread for thread, _ in ran}) == 2
@@ -671,7 +701,7 @@ class TestBatch:
         monkeypatch.setattr(bte._Bound, "program", spy_program)
         monkeypatch.setattr(bte, "_bind", spy_bind)
         temps = np.array([0.06, 0.4, 1.5, 4.0])
-        bte.BteEngine().magnetization_curves(hamiltonians, temps)
+        bte.BteEngine().moment_curves(hamiltonians, temps, spins(hamiltonians[0]))
         compiled = [key[:3] for key in asked if key[3]]
         threads = {thread for thread, _, _ in compiled}
         assert len(arenas) == len(threads) == 2
@@ -687,8 +717,9 @@ class TestBatch:
 
     def test_one_graph_per_batch(self):
         with pytest.raises(ValueError, match="one graph"):
-            bte.bte_magnetization_curves(
-                [random_instance(1, 0), random_instance(2, 0)], np.array([1.0]))
+            bte.bte_moment_curves(
+                [random_instance(1, 0), random_instance(2, 0)], np.array([1.0]),
+                [(0,)])
 
 
 class TestRowIndependence:
@@ -708,8 +739,8 @@ class TestRowIndependence:
         H, temps, pairs = instance
         H2 = sa.inject_control_error(H, sa.ControlErrorSpec(), channel.stream(14, 1))
         curves = {
-            "m": lambda H, t: bte.bte_magnetization_curve(H, t),
-            "c": lambda H, t: bte.bte_pair_correlation_curve(H, t, pairs),
+            "m": lambda H, t: bte.BteEngine().magnetization_curve(H, t),
+            "c": lambda H, t: bte.bte_moment_curves([H], t, pairs)[0],
             "z": lambda H, t: bte.bte_log_partition_curve(H, t),
         }
         alone = {(name, k): np.concatenate([curve(G, temps[i:i + 1])
@@ -737,9 +768,9 @@ class TestRowIndependence:
         eng = bte.BteEngine()
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-            assert np.array_equal(eng.magnetization_curves([H, H2], temps),
+            assert np.array_equal(eng.moment_curves([H, H2], temps, spins(H)),
                                   [alone["m", 0], alone["m", 1]])
-            assert np.array_equal(eng.pair_correlation_curves([H2, H], temps, pairs),
+            assert np.array_equal(eng.moment_curves([H2, H], temps, pairs),
                                   [alone["c", 1], alone["c", 0]])
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
@@ -753,8 +784,8 @@ H, _ = channel.sample_sector(core.Hamiltonian.uniform(core.build_chimera(4)), 20
                              channel.stream(14, 0))
 temps = np.linspace(0.05, 5.0, 6)
 workers.usable_cpus = lambda: 2
-for m in (bte.bte_magnetization_curve(H, temps),
-          bte.BteEngine().magnetization_curves([H], temps)[0]):
+for m in (bte.BteEngine().magnetization_curve(H, temps),
+          bte.bte_moment_curves([H], temps, [(s,) for s in H.graph.spins])[0]):
     print(hashlib.sha256(m.tobytes()).hexdigest())
 """
         src = os.path.dirname(os.path.dirname(os.path.abspath(bte.__file__)))

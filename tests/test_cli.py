@@ -172,8 +172,8 @@ class TestOutputDirectory:
         def no_work(*args, **kwargs):
             raise AssertionError("worked before the capacity check")
 
-        for module, name in [(sa, "_run_batch"), (exact, "magnetization_curves"),
-                             (bte, "bte_magnetization_curves")]:
+        for module, name in [(sa, "_run_batch"), (exact, "moment_curves"),
+                             (bte, "bte_moment_curves")]:
             monkeypatch.setattr(module, name, no_work)
         out = tmp_path / "o"
         cfg = write(tmp_path, "c.cfg", f"[graph]\n{graph}\n[grid]\npoints = 10\n"
@@ -492,31 +492,6 @@ flips = 20
         assert run([command, "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 2
         assert "no room for grid.points distinct temperatures" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, key, value", [
-        ("plow-fit", "grid.t_min", "nan"),
-        ("plow-fit", "grid.t_max", "inf"),
-        ("transitions", "grid.t_min", "-0.5"),
-        ("transitions", "grid.t_max", "nan"),
-        ("plow-fit", "plow.sampler_temperature", "-1.0"),
-        ("plow-fit", "plow.sampler_temperature", "nan"),
-        ("plow-fit", "plow.sampler_temperature", "inf"),
-    ])
-    def test_bad_temperature_is_config_error(self, tmp_path, capsys, command, key,
-                                             value):
-        settings = {"grid": {"points": "10"}, "plow": {"sampler_temperature": "1.5"}}
-        section, name = key.split(".")
-        settings[section][name] = value
-        text = "[run]\nseed = 1\n[channel]\nflips = 4\n" + "".join(
-            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-            for sec, keys in settings.items())
-        cfg = write(tmp_path, "t.cfg", text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy warning on the way
-            assert run([command, "--config", str(cfg), "--out",
-                        str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert f"{key} must be positive and finite, got {float(value)!r}" in err
 
     def test_surface_merges_repeated_grid_temperatures(self, tmp_path):
         # surface decodes on the grid and the Nishimori temperatures merged,

@@ -18,6 +18,15 @@ def one_spin_hamiltonian():
     return core.Hamiltonian(graph=g, h=[1.0], J=[], alpha=1.0)
 
 
+def spins(H):
+    return [(s,) for s in H.graph.spins]
+
+
+def magnetization(H, T):
+    """Per-spin <sigma_i> at one temperature T."""
+    return exact.moment_curves([H], [T], spins(H))[0, 0]
+
+
 class TestSpectrum:
     def test_ferromagnet_ground(self):
         H = core.Hamiltonian.uniform(core.build_chimera(1))
@@ -46,25 +55,25 @@ class TestSpectrum:
 
 class TestMagnetization:
     def test_one_spin_tanh(self):
-        m = exact.magnetization(one_spin_hamiltonian(), 1.0)
+        m = magnetization(one_spin_hamiltonian(), 1.0)
         assert m[0] == pytest.approx(np.tanh(1.0), abs=1e-12)
 
     def test_high_temperature_limit(self):
         H = random_nominal(11)
-        m = exact.magnetization(H, 1e6)
+        m = magnetization(H, 1e6)
         assert np.all(np.abs(m) < 1e-4)
 
     def test_ferromagnet_positive(self):
         H = core.Hamiltonian.uniform(core.build_chimera(1))
         for T in (0.01, 0.5, 3.0, 100.0):
-            assert np.all(exact.magnetization(H, T) > 0)
+            assert np.all(magnetization(H, T) > 0)
 
     def test_gauge_covariance(self):
         H = random_nominal(12)
         flip = {1, 4, 6}
         signs = np.array([-1.0 if s in flip else 1.0 for s in H.graph.spins])
-        m1 = exact.magnetization(H, 0.7)
-        m2 = exact.magnetization(core.gauge_transform(H, flip), 0.7)
+        m1 = magnetization(H, 0.7)
+        m2 = magnetization(core.gauge_transform(H, flip), 0.7)
         assert np.allclose(m2, signs * m1, atol=1e-12)
 
     def test_extreme_temperatures_finite(self):
@@ -72,7 +81,7 @@ class TestMagnetization:
         for T in (1e-3, 1e7):
             for alpha in (0.05, 1.0):
                 Ha = core.Hamiltonian(graph=H.graph, h=H.h, J=H.J, alpha=alpha)
-                assert np.all(np.isfinite(exact.magnetization(Ha, T)))
+                assert np.all(np.isfinite(magnetization(Ha, T)))
 
     def test_weights_normalized(self):
         H = random_nominal(14)
@@ -82,21 +91,21 @@ class TestMagnetization:
 
     def test_temperature_domain(self):
         with pytest.raises(ValueError):
-            exact.magnetization(random_nominal(15), 0.0)
+            magnetization(random_nominal(15), 0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_temperature_must_be_positive(self, bad):
         H = random_nominal(15)
         with pytest.raises(ValueError, match="positive"):
-            exact.magnetization_curve(H, np.array([1.0, bad]))
+            exact.ExactEngine().magnetization_curve(H, np.array([1.0, bad]))
         with pytest.raises(ValueError, match="positive"):
-            exact.ExactEngine().magnetization_curves([H, H], np.array([bad]))
+            exact.ExactEngine().moment_curves([H, H], np.array([bad]), spins(H))
 
     def test_empty_grid_gives_empty_curves(self):
         H = random_nominal(15)
         none = np.array([])
-        assert exact.magnetization_curve(H, none).shape == (0, 8)
-        assert exact.pair_correlation_curve(H, none, [(0, 4), (1, 5)]).shape == (0, 2)
+        assert exact.ExactEngine().magnetization_curve(H, none).shape == (0, 8)
+        assert exact.moment_curves([H], none, [(0, 4), (1, 5)]).shape == (1, 0, 2)
 
 
 class TestDecoders:
@@ -162,7 +171,8 @@ def loop_curve(H, temps, observable):
     with one-dimensional products: the reference the stacked curves must
     reproduce bit for bit."""
     S = exact.config_matrix(H.graph.n_spins)
-    P = exact._pair_products(H.graph, H.graph.edge_positions)
+    ij = H.graph.edge_positions
+    P = S[:, ij[:, 0]] * S[:, ij[:, 1]]
     energies = H.alpha * (-(H.h @ S.T) - (H.J @ P.T))
     neg_shifted = energies.min() - energies
     out = np.empty((len(temps), observable.shape[1]))
@@ -188,7 +198,7 @@ class TestBatchCurves:
         _, _, canonical = core.enumerate_cell_classes()
         Hs = [core.cell_from_word(int(w)) for w in np.unique(canonical)]
         S = exact.config_matrix(8)
-        batch = exact.ExactEngine().magnetization_curves(Hs, self.grid)
+        batch = exact.ExactEngine().moment_curves(Hs, self.grid, spins(Hs[0]))
         assert batch.shape == (192, 200, 8)
         assert np.array_equal(batch, [loop_curve(H, self.grid, S) for H in Hs])
 
@@ -198,21 +208,23 @@ class TestBatchCurves:
         Hs = control_error_cells(40, 1)
         S = exact.config_matrix(8)
         loop = np.array([loop_curve(H, self.grid, S) for H in Hs])
-        assert np.array_equal(exact.magnetization_curves(Hs, self.grid), loop)
-        assert np.array_equal(exact.magnetization_curves(Hs[::-1], self.grid),
+        assert np.array_equal(exact.moment_curves(Hs, self.grid, spins(Hs[0])), loop)
+        assert np.array_equal(exact.moment_curves(Hs[::-1], self.grid, spins(Hs[0])),
                               loop[::-1])
         for H, row in zip(Hs[:3], loop):
-            assert np.array_equal(exact.magnetization_curve(H, self.grid), row)
+            assert np.array_equal(exact.ExactEngine().magnetization_curve(H, self.grid),
+                                  row)
 
     def test_pair_correlations_equal_the_loop(self):
         Hs = control_error_cells(5, 2) + [random_nominal(s) for s in range(3)]
         pairs = [(0, 4), (7, 1), (2, 3), (5, 6)]
         g = Hs[0].graph
         idx = g.positions(pairs).reshape(-1, 2)
-        SS = exact._pair_products(g, idx)
-        batch = exact.ExactEngine().pair_correlation_curves(Hs, self.grid, pairs)
+        S = exact.config_matrix(8)
+        SS = S[:, idx[:, 0]] * S[:, idx[:, 1]]
+        batch = exact.ExactEngine().moment_curves(Hs, self.grid, pairs)
         assert np.array_equal(batch, [loop_curve(H, self.grid, SS) for H in Hs])
-        assert np.array_equal(exact.pair_correlation_curve(Hs[6], self.grid, pairs),
+        assert np.array_equal(exact.moment_curves([Hs[6]], self.grid, pairs)[0],
                               batch[6])
 
     def test_blocks_hold_at_most_the_block_size(self, monkeypatch):
@@ -224,7 +236,7 @@ class TestBatchCurves:
         monkeypatch.setattr(exact, "batch_energies", lambda g, h, j, a: (
             sizes.append(len(h)) or energies(g, h, j, a)))
         Hs = control_error_cells(10, 3)
-        batch = exact.magnetization_curves(Hs, self.grid[:5])
+        batch = exact.moment_curves(Hs, self.grid[:5], spins(Hs[0]))
         assert sizes == [4, 4, 2]
         assert np.array_equal(batch, [loop_curve(H, self.grid[:5],
                                                  exact.config_matrix(8)) for H in Hs])
@@ -232,6 +244,6 @@ class TestBatchCurves:
     def test_one_graph_per_batch(self):
         cell, other = random_nominal(0), one_spin_hamiltonian()
         with pytest.raises(ValueError, match="one graph"):
-            exact.magnetization_curves([cell, other], self.grid)
+            exact.moment_curves([cell, other], self.grid, spins(cell))
         with pytest.raises(ValueError, match="at least one"):
-            exact.magnetization_curves([], self.grid)
+            exact.moment_curves([], self.grid, spins(cell))

@@ -128,7 +128,7 @@ def bte_instance():
 
 def case_bte_magnetization():
     H, temps = bte_instance()
-    return sha(bte.bte_magnetization_curve(H, temps))
+    return sha(bte.BteEngine().magnetization_curve(H, temps))
 
 
 def case_bte_log_partition():
@@ -138,7 +138,7 @@ def case_bte_log_partition():
 
 def case_bte_pair_correlation():
     H, temps = bte_instance()
-    return sha(bte.bte_pair_correlation_curve(H, temps, list(H.graph.edges)[::5]))
+    return sha(bte.bte_moment_curves([H], temps, list(H.graph.edges)[::5])[0])
 
 
 def case_bte_low_temperature():
@@ -147,8 +147,8 @@ def case_bte_low_temperature():
     # none); pinned before the flush went in
     H, _ = bte_instance()
     temps = np.array([0.03, 0.05])
-    return sha(bte.bte_magnetization_curve(H, temps),
-               bte.bte_pair_correlation_curve(H, temps, list(H.graph.edges)[::5]),
+    return sha(bte.BteEngine().magnetization_curve(H, temps),
+               bte.bte_moment_curves([H], temps, list(H.graph.edges)[::5])[0],
                bte.bte_log_partition_curve(H, temps))
 
 

@@ -1,16 +1,18 @@
 """Static checks on the package source, standing in for a linter: every
 module-level import is used, every name in `__all__` is defined, every
 function, method and class is named somewhere, nothing imports scipy, the
-README's config key table lists the keys of the config schema, and only
-`cli.main` writes files."""
+README's config key table lists the keys of the config schema, only
+`cli.main` writes files, and the enumeration and BTE engines share one
+interface."""
 
 import ast
+import inspect
 import pathlib
 import re
 
 import pytest
 
-from isingdec import cli
+from isingdec import bte, cli, exact
 
 ROOT = pathlib.Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "isingdec").glob("*.py"))
@@ -134,3 +136,17 @@ def test_only_main_writes_files():
             if name in writes:
                 found.append(f"{name} (line {call.lineno})")
     assert not found, f"cli.py writes outside main: {', '.join(found)}"
+
+
+def test_engines_share_one_interface():
+    # the commands call either engine alike, so neither may grow a public
+    # method, or a parameter, that the other lacks
+    def interface(cls):
+        return {name: list(inspect.signature(fn).parameters)
+                for name, fn in vars(cls).items() if not name.startswith("_")}
+
+    assert interface(exact.ExactEngine) == interface(bte.BteEngine) == {
+        "check_capacity": ["self", "graph"],
+        "moment_curves": ["self", "Hs", "temps", "groups"],
+        "magnetization_curve": ["self", "H", "temps"],
+    }

@@ -90,8 +90,8 @@ class TestFindTransitions:
     def test_orientation_curve_engine_wiring(self):
         temps = np.linspace(0.5, 3.0, 10)
         H = core.Hamiltonian.uniform(core.build_chimera(1))
-        curve = tr.orientation_curve(H, temps, bte.BteEngine())
-        oracle = exact.magnetization_curve(H, temps)
+        curve, = tr.orientation_curves([H], temps, bte.BteEngine(), H.graph.spins)
+        oracle = exact.ExactEngine().magnetization_curve(H, temps)
         assert np.allclose(curve.values, oracle, atol=1e-10)
         assert curve.items == H.graph.spins
 
