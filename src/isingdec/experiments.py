@@ -76,8 +76,8 @@ def exact_sector_means(H_clean: Hamiltonian, t_decode: np.ndarray):
 
     # gauge variables: one +-1 vector per spin assignment
     tau = exact.config_matrix(n)                      # (2^n, n)
-    edge_parity = (
-        (1 - exact._group_products(graph, graph.edges)) // 2).astype(np.int64)
+    ij = graph.edge_positions
+    edge_parity = ((1 - tau[:, ij[:, 0]] * tau[:, ij[:, 1]]) // 2).astype(np.int64)
     neg_h = ((1 - tau).sum(axis=1) // 2).astype(np.int64)     # (2^n,)
     n_el = n + m
     n_sectors = n_el + 1
