@@ -15,11 +15,14 @@ streams are numpy `Generator`s over `Philox`.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .core import Hamiltonian
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "nishimori_temperature",
@@ -36,8 +39,12 @@ def stream(master_seed: int, *path: int) -> Generator:
     """Independent, reproducible Philox stream for (master seed, path...).
 
     Parallel workers derive disjoint streams from the same master seed by
-    passing distinct paths, e.g. (sector, replicate).
+    passing distinct paths, e.g. (sector, replicate). numpy.random is
+    imported here, on the first call: the commands that draw no random
+    number do not load it.
     """
+    from numpy.random import Generator, Philox, SeedSequence
+
     ss = SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
     return Generator(Philox(ss))
 

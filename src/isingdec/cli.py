@@ -14,6 +14,11 @@ the graph run in the commands that read the keys, and in `validate` where
 they do not depend on the command; so does the engine's capacity check on
 the instances' graph, before any curve or anneal.
 
+Importing the module loads what the single-cell commands run (core,
+channel, exact, experiments, transitions); the BTE engine, the annealer,
+the thread pool and numpy.random load on first use, in the commands that
+run them.
+
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 internal error.
 One config error comes after the work: `plow-fit` with too few transition
 points for a fit.
@@ -30,10 +35,11 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bte, channel, exact, experiments, sa, transitions, workers
+from . import channel, exact, experiments, transitions
 from .core import (
     CapacityError,
     FormatError,
@@ -44,6 +50,9 @@ from .core import (
     enumerate_cell_classes,
     parse_hamiltonian,
 )
+
+if TYPE_CHECKING:
+    from . import sa
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -206,8 +215,11 @@ def _engine(config: dict, graph):
     """The configured engine, once it has checked that graph, the graph of
     the instances, is within its capacity: CapacityError, before any curve,
     if not."""
-    engine = (bte.BteEngine() if config.get("graph.engine") == "bte"
-              else exact.ExactEngine())
+    if config.get("graph.engine") == "bte":
+        from . import bte
+        engine = bte.BteEngine()
+    else:
+        engine = exact.ExactEngine()
     engine.check_capacity(graph)
     return engine
 
@@ -229,6 +241,7 @@ def _control_spec(config: dict) -> sa.ControlErrorSpec | None:
     is absent or 0; an unset sigma takes the ControlErrorSpec default."""
     if config.get("control.realizations", 0) == 0:
         return None
+    from . import sa
     return sa.ControlErrorSpec(**{k: config[f"control.{k}"]
                                   for k in ("sigma_h", "sigma_j")
                                   if f"control.{k}" in config})
@@ -246,6 +259,7 @@ def _flips(config: dict, H: Hamiltonian) -> int | None:
 
 def _anneal_plan(config: dict, H: Hamiltonian):
     """The [sa] schedule, its checkpoints and their temperatures on H."""
+    from . import sa
     try:
         schedule = sa.AnnealSchedule(
             t_start=config.get("sa.t_start", 10.0),
@@ -454,6 +468,7 @@ def _plow_scatter(config, seed):
     # control-error realizations drawn from its own stream
     sampler_Hs = Hs
     if spec is not None:
+        from . import sa
         sampler_Hs = []
         for k, H in enumerate(Hs):
             rng = channel.stream(seed, 20, k)
@@ -491,6 +506,7 @@ def cmd_plow_fit(config, seed):
 
 def cmd_sa_compare(config, seed):
     """Annealer orientations vs equilibrium at checkpoint temperatures."""
+    from . import sa, workers
     H = next(_transition_instances(config, seed))[1]
     # control error keeps alpha, so temps are the sweep's temperatures
     schedule, checkpoints, temps = _anneal_plan(config, H)

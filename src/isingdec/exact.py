@@ -26,8 +26,6 @@ __all__ = [
     "enumerate_spectrum",
     "moment_curves",
     "thermal_average",
-    "mpm_decode",
-    "map_decode",
     "ExactEngine",
     "config_matrix",
     "batch_energies",
@@ -169,23 +167,6 @@ def _sign_with_zero(m: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:
     out = np.sign(m)
     out[(m > -tol) & (m < tol)] = 0.0  # no |m| temporary: it is out's size
     return out
-
-
-def mpm_decode(H: Hamiltonian, T: float) -> np.ndarray:
-    """Marginal posterior maximisation: sgn(<sigma_i>) at T, 0 if undecided.
-
-    Entries align with H.graph.spins.
-    """
-    return _sign_with_zero(moment_curves([H], [T], [(s,) for s in H.graph.spins])[0, 0])
-
-
-def map_decode(H: Hamiltonian) -> np.ndarray:
-    """Maximum-likelihood decode: per-spin sign summed over all ground states.
-
-    Exact integer arithmetic, so degenerate ties yield exactly 0.
-    """
-    energies = enumerate_spectrum(H).energies[None, :]
-    return batch_map_decode(energies, H.graph.n_spins, H.alpha)[0]
 
 
 def batch_map_decode(energies: np.ndarray, n_spins: int, alpha: float = 1.0) -> np.ndarray:

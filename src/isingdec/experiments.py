@@ -28,8 +28,6 @@ __all__ = [
     "ber_curve",
     "BerSurface",
     "ber_surface",
-    "NishimoriReport",
-    "nishimori_check",
 ]
 
 
@@ -142,36 +140,3 @@ def ber_surface(H_clean: Hamiltonian, t_decode: np.ndarray,
         t_decode=t_decode, t_nish=t_nish, r_mpm=r_mpm, r_map=r_map,
         ratio=r_mpm / r_map, map_means=map_means, mpm_means=mpm_means,
     )
-
-
-@dataclass(frozen=True)
-class NishimoriReport:
-    violations: tuple
-    max_excess: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def nishimori_check(surface: BerSurface, tol: float = 1e-12) -> NishimoriReport:
-    """Verify BER is minimized on the diagonal T_decode = T_Nish.
-
-    For each T_Nish on the grid, require BER at T_decode = T_Nish to be
-    within tol of the column minimum. The diagonal must lie on the decode
-    grid.
-    """
-    violations = []
-    max_excess = 0.0
-    for k, t in enumerate(surface.t_nish):
-        idx = int(np.argmin(np.abs(surface.t_decode - t)))
-        if not np.isclose(surface.t_decode[idx], t, rtol=1e-9, atol=1e-12):
-            raise ValueError(
-                f"T_Nish={t} not on the decode grid; diagonal missing")
-        col = surface.r_mpm[:, k]
-        excess = float(surface.r_mpm[idx, k] - col.min())
-        max_excess = max(max_excess, excess)
-        if excess > tol:
-            bad = np.flatnonzero(surface.r_mpm[idx, k] > col + tol)
-            violations.append((float(t), tuple(surface.t_decode[bad])))
-    return NishimoriReport(violations=tuple(violations), max_excess=max_excess)

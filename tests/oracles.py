@@ -1,6 +1,7 @@
 """Independent oracles the tests check the package against."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
@@ -78,6 +79,21 @@ def elimination_cost(graph, order):
         adj[nbrs, nbrs] = False
         adj[index[s], :] = adj[:, index[s]] = False
     return width, entries
+
+
+def mpm_decode(H: Hamiltonian, T: float) -> np.ndarray:
+    """Marginal posterior maximisation of one Hamiltonian: sgn(<sigma_i>) at
+    T, 0 if undecided, from the package's moment kernel. Entries align with
+    H.graph.spins."""
+    m = exact.moment_curves([H], [T], [(s,) for s in H.graph.spins])[0, 0]
+    return exact._sign_with_zero(m)
+
+
+def map_decode(H: Hamiltonian) -> np.ndarray:
+    """Maximum-likelihood decode of one Hamiltonian: per-spin sign summed
+    over all ground states, so degenerate ties yield exactly 0."""
+    energies = exact.enumerate_spectrum(H).energies[None, :]
+    return exact.batch_map_decode(energies, H.graph.n_spins, H.alpha)[0]
 
 
 def map_decoder(graph, alpha=1.0):
@@ -182,6 +198,40 @@ def all_words_sector_means(H_clean, t_decode, chunk=4096):
     mpm_means = 0.5 - mpm_acc.T / (2.0 * n * counts[:, None])
     map_means = 0.5 - map_acc / (2.0 * n * counts)
     return map_means, mpm_means
+
+
+@dataclass(frozen=True)
+class NishimoriReport:
+    violations: tuple
+    max_excess: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def nishimori_check(surface, tol: float = 1e-12) -> NishimoriReport:
+    """Verify that a BerSurface's BER is minimized on the diagonal
+    T_decode = T_Nish.
+
+    For each T_Nish on the grid, require BER at T_decode = T_Nish to be
+    within tol of the column minimum. The diagonal must lie on the decode
+    grid.
+    """
+    violations = []
+    max_excess = 0.0
+    for k, t in enumerate(surface.t_nish):
+        idx = int(np.argmin(np.abs(surface.t_decode - t)))
+        if not np.isclose(surface.t_decode[idx], t, rtol=1e-9, atol=1e-12):
+            raise ValueError(
+                f"T_Nish={t} not on the decode grid; diagonal missing")
+        col = surface.r_mpm[:, k]
+        excess = float(surface.r_mpm[idx, k] - col.min())
+        max_excess = max(max_excess, excess)
+        if excess > tol:
+            bad = np.flatnonzero(surface.r_mpm[idx, k] > col + tol)
+            violations.append((float(t), tuple(surface.t_decode[bad])))
+    return NishimoriReport(violations=tuple(violations), max_excess=max_excess)
 
 
 def per_update_run_batch(H: Hamiltonian, schedule: AnnealSchedule, n_runs: int,

@@ -3,7 +3,7 @@ import pytest
 
 from isingdec import channel, core, experiments as ex
 from oracles import (all_words_sector_means, direct_rtot, map_decoder,
-                     mpm_decoder)
+                     mpm_decoder, nishimori_check)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,7 @@ class TestSurfaceAndNishimori:
         assert surface.mpm_means.shape == (16, 6)
 
     def test_matched_temperature_is_optimal(self, surface):
-        rep = ex.nishimori_check(surface)
+        rep = nishimori_check(surface)
         assert rep.ok
         assert rep.max_excess == 0.0
 
@@ -163,7 +163,7 @@ class TestSurfaceAndNishimori:
             t_decode=surface.t_decode, t_nish=surface.t_nish, r_mpm=r,
             r_map=surface.r_map, ratio=r / surface.r_map,
             map_means=surface.map_means, mpm_means=surface.mpm_means)
-        rep = ex.nishimori_check(bad)
+        rep = nishimori_check(bad)
         assert not rep.ok
         assert rep.max_excess == pytest.approx(1e-6, rel=1e-6)
 
@@ -173,7 +173,7 @@ class TestSurfaceAndNishimori:
             r_mpm=surface.r_mpm, r_map=surface.r_map, ratio=surface.ratio,
             map_means=surface.map_means, mpm_means=surface.mpm_means)
         with pytest.raises(ValueError):
-            ex.nishimori_check(off)
+            nishimori_check(off)
 
 
 class TestDirectRtot:
